@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Run every experiment with one seed and write outputs under ./results/."""
+"""Run every experiment with one seed (--seed, default 0) and write outputs
+under ./results/."""
+import argparse
 import pathlib
-import sys
 
 from metriclab.cli import main
 
 if __name__ == "__main__":
-    seed = sys.argv[1] if len(sys.argv) > 1 else "0"
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seed", type=int, default=0)
+    seed = str(parser.parse_args().seed)
     out = pathlib.Path("results")
     out.mkdir(exist_ok=True)
     jobs = [

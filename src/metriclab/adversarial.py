@@ -674,71 +674,71 @@ def distance_classes(problem: AdversarialProblem) -> list[DistanceClass]:
     return classes
 
 
-def _fresh_predictions(
-    problem: AdversarialProblem,
-    n: int,
-    k: int,
-    test_count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per test point, draw class occupancies of an independent n-sample via
-    a conditional binomial chain, then vote over the k nearest."""
-    classes = distance_classes(problem)
-    labels = np.array([c.label for c in classes], dtype=np.int64)
-    counts = np.zeros((test_count, len(classes)), dtype=np.int64)
-    rem_n = np.full(test_count, n, dtype=np.int64)
-    rem_p = Fraction(1)
-    for idx, c in enumerate(classes):
-        if rem_p == c.prob:
-            drawn = rem_n.copy()
-        else:
-            pc = min(1.0, max(0.0, float(c.prob / rem_p)))
-            drawn = rng.binomial(rem_n, pc)
-        counts[:, idx] = drawn
-        rem_n -= drawn
-        rem_p -= c.prob
-    cum = counts.cumsum(axis=1)
-    before = cum - counts
-    take = np.minimum(np.maximum(k - before, 0), counts)
-    ones = (take * labels).sum(axis=1)
+def _vote(classes: list[DistanceClass], counts: Iterable[np.ndarray], k: int) -> np.ndarray:
+    """k-NN vote in O(T) memory from per-class sample counts, one length-T
+    vector per class in distance order; label 1 wins with half the votes."""
+    need, ones = k, 0  # need = max(k - before, 0), before = points met so far
+    for c, count in zip(classes, counts):
+        take = np.minimum(need, count)
+        need = need - take
+        ones = ones + take * c.label
     return (2 * ones >= k).astype(np.int64)
 
 
-def _trace_predictions(
-    problem: AdversarialProblem,
-    trace: SampleTrace,
-    test_words: np.ndarray,
-    k: int,
+def _fresh_predictions(
+    problem: AdversarialProblem, n: int, k: int, test_count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Count-based predictions over one shared sample trace; matches the
-    brute-force rule (selection by distance, then by smaller tie key) point
-    for point."""
-    D = problem.truncation_depth
+    """Per test point, draw class occupancies of an independent n-sample via
+    a conditional binomial chain, voting on each class as it is drawn."""
     classes = distance_classes(problem)
-    rank_atom = np.full((D + 1, D + 1), -1, dtype=np.int64)
-    rank_diffuse = np.full(D + 1, -1, dtype=np.int64)
-    for idx, c in enumerate(classes):
-        if c.kind == "atom":
-            rank_atom[c.depth, c.split] = idx
-        else:
-            rank_diffuse[c.split] = idx
 
-    eff_depth = np.where(trace.is_atomic, trace.atom_depth, D)
-    labels = trace.is_atomic.astype(np.int64)
-    preds = np.empty(len(test_words), dtype=np.int64)
-    for w_idx in range(len(test_words)):
-        eq = trace.letters == test_words[w_idx][None, :]
-        lcp = np.cumprod(eq, axis=1).sum(axis=1)
-        split = np.minimum(lcp, eff_depth)
-        ranks = np.where(
-            trace.is_atomic,
-            rank_atom[eff_depth, split],
-            rank_diffuse[split],
-        )
-        order = np.lexsort((trace.tie_keys, ranks))
-        ones = int(labels[order[:k]].sum())
-        preds[w_idx] = 1 if 2 * ones >= k else 0
-    return preds
+    def draws():
+        rem_n, rem_p = np.full(test_count, n, dtype=np.int64), Fraction(1)
+        for c in classes:
+            p = c.prob / rem_p  # exactly 1 at the last class, which takes the rest
+            drawn = rng.binomial(rem_n, float(p)) if p < 1 else rem_n.copy()
+            rem_n -= drawn
+            rem_p -= c.prob
+            yield drawn
+
+    return _vote(classes, draws(), k)
+
+
+def _trace_predictions(
+    problem: AdversarialProblem, trace: SampleTrace, test_words: np.ndarray, k: int
+) -> np.ndarray:
+    """Count-based predictions over one shared sample trace, equal point for
+    point to the brute-force rule (nearest by distance, then by smaller tie
+    key): each distance class has one label and classes at one distance
+    share it (``distance_classes`` raises otherwise), so the label sum of
+    the k nearest does not depend on which tied rows the keys pick.
+
+    One lexsort per group of rows (one kind, effective depth j) with the
+    words' length-j prefixes gives ge[h], the rows agreeing with a word on h
+    letters; ge[h] - ge[h+1] rows split at h. No prefix is packed into one
+    integer, which could overflow. O((n + T) D log n) time, O(n D + T) memory.
+    """
+
+    def split_counts(rows):  # yields h = j, ..., 0: nearest first within a group
+        n_rows, j = rows.shape
+        above = np.zeros(len(test_words), dtype=np.int64)  # ge[h + 1]
+        stacked = np.concatenate((rows, test_words[:, :j]))
+        order = np.lexsort(stacked.T[::-1]) if j else np.arange(len(stacked))
+        differs = np.diff(stacked[order], axis=0) != 0
+        is_row, word_pos = order < n_rows, np.argsort(order)[n_rows:]
+        for h in range(j, 0, -1):
+            block = np.concatenate(([0], np.cumsum(differs[:, :h].any(axis=1))))
+            ge = np.bincount(block[is_row], minlength=block[-1] + 1)[block[word_pos]]
+            yield ge - above
+            above = ge
+        yield n_rows - above
+
+    D, atomic, letters = problem.truncation_depth, trace.is_atomic, trace.letters
+    groups = {("diffuse", D): split_counts(letters[~atomic])}
+    for j in range(D + 1):
+        groups["atom", j] = split_counts(letters[atomic & (trace.atom_depth == j), :j])
+    classes = distance_classes(problem)
+    return _vote(classes, (next(groups[c.kind, c.depth]) for c in classes), k)
 
 
 class StageSimResult(NamedTuple):

@@ -1,7 +1,8 @@
 """``lab`` command line front-end.
 
-Exit codes: 0 on success, 2 when schedule constraints are violated, 3 when
-the schedule recursion overflows the 64-bit range.
+Exit codes: 0 on success, 1 when a config value or input is invalid (one
+line on stderr), 2 when schedule constraints are violated, 3 when the
+schedule recursion overflows the 64-bit range.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None, help="default 0")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--mode", choices=("proof", "empirical"), default=None)
@@ -64,41 +65,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    base: dict = {"experiment": args.experiment}
+    """Merge the JSON config file with the flags that were given (flags win)
+    and build the config once, so that its own checks see the final values."""
+    merged: dict = {"k_rule": "sqrtceil"} if args.experiment == "baseline" else {}
     if args.config:
         with open(args.config) as fh:
-            base.update(json.load(fh))
-        base["experiment"] = args.experiment
-    cfg = ExperimentConfig.from_json_dict(base)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.output_path = args.out
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.stages is not None:
-        cfg.stages = args.stages
-    if args.test_count is not None:
-        cfg.test_count = args.test_count
-    if args.k_rule is not None:
-        cfg.k_rule = args.k_rule
-    if args.depth is not None:
-        cfg.depth = args.depth
-    if args.m is not None:
-        cfg.m = args.m
-    if args.n is not None:
-        cfg.n = args.n
-    if args.n_override:
-        cfg.n_override = _parse_override(args.n_override)
-    return cfg
+            merged.update(json.load(fh))
+    flags = {
+        "experiment": args.experiment,
+        "seed": args.seed,
+        "output_path": args.out,
+        "mode": args.mode,
+        "stages": args.stages,
+        "test_count": args.test_count,
+        "k_rule": args.k_rule,
+        "depth": args.depth,
+        "m": args.m,
+        "n": args.n,
+        "n_override": _parse_override(args.n_override) if args.n_override else None,
+    }
+    merged.update({key: value for key, value in flags.items() if value is not None})
+    return ExperimentConfig.from_json_dict(merged)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.experiment == "baseline" and args.k_rule is None:
-        args.k_rule = "sqrtceil"
-    if args.experiment == "consistency" and args.mode is None:
-        args.mode = "empirical"
     try:
         cfg = config_from_args(args)
         if cfg.experiment == "consistency":
@@ -133,6 +124,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScheduleOverflowError as exc:
         print(exc, file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"lab {args.experiment}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from metriclab.cli import main
+from metriclab.cli import build_parser, config_from_args, main
 from metriclab.experiments import (
     ExperimentConfig,
     constant_eta_square_problem,
@@ -129,8 +129,13 @@ def test_config_file_roundtrip(tmp_path):
             }
         )
     )
-    code = main(["consistency", "--config", str(path)])
-    assert code == 0
+    assert main(["consistency", "--config", str(path)]) == 0
+    # the file's seed holds unless --seed is given
+    args = build_parser().parse_args(["consistency", "--config", str(path)])
+    assert config_from_args(args).seed == 3
+    args = build_parser().parse_args(["consistency", "--config", str(path), "--seed", "5"])
+    assert config_from_args(args).seed == 5
+    assert config_from_args(build_parser().parse_args(["baseline"])).k_rule == "sqrtceil"
 
 
 def test_cli_exit_codes(tmp_path):
@@ -142,6 +147,22 @@ def test_cli_exit_codes(tmp_path):
     assert main(["consistency", "--mode", "empirical", "--m", "1,2", "--n", "8",
                  "--k-rule", "const1", "--stages", "0..0", "--test-count", "500"]) == 2
     assert main(["schedule", "--mode", "proof", "--depth", "4"]) == 3
+
+
+def test_cli_flags_pass_config_validation(tmp_path, capsys):
+    # flags override the config file and are checked like every other value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"test_count": 500}))
+    for argv in (
+        ["consistency", "--test-count", "10"],
+        ["consistency", "--config", str(path), "--test-count", "10"],
+        ["consistency", "--stages", "2..1"],
+    ):
+        with pytest.raises(ValueError):
+            config_from_args(build_parser().parse_args(argv))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("lab consistency: ")
 
 
 def test_config_validation():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclab import adversarial as adv
 from metriclab.adversarial import (
@@ -145,3 +147,123 @@ def test_trace_mode_equals_brute_force(m, truncation, stage, n, k):
         sim = structured_stage_sim(prob, stage, n, k, 8, seed, sample_mode="trace")
         brute = _brute_force_predictions(prob, trace, words, k)
         assert (sim.predictions == brute).all()
+
+
+def _lexsort_reference(prob, trace, words, k):
+    """The per-word rule the count vote replaced: rank every row by its
+    distance class, break ties by the smaller tie key, vote over the first k."""
+    D = prob.truncation_depth
+    rank_atom = np.full((D + 1, D + 1), -1, dtype=np.int64)
+    rank_diffuse = np.full(D + 1, -1, dtype=np.int64)
+    for idx, c in enumerate(distance_classes(prob)):
+        if c.kind == "atom":
+            rank_atom[c.depth, c.split] = idx
+        else:
+            rank_diffuse[c.split] = idx
+    eff_depth = np.where(trace.is_atomic, trace.atom_depth, D)
+    labels = trace.is_atomic.astype(np.int64)
+    preds = []
+    for word in words:
+        lcp = np.cumprod(trace.letters == word[None, :], axis=1).sum(axis=1)
+        split = np.minimum(lcp, eff_depth)
+        ranks = np.where(
+            trace.is_atomic, rank_atom[eff_depth, split], rank_diffuse[split]
+        )
+        order = np.lexsort((trace.tie_keys, ranks))
+        preds.append(1 if 2 * labels[order[:k]].sum() >= k else 0)
+    return np.array(preds, dtype=np.int64)
+
+
+def _dense_fresh_reference(prob, n, k, test_count, rng):
+    """The fresh-mode vote over a dense (T x classes) occupancy matrix."""
+    classes = distance_classes(prob)
+    labels = np.array([c.label for c in classes], dtype=np.int64)
+    counts = np.zeros((test_count, len(classes)), dtype=np.int64)
+    rem_n = np.full(test_count, n, dtype=np.int64)
+    rem_p = Fraction(1)
+    for idx, c in enumerate(classes):
+        if rem_p == c.prob:
+            drawn = rem_n.copy()
+        else:
+            drawn = rng.binomial(rem_n, min(1.0, max(0.0, float(c.prob / rem_p))))
+        counts[:, idx] = drawn
+        rem_n -= drawn
+        rem_p -= c.prob
+    before = counts.cumsum(axis=1) - counts
+    take = np.minimum(np.maximum(k - before, 0), counts)
+    return (2 * (take * labels).sum(axis=1) >= k).astype(np.int64)
+
+
+@st.composite
+def hand_built_traces(draw):
+    """A problem with small branching (so prefixes collide and rows repeat),
+    a hand-built trace over it, test words and k."""
+    D = draw(st.integers(1, 3))
+    m = (1,) + tuple(draw(st.lists(st.integers(2, 3), min_size=D, max_size=D)))
+    prob = problem(m=m, truncation=D)
+    n = draw(st.integers(1, 25))
+    kinds = draw(st.sampled_from(["mixed", "diffuse", "atomic"]))
+    if kinds == "mixed":
+        is_atomic = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        is_atomic = [kinds == "atomic"] * n
+    # atom depths from a random subset of 0..D, leaving some depth groups empty
+    depths = draw(st.lists(st.integers(0, D), min_size=1, max_size=D + 1))
+    atom_depth = [draw(st.sampled_from(depths)) if a else -1 for a in is_atomic]
+
+    def word_rows(count):
+        return np.array(
+            [
+                [draw(st.integers(1, m[level])) for level in range(1, D + 1)]
+                for _ in range(count)
+            ],
+            dtype=np.int64,
+        ).reshape(count, D)
+
+    tie_keys = np.array(draw(st.permutations(range(n))), dtype=np.float64) / n
+    trace = adv.SampleTrace(
+        np.array(is_atomic, dtype=bool),
+        np.array(atom_depth, dtype=np.int64),
+        word_rows(n),
+        tie_keys,
+    )
+    words = word_rows(draw(st.integers(1, 4)))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return prob, trace, words, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_traces())
+def test_trace_counts_equal_lexsort_rule(case):
+    prob, trace, words, k = case
+    got = adv._trace_predictions(prob, trace, words, k)
+    assert (got == _lexsort_reference(prob, trace, words, k)).all()
+
+
+def test_trace_counts_with_letters_near_2_pow_40():
+    # the product of the branching numbers overflows int64, so any packing
+    # of a prefix into one integer would wrap; letters are compared as is
+    big = 2**40
+    prob = problem(m=(1, big, big, big), truncation=3)
+    rng = np.random.default_rng(5)
+    letters = rng.choice([big - 1, big], size=(200, 3))
+    trace = adv.SampleTrace(
+        is_atomic=rng.random(200) < 0.5,
+        atom_depth=rng.integers(0, 4, size=200),
+        letters=letters,
+        tie_keys=rng.permutation(200) / 200.0,
+    )
+    trace.atom_depth[~trace.is_atomic] = -1
+    words = np.vstack([letters[:6], rng.choice([big - 2, big - 1, big], size=(6, 3))])
+    for k in (1, 7, 40, 200):
+        got = adv._trace_predictions(prob, trace, words, k)
+        assert (got == _lexsort_reference(prob, trace, words, k)).all()
+
+
+@pytest.mark.parametrize("n,k", [(300, 5), (40, 9), (10, 10)])
+def test_streaming_fresh_vote_equals_dense_vote(n, k):
+    prob = problem()
+    got = adv._fresh_predictions(prob, n, k, 20_000, np.random.default_rng(11))
+    want = _dense_fresh_reference(prob, n, k, 20_000, np.random.default_rng(11))
+    assert 0 < want.mean() < 1  # both labels occur, so the check has teeth
+    assert (got == want).all()

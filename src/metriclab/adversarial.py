@@ -423,12 +423,6 @@ class AdversarialProblem:
         """Indicator of the (materialized) atom set."""
         return 1.0 if point in self._atom_words else 0.0
 
-    bayes_error = 0.0
-
-
-def node_geometry(problem: AdversarialProblem, t: Iterable[int]) -> NodeGeometry:
-    return problem.geometry(t)
-
 
 def geometry_json(problem: AdversarialProblem, words: Iterable[Iterable[int]]) -> list[dict]:
     """Debug dump: one JSON record per requested node."""
@@ -676,12 +670,15 @@ def distance_classes(problem: AdversarialProblem) -> list[DistanceClass]:
 
 def _vote(classes: list[DistanceClass], counts: Iterable[np.ndarray], k: int) -> np.ndarray:
     """k-NN vote in O(T) memory from per-class sample counts, one length-T
-    vector per class in distance order; label 1 wins with half the votes."""
+    vector per class in distance order; label 1 wins with half the votes.
+    Stops reading ``counts`` once every point has its k neighbours."""
     need, ones = k, 0  # need = max(k - before, 0), before = points met so far
     for c, count in zip(classes, counts):
         take = np.minimum(need, count)
         need = need - take
         ones = ones + take * c.label
+        if not need.any():
+            break
     return (2 * ones >= k).astype(np.int64)
 
 

@@ -9,13 +9,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import adversarial as adv
-from .knn import LearningProblem
+from .knn import LearningProblem, euclidean_vote
 from .nagata import (
     Ball,
     BallFamily,
@@ -63,7 +63,6 @@ class ExperimentConfig:
     m: Optional[tuple[int, ...]] = None
     n: Optional[tuple[int, ...]] = None
     depth: Optional[int] = None
-    brute_force_cap: int = 2000
 
     def __post_init__(self):
         if self.test_count < 100:
@@ -73,6 +72,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = dict(d)
         if "stages" in kwargs:
             kwargs["stages"] = tuple(kwargs["stages"])
@@ -137,39 +139,46 @@ def _stage_seeds(seed: int, count: int) -> list[int]:
 # consistency failure
 
 
-def build_schedule(config: ExperimentConfig) -> adv.DerivedSchedule:
-    """Schedule for the consistency run: minimal proof-mode derivation (the
-    stage-0 sample size pinned at 128 unless overridden) or an empirical
-    passthrough of the configured (m, n).
-
-    In proof mode the branching value one level past the last stage is also
-    derived, since simulating stage B needs the stage-(B+1) ball layout.
-    """
-    hi = config.stages[1]
+def _derive_schedule(config: ExperimentConfig, depth: int) -> adv.DerivedSchedule:
+    """Minimal proof-mode derivation (the stage-0 sample size pinned at 128
+    unless overridden) or an empirical passthrough of the configured (m, n),
+    with ``n_override`` applied in both modes."""
     if config.mode == "proof":
         override = dict(DEFAULT_PROOF_N_OVERRIDE)
         override.update(config.n_override)
-        derived = adv.derive_schedule(
-            depth=hi, k_rule=config.k_rule, mode="proof", n_override=override
+        return adv.derive_schedule(
+            depth=depth, k_rule=config.k_rule, mode="proof", n_override=override
         )
-        sched = derived.schedule
-        tail_bound = adv.next_branching_bound(sched, hi)
-        tail_m = max(2, tail_bound.__floor__() + 1)
-        if tail_m > adv.INT64_MAX:
-            raise adv.ScheduleOverflowError(hi + 1, "m")
-        extended = adv.Schedule(
-            sched.m + (tail_m,), sched.n, sched.k_rule, sched.mode,
-            sched.gamma_ratio, sched.delta_ratio, sched.delta_scale,
-        )
-        return adv.DerivedSchedule(extended, derived.bounds)
     m = config.m or DEFAULT_EMPIRICAL_M
     n = list(config.n or DEFAULT_EMPIRICAL_N)
     for stage, value in config.n_override.items():
         if stage < len(n):
             n[stage] = value
     return adv.derive_schedule(
-        depth=hi, k_rule=config.k_rule, mode="empirical", m=m, n=tuple(n)
+        depth=depth, k_rule=config.k_rule, mode="empirical", m=m, n=tuple(n)
     )
+
+
+def build_schedule(config: ExperimentConfig) -> adv.DerivedSchedule:
+    """Schedule for the consistency run, derived up to the last stage.
+
+    In proof mode the branching value one level past the last stage is also
+    derived, since simulating stage B needs the stage-(B+1) ball layout.
+    """
+    hi = config.stages[1]
+    derived = _derive_schedule(config, hi)
+    if config.mode != "proof":
+        return derived
+    sched = derived.schedule
+    tail_bound = adv.next_branching_bound(sched, hi)
+    tail_m = max(2, tail_bound.__floor__() + 1)
+    if tail_m > adv.INT64_MAX:
+        raise adv.ScheduleOverflowError(hi + 1, "m")
+    extended = adv.Schedule(
+        sched.m + (tail_m,), sched.n, sched.k_rule, sched.mode,
+        sched.gamma_ratio, sched.delta_ratio, sched.delta_scale,
+    )
+    return adv.DerivedSchedule(extended, derived.bounds)
 
 
 def run_consistency(config: ExperimentConfig) -> list[StageReport]:
@@ -211,13 +220,6 @@ def run_consistency(config: ExperimentConfig) -> list[StageReport]:
 # Euclidean baseline
 
 
-def _knn_predict_line(train_x, train_y, test_x, k: int) -> np.ndarray:
-    d = np.abs(test_x[:, None] - train_x[None, :])
-    idx = np.argpartition(d, k - 1, axis=1)[:, :k]
-    ones = train_y[idx].sum(axis=1)
-    return (2 * ones >= k).astype(np.int64)
-
-
 def run_baseline(config: ExperimentConfig) -> list[StageReport]:
     """k-NN on the uniform unit interval with the deterministic right-half
     labelling; the error shrinks as n grows."""
@@ -229,7 +231,7 @@ def run_baseline(config: ExperimentConfig) -> list[StageReport]:
         test_x = rng.random(config.test_count)
         test_y = (test_x > 0.5).astype(np.int64)
         k = adv.k_of(config.k_rule, n)
-        pred = _knn_predict_line(train_x, train_y, test_x, k)
+        pred = euclidean_vote(train_x[:, None], train_y, test_x[:, None], k)
         err = float((pred != test_y).mean())
         reports.append(
             StageReport(
@@ -251,16 +253,6 @@ def run_baseline(config: ExperimentConfig) -> list[StageReport]:
 # 1-NN twice-Bayes check
 
 
-def _nn1_labels(train_xy: np.ndarray, train_y: np.ndarray, test_xy: np.ndarray) -> np.ndarray:
-    out = np.empty(len(test_xy), dtype=np.int64)
-    chunk = 256
-    for lo in range(0, len(test_xy), chunk):
-        q = test_xy[lo : lo + chunk]
-        d2 = ((q[:, None, :] - train_xy[None, :, :]) ** 2).sum(axis=2)
-        out[lo : lo + chunk] = train_y[d2.argmin(axis=1)]
-    return out
-
-
 def run_coverhart(config: ExperimentConfig) -> list[dict]:
     """Three 1-NN checks on the unit square: a constant regression function
     0.3 (asymptotic error 2*0.3*0.7 = 0.42), a deterministic half-plane
@@ -274,7 +266,7 @@ def run_coverhart(config: ExperimentConfig) -> list[dict]:
     train_y = (z <= 0.3).astype(np.int64)
     test = rng.random((config.test_count, 2))
     test_y = (rng.random(config.test_count) <= 0.3).astype(np.int64)
-    pred = _nn1_labels(train, train_y, test)
+    pred = euclidean_vote(train, train_y, test, 1)
     err = float((pred != test_y).mean())
     cases.append(
         {
@@ -293,7 +285,7 @@ def run_coverhart(config: ExperimentConfig) -> list[dict]:
     train_y = (train[:, 0] > 0.5).astype(np.int64)
     test = rng.random((config.test_count, 2))
     test_y = (test[:, 0] > 0.5).astype(np.int64)
-    pred = _nn1_labels(train, train_y, test)
+    pred = euclidean_vote(train, train_y, test, 1)
     err = float((pred != test_y).mean())
     cases.append(
         {
@@ -481,18 +473,7 @@ def run_dimension_suite(config: ExperimentConfig) -> dict:
 def print_schedule(config: ExperimentConfig) -> dict:
     """Derive the schedule and report each stage's bounds and slack."""
     depth = config.depth if config.depth is not None else config.stages[1]
-    if config.mode == "proof":
-        override = dict(DEFAULT_PROOF_N_OVERRIDE)
-        override.update(config.n_override)
-        derived = adv.derive_schedule(
-            depth=depth, k_rule=config.k_rule, mode="proof", n_override=override
-        )
-    else:
-        m = config.m or DEFAULT_EMPIRICAL_M
-        n = config.n or DEFAULT_EMPIRICAL_N
-        derived = adv.derive_schedule(
-            depth=depth, k_rule=config.k_rule, mode="empirical", m=m, n=n
-        )
+    derived = _derive_schedule(config, depth)
     rows = []
     for b in derived.bounds:
         rows.append(

@@ -138,12 +138,29 @@ def _pack_euclidean(points: Sequence[Point]) -> Optional[np.ndarray]:
     return None
 
 
-def _nearest_index(train: np.ndarray, queries: np.ndarray, chunk: int = 256) -> np.ndarray:
+EUCLIDEAN_CHUNK = 256  # queries per distance block
+
+
+def euclidean_vote(
+    train: np.ndarray, labels: np.ndarray, queries: np.ndarray, k: int
+) -> np.ndarray:
+    """k-NN predictions for (T, d) query rows against (n, d) training rows
+    with 0/1 labels; vote ties go to label 1.
+
+    Queries are taken EUCLIDEAN_CHUNK at a time, so memory is
+    O(EUCLIDEAN_CHUNK * n) whatever T is. Squared distances are summed one
+    coordinate at a time. Distance ties at the k-th radius are not broken
+    by tie keys: with continuous draws they have probability zero, and
+    ``select_neighbours`` stays the reference for the tie rule.
+    """
     out = np.empty(len(queries), dtype=np.int64)
-    for lo in range(0, len(queries), chunk):
-        q = queries[lo : lo + chunk]
-        d2 = ((q[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
-        out[lo : lo + chunk] = d2.argmin(axis=1)
+    for lo in range(0, len(queries), EUCLIDEAN_CHUNK):
+        q = queries[lo : lo + EUCLIDEAN_CHUNK]
+        d2 = (q[:, None, 0] - train[None, :, 0]) ** 2
+        for j in range(1, train.shape[1]):
+            d2 += (q[:, None, j] - train[None, :, j]) ** 2
+        ones = labels[np.argpartition(d2, k - 1, axis=1)[:, :k]].sum(axis=1)
+        out[lo : lo + EUCLIDEAN_CHUNK] = 2 * ones >= k
     return out
 
 
@@ -173,7 +190,7 @@ def one_nn_error_estimate(
     packed_train = _pack_euclidean(train_pts)
     packed_test = _pack_euclidean(test_pts) if packed_train is not None else None
     if packed_train is not None and packed_test is not None:
-        nn = _nearest_index(packed_train, packed_test)
+        pred = euclidean_vote(packed_train, train_lab, packed_test, 1)
     else:
         nn = np.array(
             [
@@ -181,5 +198,5 @@ def one_nn_error_estimate(
                 for q in test_pts
             ]
         )
-    pred = train_lab[nn]
+        pred = train_lab[nn]
     return float((pred != test_lab).mean())

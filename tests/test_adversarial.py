@@ -15,7 +15,6 @@ from metriclab.adversarial import (
     ball_mass,
     derive_schedule,
     k_of,
-    node_geometry,
     sample_mu,
     validate_schedule,
     verify_node,
@@ -137,7 +136,7 @@ def test_gamma_sums():
 
 def test_root_geometry():
     p = small_problem()
-    g = node_geometry(p, ())
+    g = p.geometry(())
     assert g.eps < 1.0
     assert g.center.items == ()
     assert len(g.child_ids) == 4
@@ -146,9 +145,9 @@ def test_root_geometry():
 def test_child_offsets_shrink_with_depth():
     p = small_problem()
     for word in [(), (1,), (1, 2), (2, 3, 1)]:
-        g = node_geometry(p, word)
+        g = p.geometry(word)
         depth = len(word)
-        child = node_geometry(p, word + (1,))
+        child = p.geometry(word + (1,))
         d = distance(SPACE, g.center, child.center)
         assert d == pytest.approx(g.child_radius, abs=0)
         assert d < 2.0 ** (-depth + 1)
@@ -157,21 +156,21 @@ def test_child_offsets_shrink_with_depth():
 
 def test_sibling_distance_orthogonal():
     p = small_problem()
-    a = node_geometry(p, (1,)).center
-    b = node_geometry(p, (2,)).center
-    r = node_geometry(p, ()).child_radius
+    a = p.geometry((1,)).center
+    b = p.geometry((2,)).center
+    r = p.geometry(()).child_radius
     assert distance(SPACE, a, b) == pytest.approx(r * math.sqrt(2), rel=1e-15)
 
 
 def test_geometry_memoized():
     p = small_problem()
-    assert node_geometry(p, (1, 2)) is node_geometry(p, (1, 2))
+    assert p.geometry((1, 2)) is p.geometry((1, 2))
 
 
 def test_geometry_depth_guard():
     p = small_problem(truncation=2)
     with pytest.raises(ValueError):
-        node_geometry(p, (1, 1, 1))
+        p.geometry((1, 1, 1))
 
 
 def test_verify_node_small_tree():
@@ -185,7 +184,7 @@ def test_verify_node_small_tree():
 def test_verify_node_corrupted_eps():
     p = small_problem()
     word = (1,)
-    good = node_geometry(p, word)
+    good = p.geometry(word)
     p._geometry[word] = dataclasses.replace(good, eps=2 * good.eps)
     assert not verify_node(p, word)
     p._geometry[word] = good

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from metriclab.cli import build_parser, config_from_args, main
 from metriclab.experiments import (
     ExperimentConfig,
+    build_schedule,
     constant_eta_square_problem,
     print_schedule,
     reports_to_csv,
@@ -14,7 +16,7 @@ from metriclab.experiments import (
     run_dimension_suite,
     uniform_interval_problem,
 )
-from metriclab.knn import one_nn_error_estimate
+from metriclab.knn import euclidean_vote, one_nn_error_estimate
 from metriclab.spaces import EuclideanD, EuclideanLine
 
 
@@ -57,14 +59,10 @@ def test_baseline_errors_shrink():
 
 
 def test_all_ones_labelling_has_zero_error():
-    import numpy as np
-
-    from metriclab.experiments import _knn_predict_line
-
     rng = np.random.default_rng(0)
-    train = rng.random(500)
-    test = rng.random(200)
-    pred = _knn_predict_line(train, np.ones(500, dtype=np.int64), test, k=23)
+    train = rng.random((500, 1))
+    test = rng.random((200, 1))
+    pred = euclidean_vote(train, np.ones(500, dtype=np.int64), test, k=23)
     assert (pred == 1).all()
 
 
@@ -115,6 +113,13 @@ def test_print_schedule_depth0():
     assert len(res["stages"]) == 1
 
 
+def test_print_schedule_applies_n_override():
+    # `lab schedule` shows the schedule that `lab consistency` runs
+    config = cfg(experiment="schedule", mode="empirical", depth=1, n_override={1: 2_000_000})
+    assert print_schedule(config)["schedule"]["n"] == [128, 2_000_000]
+    assert build_schedule(config).schedule.n == (128, 2_000_000)
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(
@@ -153,10 +158,13 @@ def test_cli_flags_pass_config_validation(tmp_path, capsys):
     # flags override the config file and are checked like every other value
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"test_count": 500}))
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"test_cnt": 500}))
     for argv in (
         ["consistency", "--test-count", "10"],
         ["consistency", "--config", str(path), "--test-count", "10"],
         ["consistency", "--stages", "2..1"],
+        ["consistency", "--config", str(typo)],
     ):
         with pytest.raises(ValueError):
             config_from_args(build_parser().parse_args(argv))

@@ -1,10 +1,11 @@
-"""Golden gate: the small outputs of ``scripts/run_all.py --seed 7`` keep
-their bytes.
+"""Golden gate: the outputs of ``scripts/run_all.py --seed 7`` keep their
+bytes, except ``dimension.json``.
 
-A change that moves the RNG stream, the schedule or the CSV format shows
-up here; such a change regenerates ``golden/run_all_seed7.sha256`` and says
-why. The ``coverhart`` job is left out because it takes seconds and no
-simulator path reaches it.
+A change that moves the RNG stream, the schedule, the CSV format or a
+Euclidean vote shows up here; such a change regenerates
+``golden/run_all_seed7.sha256`` and says why. The ``baseline.csv`` and
+``coverhart.json`` digests were written by the dense |T| x n line kernel
+and the argmin 1-NN kernel that ``knn.euclidean_vote`` replaced.
 """
 
 import hashlib
@@ -17,6 +18,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "run_all_seed7.sha256"
 JOBS = [
     ["consistency", "--mode", "proof", "--stages", "0..0", "--out", "consistency_proof.csv"],
     ["consistency", "--mode", "empirical", "--stages", "0..1", "--out", "consistency_empirical.csv"],
+    ["baseline", "--out", "baseline.csv"],
+    ["coverhart", "--out", "coverhart.json"],
     ["schedule", "--mode", "proof", "--depth", "1", "--out", "schedule.json"],
 ]
 

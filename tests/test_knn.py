@@ -9,12 +9,13 @@ from metriclab.knn import (
     TieStrategy,
     bayes_error,
     empirical_error,
+    euclidean_vote,
     knn_predict,
     one_nn_error_estimate,
     r_k,
     select_neighbours,
 )
-from metriclab.spaces import EuclideanLine, Real, distance
+from metriclab.spaces import EuclideanD, EuclideanLine, Real, Vec, distance
 
 LINE = EuclideanLine()
 
@@ -170,3 +171,68 @@ def test_threshold_coupling_disagreement_bound():
             y = zs <= p1
             y_prime = zs <= p
             assert abs((y != y_prime).mean() - abs(p - p1)) <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# euclidean_vote
+
+
+def _dense_line_vote(train_x, train_y, test_x, k):
+    """Former baseline kernel: one dense |T| x n matrix of |x - y|."""
+    d = np.abs(test_x[:, None] - train_x[None, :])
+    idx = np.argpartition(d, k - 1, axis=1)[:, :k]
+    ones = train_y[idx].sum(axis=1)
+    return (2 * ones >= k).astype(np.int64)
+
+
+def _argmin_nn1_labels(train_xy, train_y, test_xy):
+    """Former 1-NN kernel: the label of the first nearest training row."""
+    out = np.empty(len(test_xy), dtype=np.int64)
+    for lo in range(0, len(test_xy), 256):
+        q = test_xy[lo : lo + 256]
+        d2 = ((q[:, None, :] - train_xy[None, :, :]) ** 2).sum(axis=2)
+        out[lo : lo + 256] = train_y[d2.argmin(axis=1)]
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_euclidean_vote_matches_generic_oracle(d):
+    n, T = 60, 257  # T = 257 puts a chunk boundary inside the queries
+    rng = np.random.default_rng(d)
+    train, labels, queries = rng.random((n, d)), rng.integers(0, 2, n), rng.random((T, d))
+    if d == 1:
+        space, point = LINE, lambda row: Real(float(row[0]))
+    else:
+        space, point = EuclideanD(d), lambda row: Vec(tuple(float(v) for v in row))
+    sample = LabelledSample(
+        tuple(point(r) for r in train), tuple(int(v) for v in labels),
+        tuple(float(i) for i in range(n)),
+    )
+    for k in (1, 7, 30, n):
+        expected = [
+            knn_predict(sample, point(q), k, TieStrategy.FIRST_INDEX, space) for q in queries
+        ]
+        assert euclidean_vote(train, labels, queries, k).tolist() == expected
+
+
+@pytest.mark.parametrize("n, k", [(100, 10), (1000, 32), (10_000, 100)])
+def test_euclidean_vote_matches_dense_line_kernel(n, k):
+    # the baseline runner's sizes, with coin-flip labels so that every vote counts
+    rng = np.random.default_rng(n)
+    train_x, train_y, test_x = rng.random(n), rng.integers(0, 2, n), rng.random(10_000)
+    got = euclidean_vote(train_x[:, None], train_y, test_x[:, None], k)
+    # rows are independent, so the reference may take the queries in blocks
+    for lo in range(0, len(test_x), 500):
+        ref = _dense_line_vote(train_x, train_y, test_x[lo : lo + 500], k)
+        assert np.array_equal(got[lo : lo + 500], ref)
+
+
+@pytest.mark.parametrize("n", [20_000, 10_000])
+def test_euclidean_vote_matches_argmin_nn1(n):
+    # the 1-NN runner's sample sizes on the unit square; the runner's full
+    # 10^4 test points are pinned by the golden coverhart.json digest
+    rng = np.random.default_rng(n)
+    train, train_y, test = rng.random((n, 2)), rng.integers(0, 2, n), rng.random((2_000, 2))
+    assert np.array_equal(
+        euclidean_vote(train, train_y, test, 1), _argmin_nn1_labels(train, train_y, test)
+    )

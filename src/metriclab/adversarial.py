@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import ClassVar, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -72,22 +72,23 @@ def k_of(rule: str, n: int) -> int:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Branching and sample-size sequences plus the mass/risk rules.
+    """Branching and sample-size sequences plus the fixed mass/risk rules.
 
     gamma_i = (1 - gamma_ratio) * gamma_ratio**i / 2 sums to exactly 1/2;
-    delta_i = delta_scale * delta_ratio**i is summable. The defaults give
-    the dyadic sequences gamma_i = 2**-(i+2) and delta_i = 2**-(i+3).
+    delta_i = delta_scale * delta_ratio**i is summable. The rule constants
+    give the dyadic sequences gamma_i = 2**-(i+2) and delta_i = 2**-(i+3).
     ``m[i]`` is the branching into depth i (children per depth-(i-1) node),
     with m[0] = 1 by convention.
     """
+
+    gamma_ratio: ClassVar[Fraction] = Fraction(1, 2)
+    delta_ratio: ClassVar[Fraction] = Fraction(1, 2)
+    delta_scale: ClassVar[Fraction] = Fraction(1, 8)
 
     m: tuple[int, ...]
     n: tuple[int, ...]
     k_rule: str = "log2ceil"
     mode: str = "empirical"
-    gamma_ratio: Fraction = Fraction(1, 2)
-    delta_ratio: Fraction = Fraction(1, 2)
-    delta_scale: Fraction = Fraction(1, 8)
 
     def __post_init__(self):
         if not self.m or self.m[0] != 1:
@@ -100,10 +101,6 @@ class Schedule:
             raise ValueError(f"unknown k rule {self.k_rule!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0 < self.gamma_ratio < 1 or not 0 < self.delta_ratio < 1:
-            raise ValueError("rule ratios must lie strictly between 0 and 1")
-        if not self.delta_scale > 0:
-            raise ValueError("delta scale must be positive")
 
     @property
     def max_depth(self) -> int:
@@ -232,13 +229,18 @@ def _minimal_n(k_rule: str, rhs: Fraction, floor_val: int) -> int:
     raise RuntimeError("neighbour-ratio fixed point did not converge")
 
 
+def minimal_branching(s: Schedule, i: int) -> int:
+    """Smallest admissible m[i+1]: above the branching bound, and at least 2."""
+    m_next = max(2, next_branching_bound(s, i).__floor__() + 1)
+    if m_next > INT64_MAX:
+        raise ScheduleOverflowError(i + 1, "m")
+    return m_next
+
+
 def derive_schedule(
     depth: int,
     k_rule: str = "log2ceil",
     mode: str = "proof",
-    gamma_ratio: Fraction = Fraction(1, 2),
-    delta_ratio: Fraction = Fraction(1, 2),
-    delta_scale: Fraction = Fraction(1, 8),
     n_override: Optional[dict[int, int]] = None,
     m: Optional[tuple[int, ...]] = None,
     n: Optional[tuple[int, ...]] = None,
@@ -250,20 +252,28 @@ def derive_schedule(
     override, which is validated), then m[i+1] is the smallest admissible
     branching. Growth is double exponential; quantities beyond the 64-bit
     range raise ScheduleOverflowError naming the offending stage. Empirical
-    mode passes user-supplied (m, n) through, enforcing only the
-    neighbour-ratio constraint.
+    mode passes user-supplied (m, n) through, with the overrides applied,
+    enforcing only the neighbour-ratio constraint. In either mode an
+    override for a stage the schedule lacks is a ValueError.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n_override = dict(n_override or {})
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "empirical" and (m is None or n is None):
+        raise ValueError("empirical mode requires explicit m and n sequences")
+    stages = len(n) if mode == "empirical" else depth + 1
+    for stage in sorted(n_override):
+        if not 0 <= stage < stages:
+            raise ValueError(
+                f"n_override names stage {stage}, but the schedule has stages "
+                f"0..{stages - 1}"
+            )
 
     if mode == "empirical":
-        if m is None or n is None:
-            raise ValueError("empirical mode requires explicit m and n sequences")
-        sched = Schedule(
-            tuple(m), tuple(n), k_rule, "empirical",
-            gamma_ratio, delta_ratio, delta_scale,
-        )
+        n_seq = tuple(n_override.get(i, v) for i, v in enumerate(n))
+        sched = Schedule(tuple(m), n_seq, k_rule, "empirical")
         violations = validate_schedule(sched)
         if violations:
             raise ScheduleValidationError(violations)
@@ -278,17 +288,11 @@ def derive_schedule(
         ]
         return DerivedSchedule(sched, bounds)
 
-    if mode != "proof":
-        raise ValueError(f"unknown mode {mode!r}")
-
     m_seq: list[int] = [1]
     n_seq: list[int] = []
     bounds: list[StageBounds] = []
     for i in range(depth + 1):
-        partial = Schedule(
-            tuple(m_seq), tuple(n_seq) or (1,), k_rule, "proof",
-            gamma_ratio, delta_ratio, delta_scale,
-        )
+        partial = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
         thr = occupancy_threshold(partial, i)
         if math.isinf(thr) or thr >= INT64_MAX:
             raise ScheduleOverflowError(i, "n")
@@ -299,8 +303,7 @@ def derive_schedule(
             raise ScheduleOverflowError(i, "n") from None
         if i in n_override:
             n_i = n_override[i]
-            k = k_of(k_rule, n_i)
-            if not (n_i > thr and Fraction(k, n_i) < rb):
+            if not (n_i > thr and Fraction(k_of(k_rule, n_i), n_i) < rb):
                 raise ScheduleValidationError(
                     [f"stage {i}: override n = {n_i} violates the stage bounds"]
                 )
@@ -309,21 +312,13 @@ def derive_schedule(
         m_next_bound: Optional[Fraction] = None
         m_next: Optional[int] = None
         if i < depth:
-            staged = Schedule(
-                tuple(m_seq), tuple(n_seq), k_rule, "proof",
-                gamma_ratio, delta_ratio, delta_scale,
-            )
+            staged = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
             m_next_bound = next_branching_bound(staged, i)
-            m_next = max(2, m_next_bound.__floor__() + 1)
-            if m_next > INT64_MAX:
-                raise ScheduleOverflowError(i + 1, "m")
+            m_next = minimal_branching(staged, i)
             m_seq.append(m_next)
         bounds.append(StageBounds(i, thr, rb, n_i, k, m_next_bound, m_next))
 
-    sched = Schedule(
-        tuple(m_seq), tuple(n_seq), k_rule, "proof",
-        gamma_ratio, delta_ratio, delta_scale,
-    )
+    sched = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
     violations = validate_schedule(sched)
     if violations:
         raise ScheduleValidationError(violations)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a config value or input is invalid (one
 line on stderr), 2 when schedule constraints are violated, 3 when the
-schedule recursion overflows the 64-bit range.
+schedule recursion overflows the 64-bit range. Exit 2 is also argparse's
+code for a usage error; that message starts with ``usage:``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .adversarial import ScheduleOverflowError, ScheduleValidationError
+from .adversarial import K_RULES, MODES, ScheduleOverflowError, ScheduleValidationError
 from .experiments import (
     ExperimentConfig,
     print_schedule,
@@ -50,10 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="default 0")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--mode", choices=("proof", "empirical"), default=None)
+        p.add_argument("--mode", choices=MODES, default=None)
         p.add_argument("--stages", type=_parse_stages, default=None, metavar="A..B")
         p.add_argument("--test-count", type=int, default=None)
-        p.add_argument("--k-rule", choices=("log2ceil", "sqrtceil", "const1"), default=None)
+        p.add_argument("--k-rule", choices=K_RULES, default=None)
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--m", type=_parse_int_tuple, default=None, metavar="M0,M1,...")
         p.add_argument("--n", type=_parse_int_tuple, default=None, metavar="N0,N1,...")

@@ -9,7 +9,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -140,22 +140,18 @@ def _stage_seeds(seed: int, count: int) -> list[int]:
 
 
 def _derive_schedule(config: ExperimentConfig, depth: int) -> adv.DerivedSchedule:
-    """Minimal proof-mode derivation (the stage-0 sample size pinned at 128
-    unless overridden) or an empirical passthrough of the configured (m, n),
-    with ``n_override`` applied in both modes."""
+    """The configured schedule under the experiment defaults: the stage-0
+    sample size pinned at 128 in proof mode unless overridden, and
+    ``DEFAULT_EMPIRICAL_M``/``N`` in empirical mode."""
     if config.mode == "proof":
-        override = dict(DEFAULT_PROOF_N_OVERRIDE)
-        override.update(config.n_override)
+        override = {**DEFAULT_PROOF_N_OVERRIDE, **config.n_override}
         return adv.derive_schedule(
             depth=depth, k_rule=config.k_rule, mode="proof", n_override=override
         )
-    m = config.m or DEFAULT_EMPIRICAL_M
-    n = list(config.n or DEFAULT_EMPIRICAL_N)
-    for stage, value in config.n_override.items():
-        if stage < len(n):
-            n[stage] = value
     return adv.derive_schedule(
-        depth=depth, k_rule=config.k_rule, mode="empirical", m=m, n=tuple(n)
+        depth=depth, k_rule=config.k_rule, mode="empirical",
+        n_override=config.n_override,
+        m=config.m or DEFAULT_EMPIRICAL_M, n=config.n or DEFAULT_EMPIRICAL_N,
     )
 
 
@@ -170,15 +166,8 @@ def build_schedule(config: ExperimentConfig) -> adv.DerivedSchedule:
     if config.mode != "proof":
         return derived
     sched = derived.schedule
-    tail_bound = adv.next_branching_bound(sched, hi)
-    tail_m = max(2, tail_bound.__floor__() + 1)
-    if tail_m > adv.INT64_MAX:
-        raise adv.ScheduleOverflowError(hi + 1, "m")
-    extended = adv.Schedule(
-        sched.m + (tail_m,), sched.n, sched.k_rule, sched.mode,
-        sched.gamma_ratio, sched.delta_ratio, sched.delta_scale,
-    )
-    return adv.DerivedSchedule(extended, derived.bounds)
+    tail = adv.minimal_branching(sched, hi)
+    return derived._replace(schedule=replace(sched, m=sched.m + (tail,)))
 
 
 def run_consistency(config: ExperimentConfig) -> list[StageReport]:

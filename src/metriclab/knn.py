@@ -89,14 +89,11 @@ def knn_predict(
     k: int,
     strategy: TieStrategy,
     space: MetricSpace,
-    tie_vote_label: int = 1,
 ) -> int:
     """Majority label among the k nearest neighbours; vote ties go to 1."""
     chosen = select_neighbours(sample, x, k, strategy, space)
     ones = sum(sample.labels[i] for i in chosen)
-    if 2 * ones == k:
-        return tie_vote_label
-    return 1 if 2 * ones > k else 0
+    return int(2 * ones >= k)
 
 
 def empirical_error(predictions: Sequence[int], truths: Sequence[int]) -> float:

@@ -61,12 +61,6 @@ class SparsePoint:
             tuple(sorted((i, float(v)) for i, v in coords.items() if v != 0.0))
         )
 
-    def coord(self, direction: int) -> float:
-        for i, v in self.items:
-            if i == direction:
-                return v
-        return 0.0
-
     def shift(self, direction: int, amount: float) -> "SparsePoint":
         """Return this point moved by ``amount`` along one direction."""
         d = dict(self.items)

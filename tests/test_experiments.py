@@ -120,6 +120,18 @@ def test_print_schedule_applies_n_override():
     assert build_schedule(config).schedule.n == (128, 2_000_000)
 
 
+@pytest.mark.parametrize("experiment", ["schedule", "consistency"])
+@pytest.mark.parametrize("mode, depth", [("empirical", "1"), ("proof", "0")])
+def test_n_override_outside_the_schedule_exits_1(experiment, mode, depth, capsys):
+    # an override for a stage the schedule lacks is an error, not a no-op
+    argv = [experiment, "--mode", mode, "--depth", depth, "--stages", f"0..{depth}",
+            "--test-count", "100", "--n-override", "5=300"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"lab {experiment}: ")
+    assert "stage 5" in err
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(

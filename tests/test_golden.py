@@ -1,11 +1,13 @@
 """Golden gate: the outputs of ``scripts/run_all.py --seed 7`` keep their
-bytes, except ``dimension.json``.
+bytes.
 
 A change that moves the RNG stream, the schedule, the CSV format or a
 Euclidean vote shows up here; such a change regenerates
 ``golden/run_all_seed7.sha256`` and says why. The ``baseline.csv`` and
 ``coverhart.json`` digests were written by the dense |T| x n line kernel
-and the argmin 1-NN kernel that ``knn.euclidean_vote`` replaced.
+and the argmin 1-NN kernel that ``knn.euclidean_vote`` replaced; the
+``dimension.json`` digest pins the generic-metric outputs (certificates
+and sparse witnesses) that every ``spaces.distance`` path feeds.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ JOBS = [
     ["consistency", "--mode", "empirical", "--stages", "0..1", "--out", "consistency_empirical.csv"],
     ["baseline", "--out", "baseline.csv"],
     ["coverhart", "--out", "coverhart.json"],
+    ["dimension", "--out", "dimension.json"],
     ["schedule", "--mode", "proof", "--depth", "1", "--out", "schedule.json"],
 ]
 

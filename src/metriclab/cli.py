@@ -39,7 +39,12 @@ def _parse_override(pairs: Sequence[str]) -> dict[int, int]:
     out = {}
     for pair in pairs:
         stage, _, value = pair.partition("=")
-        out[int(stage)] = int(value)
+        try:
+            out[int(stage)] = int(value)
+        except ValueError:
+            raise ValueError(
+                f"--n-override takes STAGE=N with integers STAGE and N, got {pair!r}"
+            ) from None
     return out
 
 

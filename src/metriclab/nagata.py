@@ -6,6 +6,14 @@ A family is *disconnected* when no ball contains another ball's center; on
 any scale, the multiplicity of a disconnected family is a lower bound for
 the dimension-style overlap constant of the space, which is what the
 certificates record.
+
+``is_disconnected``, ``multiplicity_over_probes`` and the certificate check
+read one boolean containment matrix per family, built from a single
+``pairwise_distances`` call: O(m^2 * s) for m balls with sparse supports of
+at most s ids, with every distance equal to the scalar ``distance``, so
+closed (``d <= r``) and open (``d < r``) boundaries fall as ``contains``
+decides them. ``greedy_covering_subfamily`` and ``doubling_cover_greedy``
+stay scalar.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .spaces import (
     DirectionIds,
@@ -24,6 +34,7 @@ from .spaces import (
     SparseL2,
     SparsePoint,
     distance,
+    pairwise_distances,
 )
 
 
@@ -61,14 +72,25 @@ def contains(ball: Ball, p: Point, space: MetricSpace) -> bool:
     return d <= ball.radius if ball.closed else d < ball.radius
 
 
+def _containment(family: BallFamily, points: Sequence[Point]) -> np.ndarray:
+    """(len(family), len(points)) boolean matrix: entry [b, p] is
+    ``contains(family.balls[b], points[p], family.space)``."""
+    balls = family.balls
+    d = pairwise_distances(family.space, family.centers(), points)
+    radius = np.array([b.radius for b in balls], dtype=float)[:, None]
+    closed = np.array([b.closed for b in balls], dtype=bool)[:, None]
+    return np.where(closed, d <= radius, d < radius)
+
+
+def _no_foreign_center(inside: np.ndarray) -> bool:
+    """Whether a square (ball, own-center) containment matrix is empty off
+    its diagonal."""
+    return not (inside & ~np.eye(len(inside), dtype=bool)).any()
+
+
 def is_disconnected(family: BallFamily) -> bool:
     """True iff no ball of the family contains another ball's center."""
-    balls = family.balls
-    for i, bi in enumerate(balls):
-        for j, bj in enumerate(balls):
-            if i != j and contains(bj, bi.center, family.space):
-                return False
-    return True
+    return _no_foreign_center(_containment(family, family.centers()))
 
 
 class Multiplicity(NamedTuple):
@@ -89,12 +111,9 @@ def multiplicity_over_probes(
     probes = list(probes)
     if not probes:
         raise ValueError("probe set must be nonempty")
-    best, best_probe = -1, probes[0]
-    for p in probes:
-        c = sum(1 for b in family.balls if contains(b, p, family.space))
-        if c > best:
-            best, best_probe = c, p
-    return Multiplicity(best, best_probe)
+    counts = _containment(family, probes).sum(axis=0)
+    best = int(np.argmax(counts))  # the first probe of maximal count
+    return Multiplicity(int(counts[best]), probes[best])
 
 
 # endpoint-sweep priorities; removals before insertions at equal coordinates
@@ -187,16 +206,14 @@ class DimensionCertificate:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
         if self.kind == "DeGrootWitness" and not degroot_family_check(self.family):
             raise ValueError("DeGroot certificates require equal radii")
-        inside = sum(
-            1
-            for b in self.family.balls
-            if contains(b, self.witness_point, self.family.space)
-        )
-        if inside != self.multiplicity:
+        # column 0 is the witness, the rest are the centers in ball order
+        inside = _containment(self.family, (self.witness_point,) + self.family.centers())
+        count = int(inside[:, 0].sum())
+        if count != self.multiplicity:
             raise ValueError(
-                f"witness sits in {inside} balls, certificate claims {self.multiplicity}"
+                f"witness sits in {count} balls, certificate claims {self.multiplicity}"
             )
-        if not is_disconnected(self.family):
+        if not _no_foreign_center(inside[:, 1:]):
             raise ValueError("certificate family must be disconnected")
 
 

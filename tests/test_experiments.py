@@ -132,6 +132,36 @@ def test_n_override_outside_the_schedule_exits_1(experiment, mode, depth, capsys
     assert "stage 5" in err
 
 
+@pytest.mark.parametrize("value", ["5", "x=3", "1=", "=300", "1=2.5"])
+def test_malformed_n_override_exits_1(value, capsys):
+    # the message names the flag and the form it takes
+    assert main(["schedule", "--n-override", value]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("lab schedule: --n-override ")
+    assert "STAGE=N" in err and repr(value) in err
+
+
+def test_empirical_depth_must_match_the_stages_of_n(capsys):
+    # empirical mode takes its stages from --n, so a --depth that disagrees
+    # is an error rather than ignored
+    for argv in (
+        ["schedule", "--mode", "empirical", "--depth", "0"],
+        ["schedule", "--mode", "empirical", "--depth", "2"],
+        ["schedule", "--mode", "empirical", "--m", "1,2,3", "--n", "200", "--depth", "1"],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("lab schedule: ")
+        assert "empirical mode takes its stages from --n" in err
+    for argv in (
+        ["schedule", "--mode", "empirical"],
+        ["schedule", "--mode", "empirical", "--depth", "1"],
+        ["schedule", "--mode", "empirical", "--m", "1,50,50", "--n", "200", "--depth", "0"],
+    ):
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(

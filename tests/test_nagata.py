@@ -23,11 +23,17 @@ from metriclab.spaces import (
     DirectionIds,
     EuclideanD,
     EuclideanLine,
+    Heisenberg,
+    HPoint,
     KindMismatchError,
     ORIGIN,
     Real,
     SparseL2,
+    SparsePoint,
+    UltrametricWords,
     Vec,
+    Word,
+    distance,
 )
 
 LINE = EuclideanLine()
@@ -274,3 +280,93 @@ def test_certificate_validation():
         DimensionCertificate("Bogus", cert.family, ORIGIN, 3)
     # equal radii by construction, so a DeGroot certificate also stands
     DimensionCertificate("DeGrootWitness", cert.family, ORIGIN, 3)
+
+
+# ---------------------------------------------------------------------------
+# the matrix routines against the scalar double loops they replaced
+
+
+def _is_disconnected_loop(family):
+    balls = family.balls
+    for i, bi in enumerate(balls):
+        for j, bj in enumerate(balls):
+            if i != j and contains(bj, bi.center, family.space):
+                return False
+    return True
+
+
+def _multiplicity_loop(family, probes):
+    best, best_probe = -1, probes[0]
+    for p in probes:
+        c = sum(1 for b in family.balls if contains(b, p, family.space))
+        if c > best:
+            best, best_probe = c, p
+    return best, best_probe
+
+
+# small integer coordinates, so that centres often sit exactly on a sphere
+def _lattice_point(space, rng):
+    if isinstance(space, EuclideanLine):
+        return Real(float(rng.integers(-4, 5)))
+    if isinstance(space, EuclideanD):
+        return Vec(tuple(float(v) for v in rng.integers(-4, 5, size=space.dim)))
+    if isinstance(space, Heisenberg):
+        return HPoint(*(float(v) for v in rng.integers(-2, 3, size=3)))
+    if isinstance(space, UltrametricWords):
+        length = int(rng.integers(0, 4))
+        return Word(tuple(int(v) for v in rng.integers(1, space.alphabet_size + 1, size=length)))
+    ids = rng.choice(5, size=int(rng.integers(0, 4)), replace=False)
+    return SparsePoint.from_dict({int(i): float(rng.choice([-1.0, 0.5, 1.0, 2.0])) for i in ids})
+
+
+ALL_SPACES = [EuclideanLine(), EuclideanD(2), Heisenberg(), UltrametricWords(2), SparseL2()]
+
+# two centres at distance exactly r: a closed r-ball around the first holds
+# the second, an open one does not
+ON_THE_SPHERE = [
+    (EuclideanLine(), Real(0.0), Real(1.0), 1.0),
+    (EuclideanD(2), Vec((0.0, 0.0)), Vec((3.0, 4.0)), 5.0),
+    (Heisenberg(), HPoint(0.0, 0.0, 0.0), HPoint(0.0, 0.0, 1.0), 1.0),
+    (UltrametricWords(2), Word((1, 2)), Word((1, 1)), 0.5),
+    (SparseL2(), ORIGIN, ORIGIN.shift(7, 0.5), 0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "space, p, q, r", ON_THE_SPHERE, ids=[type(case[0]).__name__ for case in ON_THE_SPHERE]
+)
+def test_center_on_the_sphere(space, p, q, r):
+    assert distance(space, p, q) == r
+    for closed in (True, False):
+        fam = BallFamily((Ball(p, r, closed), Ball(q, r / 4, closed)), space)
+        assert is_disconnected(fam) is (not closed) is _is_disconnected_loop(fam)
+        res = multiplicity_over_probes(fam, [p, q])
+        assert (res.count, res.witness) == _multiplicity_loop(fam, [p, q])
+        assert res.count == (2 if closed else 1)
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: type(s).__name__)
+def test_matrix_routines_match_double_loops(space):
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        centres = [_lattice_point(space, rng) for _ in range(int(rng.integers(1, 7)))]
+        balls = []
+        for c in centres:
+            # mostly the exact distance to another centre, so boundaries are hit
+            d = distance(space, c, centres[int(rng.integers(len(centres)))])
+            r = d if d > 0 and rng.random() < 0.7 else float(rng.uniform(0.1, 4.0))
+            balls.append(Ball(c, r, closed=bool(rng.integers(2))))
+        fam = BallFamily(tuple(balls), space)
+        probes = centres + [_lattice_point(space, rng) for _ in range(3)]
+        disconnected = _is_disconnected_loop(fam)
+        assert is_disconnected(fam) is disconnected
+        count, witness = _multiplicity_loop(fam, probes)
+        res = multiplicity_over_probes(fam, probes)
+        assert res.count == count and res.witness is witness  # the first maximum
+        if disconnected:
+            DimensionCertificate("NagataWitness", fam, witness, count)
+        else:
+            with pytest.raises(ValueError, match="disconnected"):
+                DimensionCertificate("NagataWitness", fam, witness, count)
+        with pytest.raises(ValueError, match="certificate claims"):
+            DimensionCertificate("NagataWitness", fam, witness, count + 1)

@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metriclab import spaces
 from metriclab.spaces import (
+    ORIGIN,
     EuclideanD,
     EuclideanLine,
     Heisenberg,
@@ -22,6 +25,7 @@ from metriclab.spaces import (
     h_inv,
     h_mul,
     h_norm,
+    pairwise_distances,
 )
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -171,3 +175,40 @@ def test_strong_triangle_inequality_exact(data):
     )
     x, y, z = data.draw(words), data.draw(words), data.draw(words)
     assert distance(space, x, z) <= max(distance(space, x, y), distance(space, y, z))
+
+
+# direction ids: a small shared pool, and ids above 2^63 that overflow int64
+sparse_ids = st.one_of(st.integers(1, 6), st.integers(2**63 - 2, 2**63 + 3))
+sparse_values = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v != 0.0)
+
+
+def sparse_points(max_support):
+    return st.dictionaries(sparse_ids, sparse_values, max_size=max_support).map(
+        SparsePoint.from_dict
+    )
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_sparse_pairwise_distances_equal_scalar_distance(data):
+    # supports of unequal width on the two sides; B's ids are shifted past
+    # A's in some examples, so supports are shared or disjoint
+    a_width, b_width = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 3))
+    A = data.draw(st.lists(sparse_points(a_width), max_size=9))
+    shift = data.draw(st.sampled_from([0, 100]))
+    B = [
+        SparsePoint(tuple((i + shift, v) for i, v in p.items))
+        for p in data.draw(st.lists(sparse_points(b_width), max_size=6))
+    ] + [ORIGIN]
+    block = data.draw(st.integers(1, 4))  # row blocks end inside A
+    with mock.patch.object(spaces, "PAIRWISE_BLOCK", block):
+        got = pairwise_distances(SparseL2(), A, B)
+    space = SparseL2()
+    want = np.array([[distance(space, a, b) for b in B] for a in A]).reshape(len(A), len(B))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sparse_pairwise_rejects_other_points():
+    with pytest.raises(KindMismatchError):
+        pairwise_distances(SparseL2(), [ORIGIN], [Real(0.0)])

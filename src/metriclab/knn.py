@@ -9,7 +9,15 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .spaces import MetricSpace, Point, Real, Vec, distance
+from .spaces import (
+    PAIRWISE_BLOCK,
+    MetricSpace,
+    Point,
+    Real,
+    Vec,
+    distance,
+    pairwise_distances,
+)
 
 
 class TieStrategy(Enum):
@@ -138,26 +146,66 @@ def _pack_euclidean(points: Sequence[Point]) -> Optional[np.ndarray]:
 EUCLIDEAN_CHUNK = 256  # queries per distance block
 
 
+def _gathered_d2(q: np.ndarray, columns: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Squared distances from each query row q[i] to the sorted training
+    rows idx[i], summed one coordinate at a time: the same float operations
+    in the same order as a dense (T, n) computation, so every value keeps
+    its bits."""
+    d2 = (q[:, 0, None] - columns[0][idx]) ** 2
+    for j in range(1, len(columns)):
+        d2 += (q[:, j, None] - columns[j][idx]) ** 2
+    return d2
+
+
 def euclidean_vote(
     train: np.ndarray, labels: np.ndarray, queries: np.ndarray, k: int
 ) -> np.ndarray:
     """k-NN predictions for (T, d) query rows against (n, d) training rows
     with 0/1 labels; vote ties go to label 1.
 
-    Queries are taken EUCLIDEAN_CHUNK at a time, so memory is
-    O(EUCLIDEAN_CHUNK * n) whatever T is. Squared distances are summed one
-    coordinate at a time. Distance ties at the k-th radius are not broken
-    by tie keys: with continuous draws they have probability zero, and
-    ``select_neighbours`` stays the reference for the tie rule.
+    Exact sorted-slab search. The training rows are sorted once by
+    coordinate 0. For each query, the k-th smallest squared distance r²
+    over a window of w = min(n, max(2k, 2·isqrt(n))) sorted rows around
+    its place in that order bounds its true k-th neighbour distance from
+    above, since k real rows reach it. Every row at squared distance at
+    most r² lies in the slab |t₀ - q₀| <= r, which ``searchsorted`` finds
+    with bounds rounded outward. The k nearest are picked from the query's
+    own slab with ``argpartition``. Time is O(n log n + T·(w + s)) for
+    slabs of s rows; queries are taken EUCLIDEAN_CHUNK at a time, so memory
+    is O(EUCLIDEAN_CHUNK · n) whatever the input.
+
+    Squared distances are summed one coordinate at a time, and each equals
+    the dense computation's bits, so the prediction equals the brute-force
+    vote whenever the k-th and (k+1)-th distances differ. Distance ties at
+    the k-th radius are not broken by tie keys: with continuous draws they
+    have probability zero, and ``select_neighbours`` stays the reference
+    for the tie rule.
     """
+    n = len(train)
+    order = np.argsort(train[:, 0], kind="stable")
+    columns = np.ascontiguousarray(train[order].T)
+    key, sorted_labels = columns[0], labels[order]
+    w = min(n, max(2 * k, 2 * math.isqrt(n)))
     out = np.empty(len(queries), dtype=np.int64)
     for lo in range(0, len(queries), EUCLIDEAN_CHUNK):
         q = queries[lo : lo + EUCLIDEAN_CHUNK]
-        d2 = (q[:, None, 0] - train[None, :, 0]) ** 2
-        for j in range(1, train.shape[1]):
-            d2 += (q[:, None, j] - train[None, :, j]) ** 2
-        ones = labels[np.argpartition(d2, k - 1, axis=1)[:, :k]].sum(axis=1)
-        out[lo : lo + EUCLIDEAN_CHUNK] = 2 * ones >= k
+        q0 = q[:, 0]
+        first = np.clip(np.searchsorted(key, q0) - w // 2, 0, n - w)
+        window = first[:, None] + np.arange(w)
+        r2 = np.partition(_gathered_d2(q, columns, window), k - 1, axis=1)[:, k - 1]
+        # fl((t0 - q0)**2) <= r2 implies |t0 - q0| <= sqrt(r2)·(1 + 5u) when
+        # the square is a normal float, and |t0 - q0| < 1.5e-154 when it
+        # underflows; nextafter undoes the rounding of q0 -/+ h
+        h = np.sqrt(r2) * (1 + 1e-12) + 1e-150
+        start = np.searchsorted(key, np.nextafter(q0 - h, -np.inf), "left")
+        stop = np.searchsorted(key, np.nextafter(q0 + h, np.inf), "right")
+        slab = start[:, None] + np.arange((stop - start).max())
+        padding = slab >= stop[:, None]
+        np.minimum(slab, n - 1, out=slab)
+        d2 = _gathered_d2(q, columns, slab)
+        d2[padding] = np.inf
+        near = np.take_along_axis(slab, np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+        out[lo : lo + EUCLIDEAN_CHUNK] = 2 * sorted_labels[near].sum(axis=1) >= k
     return out
 
 
@@ -189,10 +237,12 @@ def one_nn_error_estimate(
     if packed_train is not None and packed_test is not None:
         pred = euclidean_vote(packed_train, train_lab, packed_test, 1)
     else:
-        nn = np.array(
+        # argmin takes the first nearest training point, and pairwise
+        # distances equal ``distance`` bit for bit
+        nn = np.concatenate(
             [
-                min(range(n), key=lambda i: distance(space, q, train_pts[i]))
-                for q in test_pts
+                pairwise_distances(space, test_pts[lo : lo + PAIRWISE_BLOCK], train_pts).argmin(1)
+                for lo in range(0, test_points, PAIRWISE_BLOCK)
             ]
         )
         pred = train_lab[nn]

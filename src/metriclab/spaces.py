@@ -294,15 +294,31 @@ def _sparse_pairwise(space: SparseL2, A: Sequence[Point], B: Sequence[Point]) ->
         a_stop = a_start + a_width - 1
         i = np.repeat(a_start, len(B), axis=1)
         j = np.repeat(b_start[None, :], len(a_start), axis=0)
-        s = np.zeros(i.shape)
+        s = out[lo : lo + PAIRWISE_BLOCK]
+        s[...] = 0.0
+        # the steps write into arrays made once per block: a fresh array per
+        # operation would be mapped and faulted in anew whenever it is larger
+        # than the allocator's mmap threshold. Every index is in range, and
+        # mode="clip" lets ``take`` write into them without a buffer.
+        ia, ib, va, vb = np.empty_like(i), np.empty_like(j), np.empty(i.shape), np.empty(i.shape)
+        take_a, take_b = np.empty(i.shape, bool), np.empty(i.shape, bool)
         for _ in range(a_width + b_width - 2):
-            ia, ib = a_ranks.take(i), b_ranks.take(j)
-            take_a, take_b = ia <= ib, ib <= ia
-            d = np.where(take_a, a_values.take(i), 0.0) - np.where(take_b, b_values.take(j), 0.0)
-            s += d * d
-            np.minimum(i + take_a, a_stop, out=i)
-            np.minimum(j + take_b, b_stop, out=j)
-        out[lo : lo + PAIRWISE_BLOCK] = np.sqrt(s)
+            a_ranks.take(i, out=ia, mode="clip")
+            b_ranks.take(j, out=ib, mode="clip")
+            np.less_equal(ia, ib, out=take_a)
+            np.less_equal(ib, ia, out=take_b)
+            a_values.take(i, out=va, mode="clip")
+            b_values.take(j, out=vb, mode="clip")
+            np.copyto(va, 0.0, where=~take_a)
+            np.copyto(vb, 0.0, where=~take_b)
+            va -= vb
+            va *= va
+            s += va
+            i += take_a
+            j += take_b
+            np.minimum(i, a_stop, out=i)
+            np.minimum(j, b_stop, out=j)
+        np.sqrt(s, out=s)
     return out
 
 

@@ -4,10 +4,12 @@ bytes.
 A change that moves the RNG stream, the schedule, the CSV format or a
 Euclidean vote shows up here; such a change regenerates
 ``golden/run_all_seed7.sha256`` and says why. The ``baseline.csv`` and
-``coverhart.json`` digests were written by the dense |T| x n line kernel
-and the argmin 1-NN kernel that ``knn.euclidean_vote`` replaced; the
-``dimension.json`` digest pins the generic-metric outputs (certificates
-and sparse witnesses) that every ``spaces.distance`` path feeds.
+``coverhart.json`` digests were written by a dense |T| x n line kernel and
+an argmin 1-NN kernel; the chunked all-pairs ``knn.euclidean_vote`` that
+replaced both, and the sorted-slab search that replaced it, reproduce
+them. The ``dimension.json`` digest pins the generic-metric outputs
+(certificates and sparse witnesses) that every ``spaces.distance`` path
+feeds.
 """
 
 import hashlib

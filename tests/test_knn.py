@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metriclab import knn
 from metriclab.knn import (
     LabelledSample,
     LearningProblem,
@@ -15,7 +18,17 @@ from metriclab.knn import (
     r_k,
     select_neighbours,
 )
-from metriclab.spaces import EuclideanD, EuclideanLine, Real, Vec, distance
+from metriclab.spaces import (
+    EuclideanD,
+    EuclideanLine,
+    Real,
+    SparseL2,
+    SparsePoint,
+    UltrametricWords,
+    Vec,
+    Word,
+    distance,
+)
 
 LINE = EuclideanLine()
 
@@ -185,6 +198,20 @@ def _dense_line_vote(train_x, train_y, test_x, k):
     return (2 * ones >= k).astype(np.int64)
 
 
+def _dense_vote(train, labels, queries, k):
+    """The dense kernel the sorted-slab search replaced: one (256, n) block
+    of squared distances per 256 queries, summed one coordinate at a time."""
+    out = np.empty(len(queries), dtype=np.int64)
+    for lo in range(0, len(queries), 256):
+        q = queries[lo : lo + 256]
+        d2 = (q[:, None, 0] - train[None, :, 0]) ** 2
+        for j in range(1, train.shape[1]):
+            d2 += (q[:, None, j] - train[None, :, j]) ** 2
+        ones = labels[np.argpartition(d2, k - 1, axis=1)[:, :k]].sum(axis=1)
+        out[lo : lo + 256] = 2 * ones >= k
+    return out
+
+
 def _argmin_nn1_labels(train_xy, train_y, test_xy):
     """Former 1-NN kernel: the label of the first nearest training row."""
     out = np.empty(len(test_xy), dtype=np.int64)
@@ -236,3 +263,121 @@ def test_euclidean_vote_matches_argmin_nn1(n):
     assert np.array_equal(
         euclidean_vote(train, train_y, test, 1), _argmin_nn1_labels(train, train_y, test)
     )
+
+
+LAYOUTS = ("uniform", "clustered", "offset", "duplicate_first_coordinate")
+
+
+@st.composite
+def vote_inputs(draw):
+    d = draw(st.integers(1, 3))
+    layout = draw(st.sampled_from(LAYOUTS if d >= 2 else LAYOUTS[:3]))
+    n = draw(st.integers(1, 400))
+    # small k leaves the window narrower than n; large k covers it
+    k = draw(st.one_of(st.integers(1, min(n, 8)), st.integers(1, n)))
+    T = draw(st.integers(1, 600).filter(lambda t: t % 256))
+    chunk = draw(st.sampled_from([1, 3, 256]))
+    return d, layout, n, k, T, chunk, draw(st.integers(0, 2**32 - 1))
+
+
+def _vote_data(d, layout, n, T, seed):
+    """Continuous draws, so k-th radius ties have probability zero. Half the
+    queries sit near training rows; the rest range over [-1, 2]^d, a box
+    three times wider than the training data's."""
+    rng = np.random.default_rng(seed)
+    if layout == "clustered":
+        centres = rng.random((3, d))
+        train = centres[rng.integers(0, 3, n)] + 1e-3 * rng.standard_normal((n, d))
+    else:
+        train = rng.random((n, d))
+    if layout == "duplicate_first_coordinate":
+        train[:, 0] = rng.integers(0, 4, n) / 4
+    queries = 3 * rng.random((T, d)) - 1
+    near = T // 2
+    queries[:near] = train[rng.integers(0, n, near)] + 1e-3 * rng.standard_normal((near, d))
+    if layout == "duplicate_first_coordinate":
+        queries[: near // 2, 0] = rng.integers(0, 4, near // 2) / 4
+    if layout == "offset":
+        train, queries = train + 1e6, queries + 1e6
+    return train, rng.integers(0, 2, n), queries
+
+
+@given(vote_inputs())
+@settings(max_examples=200, deadline=None)
+def test_euclidean_vote_matches_dense_kernel(inputs):
+    d, layout, n, k, T, chunk, seed = inputs
+    train, labels, queries = _vote_data(d, layout, n, T, seed)
+    with mock.patch.object(knn, "EUCLIDEAN_CHUNK", chunk):
+        got = euclidean_vote(train, labels, queries, k)
+    assert np.array_equal(got, _dense_vote(train, labels, queries, k))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_euclidean_vote_on_a_lattice_with_ties(d):
+    # integer rows with repeats and half-integer queries, some outside the
+    # rows' range: many k-th radius ties, which the kernel need not break
+    # as FIRST_INDEX does; every query without one must agree with it
+    n, T = 80, 300
+    rng = np.random.default_rng(d)
+    train, labels = rng.integers(0, 12, (n, d)).astype(float), rng.integers(0, 2, n)
+    queries = rng.integers(-4, 28, (T, d)) / 2
+    if d == 1:
+        space, point = LINE, lambda row: Real(float(row[0]))
+    else:
+        space, point = EuclideanD(d), lambda row: Vec(tuple(float(v) for v in row))
+    sample = LabelledSample(
+        tuple(point(r) for r in train), tuple(int(v) for v in labels),
+        tuple(float(i) for i in range(n)),
+    )
+    compared = skipped = 0
+    for k in (1, 4, 15):
+        got = euclidean_vote(train, labels, queries, k)
+        for q, g in zip(queries, got):
+            dists = sorted(distance(space, point(q), p) for p in sample.points)
+            if dists[k - 1] == dists[k]:
+                skipped += 1
+                continue
+            assert g == knn_predict(sample, point(q), k, TieStrategy.FIRST_INDEX, space)
+            compared += 1
+    assert compared > 0 and skipped > 0
+
+
+def _scalar_one_nn_error(problem, n, test_points, space, seed):
+    """``one_nn_error_estimate``'s former generic path: a scalar
+    ``min(range(n), key=distance)`` per test point."""
+    rng = np.random.default_rng(seed)
+    train_pts = [problem.sampler(rng)[0] for _ in range(n)]
+    train_lab = np.array([1 if rng.random() <= problem.eta(p) else 0 for p in train_pts])
+    test_pts = [problem.sampler(rng)[0] for _ in range(test_points)]
+    test_lab = np.array([1 if rng.random() <= problem.eta(p) else 0 for p in test_pts])
+    nn = [min(range(n), key=lambda i: distance(space, q, train_pts[i])) for q in test_pts]
+    return float((train_lab[nn] != test_lab).mean())
+
+
+def _word_problem():
+    # three-letter words: ultrametric distances are powers of 2, so nearest
+    # points tie often and the first-minimum rule decides
+    def sampler(rng):
+        return Word(tuple(int(v) for v in rng.integers(1, 4, 3))), 0
+
+    return LearningProblem(sampler, lambda p: 0.9 if p.letters[0] == 1 else 0.2)
+
+
+def _sparse_problem():
+    def sampler(rng):
+        ids = rng.integers(1, 6, 2)
+        return SparsePoint.from_dict({int(i): float(rng.random()) for i in ids}), 0
+
+    return LearningProblem(sampler, lambda p: 0.8 if p.items[0][0] <= 2 else 0.3)
+
+
+@pytest.mark.parametrize(
+    "problem, space",
+    [(_word_problem(), UltrametricWords(3)), (_sparse_problem(), SparseL2())],
+    ids=["ultrametric_words", "sparse_l2"],
+)
+def test_one_nn_generic_path_matches_scalar_loop(problem, space):
+    # 300 test points: the second block of 256 ends early
+    for seed in range(3):
+        got = one_nn_error_estimate(problem, n=60, test_points=300, space=space, seed=seed)
+        assert got == _scalar_one_nn_error(problem, 60, 300, space, seed)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterable, NamedTuple, Optional
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -563,17 +563,19 @@ def draw_test_words(
     return words
 
 
-def _row_word(trace: SampleTrace, row: int, depth: int) -> TreeWord:
-    return tuple(int(v) for v in trace.letters[row, :depth])
-
-
-def trace_point(problem: AdversarialProblem, trace: SampleTrace, row: int) -> tuple[SparsePoint, int, tuple]:
-    """Materialize one trace row as (point, label, provenance)."""
-    if trace.is_atomic[row]:
-        word = _row_word(trace, row, int(trace.atom_depth[row]))
-        return problem.geometry(word).atom, 1, ("atomic", word)
-    word = _row_word(trace, row, problem.truncation_depth)
-    return problem.geometry(word).center, 0, ("diffuse", word)
+def _trace_rows(problem: AdversarialProblem, trace: SampleTrace) -> Iterator[tuple[SparsePoint, int, tuple]]:
+    """Materialize the trace rows in order as (point, label, provenance),
+    reading the arrays as plain lists; points are the memoized geometry
+    objects."""
+    D = problem.truncation_depth
+    rows = zip(trace.is_atomic.tolist(), trace.atom_depth.tolist(), trace.letters.tolist())
+    for atomic, depth, letters in rows:
+        if atomic:
+            word = tuple(letters[:depth])
+            yield problem.geometry(word).atom, 1, ("atomic", word)
+        else:
+            word = tuple(letters[:D])
+            yield problem.geometry(word).center, 0, ("diffuse", word)
 
 
 def sample_mu(
@@ -582,19 +584,17 @@ def sample_mu(
     """Materialized i.i.d. draws (point, label, provenance); deterministic
     for a given seed."""
     rng = np.random.default_rng(seed)
-    trace = draw_trace(problem, count, rng)
-    return [trace_point(problem, trace, row) for row in range(count)]
+    return list(_trace_rows(problem, draw_trace(problem, count, rng)))
 
 
 def labelled_sample_from_trace(
     problem: AdversarialProblem, trace: SampleTrace
 ) -> LabelledSample:
     points, labels = [], []
-    for row in range(len(trace)):
-        p, lab, _ = trace_point(problem, trace, row)
+    for p, lab, _ in _trace_rows(problem, trace):
         points.append(p)
         labels.append(lab)
-    return LabelledSample(tuple(points), tuple(labels), tuple(float(v) for v in trace.tie_keys))
+    return LabelledSample(tuple(points), tuple(labels), tuple(trace.tie_keys.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,18 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     and build the config once, so that its own checks see the final values."""
     merged: dict = {"k_rule": "sqrtceil"} if args.experiment == "baseline" else {}
     if args.config:
-        with open(args.config) as fh:
-            merged.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {args.config!r}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ValueError(f"config file {args.config!r} is not valid JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ValueError(
+                f"config file {args.config!r} must hold a JSON object, got {type(loaded).__name__}"
+            )
+        merged.update(loaded)
     flags = {
         "experiment": args.experiment,
         "seed": args.seed,

@@ -49,6 +49,43 @@ DEFAULT_EMPIRICAL_N = (128, 1_000_000)
 DEFAULT_PROOF_N_OVERRIDE = {0: 128}
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_ints(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_int, v))
+
+
+def _is_stage_sizes(v) -> bool:
+    return isinstance(v, dict) and all(
+        (_is_int(stage) or isinstance(stage, str) and stage.lstrip("-").isdecimal())
+        and _is_int(size)
+        for stage, size in v.items()
+    )
+
+
+# what each config key must hold, checked before any conversion; a key whose
+# default is None also takes null
+_KEY_SHAPES = {
+    "experiment": ("a string", _is_str),
+    "seed": ("an integer", _is_int),
+    "stages": ("a pair of integers", lambda v: _is_ints(v) and len(v) == 2),
+    "n_override": ("an object from stage numbers to integers", _is_stage_sizes),
+    "k_rule": ("a string", _is_str),
+    "test_count": ("an integer", _is_int),
+    "mode": ("a string", _is_str),
+    "output_path": ("a string", _is_str),
+    "m": ("a list of integers", _is_ints),
+    "n": ("a list of integers", _is_ints),
+    "depth": ("an integer", _is_int),
+}
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -64,6 +101,10 @@ class ExperimentConfig:
     depth: Optional[int] = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        if self.mode not in adv.MODES:
+            raise ValueError(f"mode must be one of {', '.join(adv.MODES)}, got {self.mode!r}")
         if self.test_count < 100:
             raise ValueError("statistical runs need test_count >= 100")
         if self.stages[0] < 0 or self.stages[1] < self.stages[0]:
@@ -77,9 +118,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+        unknown = sorted(set(d) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in d.items():
+            shape, ok = _KEY_SHAPES[key]
+            if not (ok(value) or value is None and defaults[key] is None):
+                raise ValueError(f"config key {key!r} must be {shape}, got {value!r}")
         kwargs = dict(d)
         if "stages" in kwargs:
             kwargs["stages"] = tuple(kwargs["stages"])

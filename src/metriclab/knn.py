@@ -61,8 +61,15 @@ def r_k(sample: LabelledSample, x: Point, k: int, space: MetricSpace) -> float:
     n = len(sample)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    dists = sorted(distance(space, x, p) for p in sample.points)
-    return dists[k - 1]
+    return sorted(_distances(sample, x, space))[k - 1]
+
+
+def _distances(sample: LabelledSample, x: Point, space: MetricSpace) -> list[float]:
+    """``distance(space, x, p)`` for each sample point, evaluated once per
+    distinct point object: points are frozen, so an object has one distance."""
+    distinct = {id(p): p for p in sample.points}
+    by_id = {key: distance(space, x, p) for key, p in distinct.items()}
+    return [by_id[id(p)] for p in sample.points]
 
 
 def select_neighbours(
@@ -74,6 +81,8 @@ def select_neighbours(
 ) -> list[int]:
     """Indices of the k nearest neighbours of ``x``.
 
+    Distances are ``distance(space, x, p)``, query first: Heisenberg
+    ``distance`` is not bitwise symmetric, so the reverse order can differ.
     Everything strictly inside the k-th radius is taken; the remaining
     slots are filled from the boundary, preferring smaller tie keys
     (UNIFORM_RANDOM) or lower indices (FIRST_INDEX).
@@ -81,7 +90,7 @@ def select_neighbours(
     n = len(sample)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    dists = [distance(space, x, p) for p in sample.points]
+    dists = _distances(sample, x, space)
     radius = sorted(dists)[k - 1]
     inside = [i for i, d in enumerate(dists) if d < radius]
     boundary = [i for i, d in enumerate(dists) if d == radius]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -237,6 +238,69 @@ def test_sample_mu_deterministic():
     b = sample_mu(small_problem(), 64, seed=5)
     assert [(lab, prov) for _, lab, prov in a] == [(lab, prov) for _, lab, prov in b]
     assert [pt for pt, _, _ in a] == [pt for pt, _, _ in b]
+
+
+def _rows_one_at_a_time(problem, trace):
+    """The reference: each trace row read one numpy element at a time."""
+    rows = []
+    for row in range(len(trace)):
+        if trace.is_atomic[row]:
+            word = tuple(int(v) for v in trace.letters[row, : int(trace.atom_depth[row])])
+            rows.append((problem.geometry(word).atom, 1, ("atomic", word)))
+        else:
+            word = tuple(int(v) for v in trace.letters[row, : problem.truncation_depth])
+            rows.append((problem.geometry(word).center, 0, ("diffuse", word)))
+    return rows
+
+
+def _trace_case(problem, name):
+    trace = adv.draw_trace(problem, 1 if name.startswith("n=1") else 500, np.random.default_rng(4))
+    count, D = len(trace), problem.truncation_depth
+    if name == "all atomic":
+        trace.is_atomic[:] = True
+        trace.atom_depth[:] = np.arange(count) % (D + 1)
+    elif name in ("all diffuse", "n=1 diffuse"):
+        trace.is_atomic[:] = False
+        trace.atom_depth[:] = -1
+    elif name in ("depth-0 atoms", "n=1 root atom"):
+        trace.is_atomic[:] = True
+        trace.atom_depth[:] = 0
+    return trace
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["drawn", "all atomic", "all diffuse", "depth-0 atoms", "n=1 drawn", "n=1 diffuse",
+     "n=1 root atom"],
+)
+def test_labelled_sample_matches_rows_read_one_at_a_time(name):
+    p = small_problem()
+    trace = _trace_case(p, name)
+    sample = adv.labelled_sample_from_trace(p, trace)
+    expect = _rows_one_at_a_time(p, trace)
+    assert len(sample) == len(expect) == len(trace)
+    assert all(got is pt for got, (pt, _, _) in zip(sample.points, expect))
+    assert sample.labels == tuple(lab for _, lab, _ in expect)
+    assert all(type(key) is float for key in sample.tie_keys)
+    assert [key.hex() for key in sample.tie_keys] == [float(v).hex() for v in trace.tie_keys]
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (5, "8b2e1ee8139afa8576d23e0884c5057caefdad16f449821608a38d951faf32d6"),
+        (11, "859458fe57188ca54457972ebd2d85b9f85e9009a80049550b59a2095f68fd8a"),
+    ],
+    ids=["seed5", "seed11"],
+)
+def test_sample_mu_output_is_pinned(seed, digest):
+    p = small_problem()
+    draws = sample_mu(p, 64, seed)
+    expect = _rows_one_at_a_time(p, adv.draw_trace(p, 64, np.random.default_rng(seed)))
+    assert all(pt is ref_pt for (pt, _, _), (ref_pt, _, _) in zip(draws, expect))
+    assert [d[1:] for d in draws] == [e[1:] for e in expect]
+    assert all(type(v) is int for _, _, (_, word) in draws for v in word)
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == digest
 
 
 def test_sample_mu_label_frequency():

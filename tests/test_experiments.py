@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -207,12 +208,53 @@ def test_cli_flags_pass_config_validation(tmp_path, capsys):
         ["consistency", "--config", str(path), "--test-count", "10"],
         ["consistency", "--stages", "2..1"],
         ["consistency", "--config", str(typo)],
+        ["consistency", "--seed", "-1"],
     ):
         with pytest.raises(ValueError):
             config_from_args(build_parser().parse_args(argv))
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("lab consistency: ")
+
+
+@pytest.mark.parametrize(
+    "experiment, content, message",
+    [
+        ("schedule", None, "cannot read config file "),
+        ("schedule", [1, 2], "must hold a JSON object, got list"),
+        ("schedule", {"stages": 5}, "config key 'stages' must be a pair of integers, got 5"),
+        ("schedule", {"seed": "x"}, "config key 'seed' must be an integer, got 'x'"),
+        ("consistency", {"seed": "x"}, "config key 'seed' must be an integer, got 'x'"),
+        ("schedule", {"m": "abc"}, "config key 'm' must be a list of integers, got 'abc'"),
+        ("schedule", {"test_count": 1.5}, "config key 'test_count' must be an integer, got 1.5"),
+        ("schedule", {"mode": "foo"}, "mode must be one of proof, empirical, got 'foo'"),
+    ],
+    ids=["missing", "array", "stages", "seed", "seed-consistency", "m", "test_count", "mode"],
+)
+def test_malformed_config_file_exits_1(tmp_path, capsys, experiment, content, message):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+        if isinstance(content, dict):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ExperimentConfig.from_json_dict({"experiment": experiment, **content})
+    assert main([experiment, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"lab {experiment}: ")
+    assert message in err
+
+
+def test_config_keys_take_null_only_where_the_default_is_null():
+    cfg = ExperimentConfig.from_json_dict(
+        {"experiment": "schedule", "m": None, "n": None, "depth": None, "output_path": None}
+    )
+    assert cfg.m is None and cfg.depth is None
+    with pytest.raises(ValueError, match="config key 'seed' must be an integer, got None"):
+        ExperimentConfig.from_json_dict({"experiment": "schedule", "seed": None})
+    with pytest.raises(ValueError, match="config key 'depth' must be an integer, got True"):
+        ExperimentConfig.from_json_dict({"experiment": "schedule", "depth": True})
+    with pytest.raises(ValueError, match="a config must be a JSON object, got list"):
+        ExperimentConfig.from_json_dict([["seed", 1]])
 
 
 def test_config_validation():

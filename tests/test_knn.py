@@ -18,9 +18,12 @@ from metriclab.knn import (
     r_k,
     select_neighbours,
 )
+from metriclab import adversarial as adv
 from metriclab.spaces import (
     EuclideanD,
     EuclideanLine,
+    Heisenberg,
+    HPoint,
     Real,
     SparseL2,
     SparsePoint,
@@ -129,6 +132,119 @@ def test_selection_size_and_separation(rows, x, k):
     dmax = max(distance(LINE, Real(float(x)), s.points[i]) for i in chosen)
     for i in rest:
         assert distance(LINE, Real(float(x)), s.points[i]) >= dmax
+
+
+# ---------------------------------------------------------------------------
+# select_neighbours: one distance per distinct point object
+
+
+def _loop_select_neighbours(sample, x, k, strategy, space):
+    """The reference: one ``distance(space, x, p)`` call per sample index."""
+    dists = [distance(space, x, p) for p in sample.points]
+    radius = sorted(dists)[k - 1]
+    inside = [i for i, d in enumerate(dists) if d < radius]
+    boundary = [i for i, d in enumerate(dists) if d == radius]
+    if strategy is TieStrategy.UNIFORM_RANDOM:
+        boundary.sort(key=lambda i: sample.tie_keys[i])
+    return inside + boundary[: k - len(inside)]
+
+
+# (space, point description, constructor); the small ranges make exact
+# distance ties common
+POINT_KINDS = {
+    "line": (LINE, st.integers(-3, 3), lambda v: Real(float(v))),
+    "words": (
+        UltrametricWords(3),
+        st.lists(st.integers(1, 3), max_size=3),
+        lambda v: Word(tuple(v)),
+    ),
+    "sparse": (
+        SparseL2(),
+        st.dictionaries(st.integers(1, 3), st.integers(-1, 1), max_size=2),
+        lambda v: SparsePoint.from_dict({i: float(c) for i, c in v.items()}),
+    ),
+}
+
+
+@st.composite
+def repeated_object_cases(draw):
+    """(space, sample, query, k): the points are drawn from a small pool of
+    objects, so objects repeat, and about one slot in four gets a fresh
+    object equal to its pool object."""
+    space, described, make = POINT_KINDS[draw(st.sampled_from(sorted(POINT_KINDS)))]
+    descriptions = draw(st.lists(described, min_size=1, max_size=6))
+    pool = [make(v) for v in descriptions]
+    n = draw(st.integers(1, 24))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    fresh = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    points = tuple(
+        make(descriptions[j]) if f == 0 else pool[j] for j, f in zip(picks, fresh)
+    )
+    labels = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    keys = tuple(0.5 + i for i in draw(st.permutations(range(n))))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return space, LabelledSample(points, labels, keys), make(draw(described)), k
+
+
+@given(repeated_object_cases(), st.sampled_from(list(TieStrategy)))
+@settings(max_examples=400, deadline=None)
+def test_select_neighbours_matches_the_per_index_loop(case, strategy):
+    space, sample, x, k = case
+    expect = _loop_select_neighbours(sample, x, k, strategy, space)
+    assert select_neighbours(sample, x, k, strategy, space) == expect
+    assert r_k(sample, x, k, space) == sorted(distance(space, x, p) for p in sample.points)[k - 1]
+
+
+def _counting_distance():
+    return mock.patch.object(knn, "distance", wraps=distance)
+
+
+def test_one_distance_call_per_distinct_point_object():
+    a, b = Real(0.0), Real(2.0)
+    points = (a, b, a, Real(2.0), a, b, Real(0.0))  # 4 objects, 2 values
+    sample = LabelledSample(points, (0, 1, 0, 1, 0, 1, 0), tuple(0.1 * i for i in range(7)))
+    x = Real(0.5)
+    with _counting_distance() as spy:
+        assert select_neighbours(sample, x, 3, TieStrategy.FIRST_INDEX, LINE) == [0, 2, 4]
+    assert spy.call_count == 4
+    assert all(call.args[1] is x for call in spy.call_args_list)
+    with _counting_distance() as spy:
+        assert r_k(sample, x, 5, LINE) == 1.5
+    assert spy.call_count == 4
+
+
+def test_one_distance_call_per_distinct_object_on_a_trace_sample():
+    # diffuse draws sit on node centres and atoms repeat: a criterion-07
+    # sized sample holds far fewer objects than points
+    prob = adv.AdversarialProblem(
+        adv.Schedule(m=(1, 6, 2), n=(60,), mode="empirical"), truncation_depth=2
+    )
+    rng = np.random.default_rng(11)
+    sample = adv.labelled_sample_from_trace(prob, adv.draw_trace(prob, 2000, rng))
+    x = prob.geometry((2, 1)).center
+    distinct = len({id(p) for p in sample.points})
+    assert distinct < 100
+    with _counting_distance() as spy:
+        chosen = select_neighbours(sample, x, 11, TieStrategy.UNIFORM_RANDOM, SparseL2())
+    assert spy.call_count == distinct
+    assert chosen == _loop_select_neighbours(sample, x, 11, TieStrategy.UNIFORM_RANDOM, SparseL2())
+
+
+def test_select_neighbours_ranks_by_the_query_first_distance():
+    # q = x * R(x^-1 p) for a quarter turn R about the z axis, so p and q are
+    # equally far from x in exact arithmetic; the float distance is not
+    # symmetric, and its two argument orders rank p and q oppositely
+    H = Heisenberg()
+    x = HPoint(-0.045648981370904895, 0.4874034575034676, 0.47848239413867577)
+    p = HPoint(-0.994250115786738, 0.23331998728461878, 0.6635643506728459)
+    q = HPoint(0.2084344888479439, -0.4611976769123656, 1.7725415720137307)
+    assert distance(H, x, p) < distance(H, x, q)
+    assert distance(H, p, x) > distance(H, q, x)
+    sample = LabelledSample((q, p), (0, 1), (0.1, 0.9))
+    for strategy in TieStrategy:
+        assert select_neighbours(sample, x, 1, strategy, H) == [1]
+        assert knn_predict(sample, x, 1, strategy, H) == 1
+    assert r_k(sample, x, 1, H) == distance(H, x, p)
 
 
 def test_empirical_error():

@@ -54,6 +54,15 @@ def test_structured_stage_sim_trace(benchmark):
     assert res.fraction >= 0.9
 
 
+def test_structured_stage_sim_trace_many_words(benchmark):
+    # the same stage with 10^4 test words: they hold every first letter, so
+    # few sample rows drop out of the prefix filter early
+    problem = _problem("empirical", 1)
+    res = benchmark(adv.structured_stage_sim, problem, 1, 10**6, 20, 10_000, 7, "trace")
+    assert len(res.predictions) == 10_000
+    assert res.fraction >= 0.9
+
+
 @pytest.mark.parametrize("mode", ["proof", "empirical"])
 def test_derive_schedule(benchmark, mode):
     # the `lab schedule` defaults: n_0 = 128 in proof mode

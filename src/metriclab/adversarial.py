@@ -545,7 +545,7 @@ def draw_trace(problem: AdversarialProblem, count: int, rng: np.random.Generator
             1, problem.branching_at(level) + 1, size=count
         )
     tie_keys = rng.random(count)
-    while len(np.unique(tie_keys)) != count:  # astronomically rare
+    while (np.diff(np.sort(tie_keys)) == 0).any():  # a repeat: astronomically rare
         _, idx = np.unique(tie_keys, return_index=True)
         dup = np.setdiff1d(np.arange(count), idx)
         tie_keys[dup] = rng.random(len(dup))
@@ -705,32 +705,55 @@ def _trace_predictions(
     share it (``distance_classes`` raises otherwise), so the label sum of
     the k nearest does not depend on which tied rows the keys pick.
 
-    One lexsort per group of rows (one kind, effective depth j) with the
-    words' length-j prefixes gives ge[h], the rows agreeing with a word on h
-    letters; ge[h] - ge[h+1] rows split at h. No prefix is packed into one
-    integer, which could overflow. O((n + T) D log n) time, O(n D + T) memory.
+    Rows fall into groups: atom depth j for atomic rows, D + 1 for diffuse
+    rows (which have D letters). One pass filters the rows down the prefix
+    trie of the test words without sorting the sample: at level h only the
+    rows that match some word's h-prefix remain, their next letter is found
+    among the words' distinct letters at that level, and the pair (prefix
+    id, letter index) is looked up among the words' (h+1)-prefixes. One
+    bincount per level gives ge[h + 1], the rows of each group agreeing with
+    each word on h + 1 letters; ge[h] - ge[h+1] rows split at h. Lookup keys
+    stay below T**2, so no letter is ever packed into an integer.
+    O(n D log T + T D log T) time, O(n + D T + D**2 P) memory for at most P
+    distinct prefixes per level (P <= T).
     """
+    D, T = problem.truncation_depth, len(test_words)
+    groups = D + 2
+    group = np.where(trace.is_atomic, trace.atom_depth, D + 1)
+    # tables[h][g, p]: rows of group g matching prefix p of length h;
+    # pids[h]: each word's prefix id at length h
+    tables = [np.bincount(group, minlength=groups)[:, None]]
+    pids = [np.zeros(T, dtype=np.int64)]
+    rows = np.flatnonzero(group > 0)  # rows with a letter at level 0
+    row_pid = np.zeros(len(rows), dtype=np.int64)
+    for h in range(D):
+        letters = np.unique(test_words[:, h])
+        word_keys = pids[h] * len(letters) + np.searchsorted(letters, test_words[:, h])
+        prefixes, word_pid = np.unique(word_keys, return_inverse=True)
+        row_letter = trace.letters[rows, h]
+        idx = np.minimum(np.searchsorted(letters, row_letter), len(letters) - 1)
+        hit = letters[idx] == row_letter
+        rows, keys = rows[hit], row_pid[hit] * len(letters) + idx[hit]
+        pos = np.minimum(np.searchsorted(prefixes, keys), len(prefixes) - 1)
+        hit = prefixes[pos] == keys  # prefix and letter may each occur, the pair not
+        rows, row_pid = rows[hit], pos[hit]
+        row_group = group[rows]
+        P = len(prefixes)
+        tables.append(
+            np.bincount(row_group * P + row_pid, minlength=groups * P).reshape(groups, P)
+        )
+        pids.append(word_pid)
+        deeper = row_group > h + 1  # atoms at depth h + 1 have no further letter
+        rows, row_pid = rows[deeper], row_pid[deeper]
 
-    def split_counts(rows):  # yields h = j, ..., 0: nearest first within a group
-        n_rows, j = rows.shape
-        above = np.zeros(len(test_words), dtype=np.int64)  # ge[h + 1]
-        stacked = np.concatenate((rows, test_words[:, :j]))
-        order = np.lexsort(stacked.T[::-1]) if j else np.arange(len(stacked))
-        differs = np.diff(stacked[order], axis=0) != 0
-        is_row, word_pos = order < n_rows, np.argsort(order)[n_rows:]
-        for h in range(j, 0, -1):
-            block = np.concatenate(([0], np.cumsum(differs[:, :h].any(axis=1))))
-            ge = np.bincount(block[is_row], minlength=block[-1] + 1)[block[word_pos]]
-            yield ge - above
-            above = ge
-        yield n_rows - above
+    def counts():
+        for c in classes:
+            g, h = (c.depth if c.kind == "atom" else D + 1), c.split
+            ge = tables[h][g, pids[h]]
+            yield ge - tables[h + 1][g, pids[h + 1]] if h < c.depth else ge
 
-    D, atomic, letters = problem.truncation_depth, trace.is_atomic, trace.letters
-    groups = {("diffuse", D): split_counts(letters[~atomic])}
-    for j in range(D + 1):
-        groups["atom", j] = split_counts(letters[atomic & (trace.atom_depth == j), :j])
     classes = distance_classes(problem)
-    return _vote(classes, (next(groups[c.kind, c.depth]) for c in classes), k)
+    return _vote(classes, counts(), k)
 
 
 class StageSimResult(NamedTuple):

@@ -1,9 +1,10 @@
 """``lab`` command line front-end.
 
-Exit codes: 0 on success, 1 when a config value or input is invalid (one
-line on stderr), 2 when schedule constraints are violated, 3 when the
-schedule recursion overflows the 64-bit range. Exit 2 is also argparse's
-code for a usage error; that message starts with ``usage:``.
+Exit codes: 0 on success, 1 when a config value or input is invalid or
+the output cannot be written (one line on stderr), 2 when schedule
+constraints are violated, 3 when the schedule recursion overflows the
+64-bit range. Exit 2 is also argparse's code for a usage error; that
+message starts with ``usage:``.
 """
 
 from __future__ import annotations

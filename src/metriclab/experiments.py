@@ -180,8 +180,11 @@ def reports_to_csv(reports: list[StageReport]) -> str:
 
 def _write_output(text: str, path: Optional[str]):
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output {path!r}: {exc.strerror}") from exc
 
 
 def _stage_seeds(seed: int, count: int) -> list[int]:

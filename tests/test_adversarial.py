@@ -330,6 +330,36 @@ def test_sampler_matches_masses():
     assert abs(mask.mean() - expect) <= 4 * math.sqrt(expect * (1 - expect) / count)
 
 
+class _RepeatedTieKeys:
+    """A generator whose first tie-key draw (its second ``random`` call)
+    repeats values, so ``draw_trace`` has to redraw them."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size):
+        self._calls += 1
+        values = self._rng.random(size)
+        if self._calls == 2:
+            values[1::3] = values[::3][: len(values[1::3])]
+            self.repeated = values.copy()
+        return values
+
+
+def test_draw_trace_redraws_repeated_tie_keys():
+    rng = _RepeatedTieKeys(3)
+    trace = adv.draw_trace(small_problem(), 100, rng)
+    assert rng._calls == 3
+    assert len(np.unique(trace.tie_keys)) == 100
+    # the first copy of each value stays, every later copy is redrawn
+    assert (trace.tie_keys[::3] == rng.repeated[::3]).all()
+    assert not np.isin(trace.tie_keys[1::3], rng.repeated).any()
+
+
 def test_sample_points_match_provenance():
     p = small_problem()
     for pt, lab, (kind, word) in sample_mu(p, 64, seed=11):

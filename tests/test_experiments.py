@@ -244,6 +244,18 @@ def test_malformed_config_file_exits_1(tmp_path, capsys, experiment, content, me
     assert message in err
 
 
+@pytest.mark.parametrize("experiment", ["schedule", "consistency"])
+def test_unwritable_output_exits_1(tmp_path, capsys, experiment):
+    out = tmp_path / "missing-dir" / "x.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_path": str(out), "stages": [0, 0], "test_count": 500}))
+    assert main([experiment, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"lab {experiment}: cannot write output {str(out)!r}: No such file or directory\n"
+    assert main([experiment, "--out", str(tmp_path), "--stages", "0..0", "--test-count", "500"]) == 1
+    assert capsys.readouterr().err.startswith(f"lab {experiment}: cannot write output {str(tmp_path)!r}: ")
+
+
 def test_config_keys_take_null_only_where_the_default_is_null():
     cfg = ExperimentConfig.from_json_dict(
         {"experiment": "schedule", "m": None, "n": None, "depth": None, "output_path": None}

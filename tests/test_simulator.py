@@ -174,6 +174,33 @@ def _lexsort_reference(prob, trace, words, k):
     return np.array(preds, dtype=np.int64)
 
 
+def _group_lexsort_reference(prob, trace, test_words, k):
+    """The count vote over one lexsort per group of rows (one kind, effective
+    depth j) together with the words' length-j prefixes: ge[h], the rows
+    agreeing with a word on h letters, is read off the sorted blocks."""
+
+    def split_counts(rows):  # yields h = j, ..., 0: nearest first within a group
+        n_rows, j = rows.shape
+        above = np.zeros(len(test_words), dtype=np.int64)  # ge[h + 1]
+        stacked = np.concatenate((rows, test_words[:, :j]))
+        order = np.lexsort(stacked.T[::-1]) if j else np.arange(len(stacked))
+        differs = np.diff(stacked[order], axis=0) != 0
+        is_row, word_pos = order < n_rows, np.argsort(order)[n_rows:]
+        for h in range(j, 0, -1):
+            block = np.concatenate(([0], np.cumsum(differs[:, :h].any(axis=1))))
+            ge = np.bincount(block[is_row], minlength=block[-1] + 1)[block[word_pos]]
+            yield ge - above
+            above = ge
+        yield n_rows - above
+
+    D, atomic, letters = prob.truncation_depth, trace.is_atomic, trace.letters
+    groups = {("diffuse", D): split_counts(letters[~atomic])}
+    for j in range(D + 1):
+        groups["atom", j] = split_counts(letters[atomic & (trace.atom_depth == j), :j])
+    classes = distance_classes(prob)
+    return adv._vote(classes, (next(groups[c.kind, c.depth]) for c in classes), k)
+
+
 def _dense_fresh_reference(prob, n, k, test_count, rng):
     """The fresh-mode vote over a dense (T x classes) occupancy matrix."""
     classes = distance_classes(prob)
@@ -197,7 +224,9 @@ def _dense_fresh_reference(prob, n, k, test_count, rng):
 @st.composite
 def hand_built_traces(draw):
     """A problem with small branching (so prefixes collide and rows repeat),
-    a hand-built trace over it, test words and k."""
+    a hand-built trace over it, test words and k. Rows take their letters
+    from a subset of each level's letters, so some word letters occur in no
+    row; words repeat and share prefixes, and may outnumber the rows."""
     D = draw(st.integers(1, 3))
     m = (1,) + tuple(draw(st.lists(st.integers(2, 3), min_size=D, max_size=D)))
     prob = problem(m=m, truncation=D)
@@ -210,26 +239,29 @@ def hand_built_traces(draw):
     # atom depths from a random subset of 0..D, leaving some depth groups empty
     depths = draw(st.lists(st.integers(0, D), min_size=1, max_size=D + 1))
     atom_depth = [draw(st.sampled_from(depths)) if a else -1 for a in is_atomic]
-
-    def word_rows(count):
-        return np.array(
-            [
-                [draw(st.integers(1, m[level])) for level in range(1, D + 1)]
-                for _ in range(count)
-            ],
-            dtype=np.int64,
-        ).reshape(count, D)
-
+    row_letters = [
+        draw(st.lists(st.integers(1, m[level]), min_size=1, unique=True))
+        for level in range(1, D + 1)
+    ]
+    letters = np.array(
+        [[draw(st.sampled_from(row_letters[h])) for h in range(D)] for _ in range(n)],
+        dtype=np.int64,
+    ).reshape(n, D)
     tie_keys = np.array(draw(st.permutations(range(n))), dtype=np.float64) / n
     trace = adv.SampleTrace(
-        np.array(is_atomic, dtype=bool),
-        np.array(atom_depth, dtype=np.int64),
-        word_rows(n),
-        tie_keys,
+        np.array(is_atomic, dtype=bool), np.array(atom_depth, dtype=np.int64), letters, tie_keys
     )
-    words = word_rows(draw(st.integers(1, 4)))
+    words: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 30))):
+        # keep an earlier word's first `shared` letters (all of them: a duplicate)
+        shared = draw(st.integers(0, D)) if words else 0
+        base = draw(st.sampled_from(words)) if words else []
+        words.append(
+            base[:shared]
+            + [draw(st.integers(1, m[level])) for level in range(shared + 1, D + 1)]
+        )
     k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
-    return prob, trace, words, k
+    return prob, trace, np.array(words, dtype=np.int64), k
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,12 +270,12 @@ def test_trace_counts_equal_lexsort_rule(case):
     prob, trace, words, k = case
     got = adv._trace_predictions(prob, trace, words, k)
     assert (got == _lexsort_reference(prob, trace, words, k)).all()
+    assert (got == _group_lexsort_reference(prob, trace, words, k)).all()
 
 
-def test_trace_counts_with_letters_near_2_pow_40():
+def _check_big_letters(big):
     # the product of the branching numbers overflows int64, so any packing
     # of a prefix into one integer would wrap; letters are compared as is
-    big = 2**40
     prob = problem(m=(1, big, big, big), truncation=3)
     rng = np.random.default_rng(5)
     letters = rng.choice([big - 1, big], size=(200, 3))
@@ -258,6 +290,36 @@ def test_trace_counts_with_letters_near_2_pow_40():
     for k in (1, 7, 40, 200):
         got = adv._trace_predictions(prob, trace, words, k)
         assert (got == _lexsort_reference(prob, trace, words, k)).all()
+        assert (got == _group_lexsort_reference(prob, trace, words, k)).all()
+
+
+def test_trace_counts_with_letters_near_2_pow_40():
+    _check_big_letters(2**40)
+
+
+def test_trace_counts_with_letters_near_2_pow_62():
+    _check_big_letters(2**62)
+
+
+@pytest.mark.parametrize(
+    "m,n,test_count,k",
+    [
+        ((1, 293, 2000), 20_000, 20, 15),  # few words: most rows leave at level 0
+        ((1, 293, 2000), 20_000, 3000, 15),  # many words: every first letter occurs
+        ((1, 3, 2), 50, 400, 7),  # more words than rows, many duplicates
+    ],
+)
+def test_trace_kernel_equals_group_lexsort_on_drawn_traces(m, n, test_count, k):
+    prob = problem(m=m, truncation=3)
+    labels = set()
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        trace = adv.draw_trace(prob, n, rng)
+        words = adv.draw_test_words(prob, test_count, rng)
+        got = adv._trace_predictions(prob, trace, words, k)
+        assert (got == _group_lexsort_reference(prob, trace, words, k)).all()
+        labels.update(got.tolist())
+    assert labels == {0, 1}  # both labels occur, so the check has teeth
 
 
 @pytest.mark.parametrize("n,k", [(300, 5), (40, 9), (10, 10)])

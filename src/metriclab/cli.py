@@ -1,17 +1,24 @@
-"""``lab`` command line front-end.
+"""``lab`` command line front-end: ``lab <experiment>`` runs one experiment,
+``lab all`` runs every job of ``ALL_JOBS`` with one seed.
 
 Exit codes: 0 on success, 1 when a config value or input is invalid or
 the output cannot be written (one line on stderr), 2 when schedule
 constraints are violated, 3 when the schedule recursion overflows the
 64-bit range. Exit 2 is also argparse's code for a usage error; that
-message starts with ``usage:``.
+message starts with ``usage:``. ``lab all`` exits 1 when its output
+directory cannot be created, and otherwise stops at the first job that
+fails, with that job's message and exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import pathlib
+import subprocess
 import sys
+import time
 from typing import Optional, Sequence
 
 from .adversarial import K_RULES, MODES, ScheduleOverflowError, ScheduleValidationError
@@ -24,16 +31,62 @@ from .experiments import (
     run_dimension_suite,
 )
 
-EXPERIMENTS = ("consistency", "baseline", "coverhart", "dimension", "schedule")
+
+def _stage_lines(reports) -> list[str]:
+    return [f"stage {r.stage}: n={r.n} k={r.k} frac_pred1={r.frac_pred1_nonatomic:.4f} "
+            f"error={r.error:.4f} bayes={r.bayes:.1f} (+-{3 * r.stderr:.4f})" for r in reports]
+
+
+def _baseline_lines(reports) -> list[str]:
+    return [f"n={r.n} k={r.k} error={r.error:.4f} (+-{3 * r.stderr:.4f})" for r in reports]
+
+
+def _coverhart_lines(cases) -> list[str]:
+    return [f"{c['case']}: error={c['error']:.4f} ratio="
+            + ("n/a" if c.get("ratio") is None else f"{c['ratio']:.3f}") for c in cases]
+
+
+def _dimension_lines(out) -> list[str]:
+    summary = {k: v for k, v in out.items() if k != "sparse_witnesses"}
+    witnesses = [c["multiplicity"] for c in out["sparse_witnesses"]]
+    return [json.dumps(summary, indent=2), f"sparse witnesses verified: {witnesses}"]
+
+
+# each experiment's runner (which writes its own output) and the console
+# lines it prints from the runner's result
+EXPERIMENTS = {
+    "consistency": (run_consistency, _stage_lines),
+    "baseline": (run_baseline, _baseline_lines),
+    "coverhart": (run_coverhart, _coverhart_lines),
+    "dimension": (run_dimension_suite, _dimension_lines),
+    "schedule": (print_schedule, lambda out: [json.dumps(out, indent=2)]),
+}
+
+# the jobs of `lab all`; each job's last argument is its output file under
+# the output directory
+ALL_JOBS = [
+    ["consistency", "--mode", "proof", "--stages", "0..0", "--out", "consistency_proof.csv"],
+    ["consistency", "--mode", "empirical", "--stages", "0..1", "--out", "consistency_empirical.csv"],
+    ["baseline", "--out", "baseline.csv"],
+    ["coverhart", "--out", "coverhart.json"],
+    ["dimension", "--out", "dimension.json"],
+    ["schedule", "--mode", "proof", "--depth", "1", "--out", "schedule.json"],
+]
 
 
 def _parse_stages(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return (int(lo), int(hi if hi else lo))
+    try:
+        return (int(lo), int(hi or lo))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers A..B, got {text!r}") from None
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_override(pairs: Sequence[str]) -> dict[int, int]:
@@ -50,13 +103,14 @@ def _parse_override(pairs: Sequence[str]) -> dict[int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every experiment flag's ``dest`` is the config key it sets."""
     parser = argparse.ArgumentParser(prog="lab", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--seed", type=int, default=None, help="default 0")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None)
+        p.add_argument("--out", dest="output_path", type=str, default=None, metavar="OUT")
         p.add_argument("--mode", choices=MODES, default=None)
         p.add_argument("--stages", type=_parse_stages, default=None, metavar="A..B")
         p.add_argument("--test-count", type=int, default=None)
@@ -68,6 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--n-override", action="append", default=[], metavar="STAGE=N",
             help="pin the sample size of one stage (repeatable)",
         )
+    p = sub.add_parser("all", help="run every job of ALL_JOBS with one seed")
+    p.add_argument("--seed", type=int, default=0, help="default 0")
+    p.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("results"),
+                   help="default results")
+    p.add_argument("--bench", metavar="PATH", type=pathlib.Path, default=None, help=(
+        "run each job, then the tier-1 suite, in a fresh interpreter in the current directory "
+        '(the repository root) and write {job: {"wall_s", "peak_rss_mb"}} to PATH'))
     return parser
 
 
@@ -88,52 +149,53 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 f"config file {args.config!r} must hold a JSON object, got {type(loaded).__name__}"
             )
         merged.update(loaded)
-    flags = {
-        "experiment": args.experiment,
-        "seed": args.seed,
-        "output_path": args.out,
-        "mode": args.mode,
-        "stages": args.stages,
-        "test_count": args.test_count,
-        "k_rule": args.k_rule,
-        "depth": args.depth,
-        "m": args.m,
-        "n": args.n,
-        "n_override": _parse_override(args.n_override) if args.n_override else None,
-    }
+    flags = {key: value for key, value in vars(args).items() if key != "config"}
+    flags["n_override"] = _parse_override(args.n_override) if args.n_override else None
     merged.update({key: value for key, value in flags.items() if value is not None})
     return ExperimentConfig.from_json_dict(merged)
 
 
+def _measure(args: list[str]) -> dict:
+    """Run ``python args`` in the current directory; return its wall time
+    and peak RSS, or exit with its code."""
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise SystemExit(child.returncode)
+    return {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+
+
+def _run_all(seed: int, out_dir: pathlib.Path, bench: Optional[pathlib.Path]) -> int:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"lab all: cannot create output directory {str(out_dir)!r}: {exc.strerror}",
+              file=sys.stderr)
+        return 1
+    jobs = {pathlib.Path(name).stem: [*flags, str(out_dir.resolve() / name), "--seed", str(seed)]
+            for *flags, name in ALL_JOBS}
+    if bench is None:
+        for job in jobs.values():
+            if (code := main(job)) != 0:
+                return code
+        return 0
+    report = {stem: _measure(["-m", "metriclab.cli", *job]) for stem, job in jobs.items()}
+    report["tier1"] = _measure(["-m", "pytest", "-q", "--continue-on-collection-errors"])
+    bench.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.experiment == "all":
+        return _run_all(args.seed, args.out_dir, args.bench)
+    run, lines = EXPERIMENTS[args.experiment]
     try:
-        cfg = config_from_args(args)
-        if cfg.experiment == "consistency":
-            reports = run_consistency(cfg)
-            for r in reports:
-                print(
-                    f"stage {r.stage}: n={r.n} k={r.k} "
-                    f"frac_pred1={r.frac_pred1_nonatomic:.4f} error={r.error:.4f} "
-                    f"bayes={r.bayes:.1f} (+-{3 * r.stderr:.4f})"
-                )
-        elif cfg.experiment == "baseline":
-            reports = run_baseline(cfg)
-            for r in reports:
-                print(f"n={r.n} k={r.k} error={r.error:.4f} (+-{3 * r.stderr:.4f})")
-        elif cfg.experiment == "coverhart":
-            for case in run_coverhart(cfg):
-                ratio = "n/a" if case.get("ratio") is None else f"{case['ratio']:.3f}"
-                print(f"{case['case']}: error={case['error']:.4f} ratio={ratio}")
-        elif cfg.experiment == "dimension":
-            out = run_dimension_suite(cfg)
-            print(json.dumps({k: v for k, v in out.items() if k != "sparse_witnesses"}, indent=2))
-            print(f"sparse witnesses verified: {[c['multiplicity'] for c in out['sparse_witnesses']]}")
-        elif cfg.experiment == "schedule":
-            out = print_schedule(cfg)
-            print(json.dumps(out, indent=2))
-        else:
-            raise ValueError(f"unknown experiment {cfg.experiment!r}")
+        for line in lines(run(config_from_args(args))):
+            print(line)
     except ScheduleValidationError as exc:
         for violation in exc.violations:
             print(violation, file=sys.stderr)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from metriclab.cli import build_parser, config_from_args, main
+from metriclab.cli import _measure, build_parser, config_from_args, main
 from metriclab.experiments import (
     ExperimentConfig,
     build_schedule,
@@ -254,6 +254,51 @@ def test_unwritable_output_exits_1(tmp_path, capsys, experiment):
     assert err == f"lab {experiment}: cannot write output {str(out)!r}: No such file or directory\n"
     assert main([experiment, "--out", str(tmp_path), "--stages", "0..0", "--test-count", "500"]) == 1
     assert capsys.readouterr().err.startswith(f"lab {experiment}: cannot write output {str(tmp_path)!r}: ")
+
+
+def test_lab_all_exits_1_when_the_output_directory_cannot_be_created(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out_dir in (blocker, blocker / "sub"):
+        assert main(["all", "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"lab all: cannot create output directory {str(out_dir)!r}: ")
+        assert err.count("\n") == 1
+
+
+def test_lab_all_stops_at_the_first_failing_job(tmp_path, capsys):
+    assert main(["all", "--seed", "-1", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "lab consistency: seed must be a nonnegative integer, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--stages", "x"], "argument --stages: expected integers A..B, got 'x'"),
+        (["--stages", "1..b"], "argument --stages: expected integers A..B, got '1..b'"),
+        (["--m", "1,a"], "argument --m: expected comma-separated integers, got '1,a'"),
+        (["--n", "128;1000"], "argument --n: expected comma-separated integers, got '128;1000'"),
+    ],
+    ids=["stages", "stages-hi", "m", "n"],
+)
+def test_typed_flag_usage_errors_name_the_expected_form(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lab schedule")
+    assert err.endswith(f"lab schedule: error: {message}\n")
+
+
+def test_measure_reports_wall_time_and_peak_rss_or_exits_with_the_child_code():
+    # the --bench child runner, on trivial children rather than the suite
+    report = _measure(["-c", "pass"])
+    assert set(report) == {"wall_s", "peak_rss_mb"}
+    assert report["wall_s"] > 0 and report["peak_rss_mb"] > 0
+    with pytest.raises(SystemExit) as exc:
+        _measure(["-c", "raise SystemExit(3)"])
+    assert exc.value.code == 3
 
 
 def test_config_keys_take_null_only_where_the_default_is_null():

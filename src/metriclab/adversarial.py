@@ -167,52 +167,60 @@ def next_branching_bound(s: Schedule, i: int) -> Fraction:
     return Fraction(2 * n_i, k * prod) / delta_value(s, i)
 
 
-def validate_schedule(s: Schedule) -> list[str]:
-    """All constraint violations of the schedule; empty means valid.
-
-    The neighbour-ratio constraint applies in both modes; the occupancy and
-    branching bounds only in proof mode.
-    """
-    violations: list[str] = []
-    for i, n_i in enumerate(s.n):
-        if i >= len(s.m):
-            violations.append(f"stage {i}: no branching value m[{i}]")
-            continue
-        k = k_of(s.k_rule, n_i)
-        rb = ratio_bound(s, i)
-        if not Fraction(k, n_i) < rb:
-            violations.append(
-                f"stage {i}: k/n = {k}/{n_i} must be below {float(rb):.6g}"
-            )
-        if s.mode == "proof":
-            thr = occupancy_threshold(s, i)
-            if not n_i > thr:
-                violations.append(
-                    f"stage {i}: n = {n_i} must exceed the occupancy bound {thr:.6g}"
-                )
-            if i + 1 < len(s.m):
-                mb = next_branching_bound(s, i)
-                if not s.m[i + 1] > mb:
-                    violations.append(
-                        f"stage {i}: m[{i + 1}] = {s.m[i + 1]} must exceed "
-                        f"{float(mb):.6g}"
-                    )
-    return violations
-
-
 class StageBounds(NamedTuple):
     stage: int
     n_occupancy_bound: float  # nan in empirical mode
     n_ratio_bound: Fraction
     n_chosen: int
     k: int
-    m_next_bound: Optional[Fraction]
+    m_next_bound: Optional[Fraction]  # None in empirical mode and at the last stage
     m_next: Optional[int]
 
 
 class DerivedSchedule(NamedTuple):
     schedule: Schedule
     bounds: list[StageBounds]
+
+
+def stage_bounds(s: Schedule, i: int) -> StageBounds:
+    """Stage i's bounds beside its chosen n_i, k and m[i+1]. The neighbour-
+    ratio bound applies in both modes; the occupancy and branching bounds
+    only in proof mode."""
+    proof = s.mode == "proof"
+    n_i = s.n[i]
+    m_next = s.m[i + 1] if i + 1 < len(s.m) else None
+    return StageBounds(
+        i,
+        occupancy_threshold(s, i) if proof else math.nan,
+        ratio_bound(s, i),
+        n_i,
+        k_of(s.k_rule, n_i),
+        next_branching_bound(s, i) if proof and m_next is not None else None,
+        m_next,
+    )
+
+
+def validate_schedule(s: Schedule) -> list[str]:
+    """All violations of the bounds ``stage_bounds`` reports; empty means valid."""
+    violations: list[str] = []
+    for i, n_i in enumerate(s.n):
+        if i >= len(s.m):
+            violations.append(f"stage {i}: no branching value m[{i}]")
+            continue
+        b = stage_bounds(s, i)
+        if not Fraction(b.k, n_i) < b.n_ratio_bound:
+            violations.append(
+                f"stage {i}: k/n = {b.k}/{n_i} must be below {float(b.n_ratio_bound):.6g}"
+            )
+        if s.mode == "proof" and not n_i > b.n_occupancy_bound:
+            violations.append(
+                f"stage {i}: n = {n_i} must exceed the occupancy bound {b.n_occupancy_bound:.6g}"
+            )
+        if b.m_next_bound is not None and not b.m_next > b.m_next_bound:
+            violations.append(
+                f"stage {i}: m[{i + 1}] = {b.m_next} must exceed {float(b.m_next_bound):.6g}"
+            )
+    return violations
 
 
 def _minimal_n(k_rule: str, rhs: Fraction, floor_val: int) -> int:
@@ -249,12 +257,13 @@ def derive_schedule(
 
     Proof mode alternates minimal choices: n_i is the smallest integer above
     both the occupancy bound and the neighbour-ratio bound (or a supplied
-    override, which is validated), then m[i+1] is the smallest admissible
-    branching. Growth is double exponential; quantities beyond the 64-bit
-    range raise ScheduleOverflowError naming the offending stage. Empirical
-    mode passes user-supplied (m, n) through, with the overrides applied,
-    enforcing only the neighbour-ratio constraint. In either mode an
-    override for a stage the schedule lacks is a ValueError.
+    override), then m[i+1] is the smallest admissible branching. Growth is
+    double exponential; quantities beyond the 64-bit range raise
+    ScheduleOverflowError naming the offending stage. Empirical mode passes
+    user-supplied (m, n) through, with the overrides applied. The result
+    passes ``validate_schedule`` (else ScheduleValidationError lists the
+    violations), and its bounds are ``stage_bounds`` of each stage. In
+    either mode an override for a stage the schedule lacks is a ValueError.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -272,57 +281,32 @@ def derive_schedule(
             )
 
     if mode == "empirical":
-        n_seq = tuple(n_override.get(i, v) for i, v in enumerate(n))
-        sched = Schedule(tuple(m), n_seq, k_rule, "empirical")
-        violations = validate_schedule(sched)
-        if violations:
-            raise ScheduleValidationError(violations)
-        bounds = [
-            StageBounds(
-                i, math.nan, ratio_bound(sched, i), sched.n[i],
-                k_of(k_rule, sched.n[i]),
-                None,
-                sched.m[i + 1] if i + 1 < len(sched.m) else None,
-            )
-            for i in range(len(sched.n))
-        ]
-        return DerivedSchedule(sched, bounds)
-
-    m_seq: list[int] = [1]
-    n_seq: list[int] = []
-    bounds: list[StageBounds] = []
-    for i in range(depth + 1):
-        partial = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
-        thr = occupancy_threshold(partial, i)
-        if math.isinf(thr) or thr >= INT64_MAX:
-            raise ScheduleOverflowError(i, "n")
-        rb = ratio_bound(partial, i)
-        try:
-            n_i = _minimal_n(k_rule, rb, int(math.floor(thr)) + 1)
-        except OverflowError:
-            raise ScheduleOverflowError(i, "n") from None
-        if i in n_override:
-            n_i = n_override[i]
-            if not (n_i > thr and Fraction(k_of(k_rule, n_i), n_i) < rb):
-                raise ScheduleValidationError(
-                    [f"stage {i}: override n = {n_i} violates the stage bounds"]
-                )
-        n_seq.append(n_i)
-        k = k_of(k_rule, n_i)
-        m_next_bound: Optional[Fraction] = None
-        m_next: Optional[int] = None
-        if i < depth:
-            staged = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
-            m_next_bound = next_branching_bound(staged, i)
-            m_next = minimal_branching(staged, i)
-            m_seq.append(m_next)
-        bounds.append(StageBounds(i, thr, rb, n_i, k, m_next_bound, m_next))
-
-    sched = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
+        sched = Schedule(
+            tuple(m), tuple(n_override.get(i, v) for i, v in enumerate(n)), k_rule, "empirical"
+        )
+    else:
+        m_seq: list[int] = [1]
+        n_seq: list[int] = []
+        for i in range(depth + 1):
+            partial = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
+            thr = occupancy_threshold(partial, i)
+            if math.isinf(thr) or thr >= INT64_MAX:
+                raise ScheduleOverflowError(i, "n")
+            if i in n_override:
+                n_seq.append(n_override[i])
+            else:
+                try:
+                    n_seq.append(_minimal_n(k_rule, ratio_bound(partial, i), math.floor(thr) + 1))
+                except OverflowError:
+                    raise ScheduleOverflowError(i, "n") from None
+            if i < depth:
+                staged = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
+                m_seq.append(minimal_branching(staged, i))
+        sched = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
     violations = validate_schedule(sched)
     if violations:
         raise ScheduleValidationError(violations)
-    return DerivedSchedule(sched, bounds)
+    return DerivedSchedule(sched, [stage_bounds(sched, i) for i in range(len(sched.n))])
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +523,7 @@ def draw_trace(problem: AdversarialProblem, count: int, rng: np.random.Generator
     depths = rng.geometric(p_stop, size=count) - 1
     depths = np.minimum(depths, D)
     atom_depth = np.where(is_atomic, depths, -1)
-    letters = np.empty((count, D), dtype=np.int64)
-    for level in range(1, D + 1):
-        letters[:, level - 1] = rng.integers(
-            1, problem.branching_at(level) + 1, size=count
-        )
+    letters = draw_test_words(problem, count, rng)
     tie_keys = rng.random(count)
     while (np.diff(np.sort(tie_keys)) == 0).any():  # a repeat: astronomically rare
         _, idx = np.unique(tie_keys, return_index=True)
@@ -756,6 +736,13 @@ def _trace_predictions(
     return _vote(classes, counts(), k)
 
 
+def binomial_stderr(p: float, count: int) -> float:
+    """Standard error of a fraction p of count independent draws, floored at
+    sqrt(1e-12 / count) so that a Monte Carlo row always carries a positive
+    stderr."""
+    return math.sqrt(max(p * (1.0 - p), 1e-12) / count)
+
+
 class StageSimResult(NamedTuple):
     fraction: float  # fraction of diffuse test points predicted 1
     stderr: float
@@ -795,5 +782,4 @@ def structured_stage_sim(
     else:
         raise ValueError(f"unknown sample mode {sample_mode!r}")
     frac = float(preds.mean())
-    stderr = math.sqrt(max(frac * (1.0 - frac), 1e-12) / test_count)
-    return StageSimResult(frac, stderr, preds)
+    return StageSimResult(frac, binomial_stderr(frac, test_count), preds)

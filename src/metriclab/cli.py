@@ -5,9 +5,10 @@ Exit codes: 0 on success, 1 when a config value or input is invalid or
 the output cannot be written (one line on stderr), 2 when schedule
 constraints are violated, 3 when the schedule recursion overflows the
 64-bit range. Exit 2 is also argparse's code for a usage error; that
-message starts with ``usage:``. ``lab all`` exits 1 when its output
-directory cannot be created, and otherwise stops at the first job that
-fails, with that job's message and exit code.
+message starts with ``usage:``. ``lab all`` exits 1, before any job
+runs, when its output directory cannot be created or its ``--bench`` file
+cannot be written, and otherwise stops at the first job that fails, with
+that job's message and exit code.
 """
 
 from __future__ import annotations
@@ -175,6 +176,13 @@ def _run_all(seed: int, out_dir: pathlib.Path, bench: Optional[pathlib.Path]) ->
         print(f"lab all: cannot create output directory {str(out_dir)!r}: {exc.strerror}",
               file=sys.stderr)
         return 1
+    if bench is not None:
+        try:
+            bench.open("a").close()
+        except OSError as exc:
+            print(f"lab all: cannot write bench file {str(bench)!r}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
     jobs = {pathlib.Path(name).stem: [*flags, str(out_dir.resolve() / name), "--seed", str(seed)]
             for *flags, name in ALL_JOBS}
     if bench is None:

@@ -265,6 +265,14 @@ def run_consistency(config: ExperimentConfig) -> list[StageReport]:
 # Euclidean baseline
 
 
+def _vote_error(train, train_y, test, test_y, k: int) -> tuple[np.ndarray, float, float]:
+    """Euclidean k-NN predictions on the test rows, their error rate against
+    ``test_y`` and its binomial stderr."""
+    pred = euclidean_vote(train, train_y, test, k)
+    err = float((pred != test_y).mean())
+    return pred, err, adv.binomial_stderr(err, len(test_y))
+
+
 def run_baseline(config: ExperimentConfig) -> list[StageReport]:
     """k-NN on the uniform unit interval with the deterministic right-half
     labelling; the error shrinks as n grows."""
@@ -276,20 +284,9 @@ def run_baseline(config: ExperimentConfig) -> list[StageReport]:
         test_x = rng.random(config.test_count)
         test_y = (test_x > 0.5).astype(np.int64)
         k = adv.k_of(config.k_rule, n)
-        pred = euclidean_vote(train_x[:, None], train_y, test_x[:, None], k)
-        err = float((pred != test_y).mean())
-        reports.append(
-            StageReport(
-                stage=stage,
-                n=n,
-                k=k,
-                frac_pred1_nonatomic=float(pred.mean()),
-                error=err,
-                bayes=0.0,
-                delta=0.0,
-                stderr=math.sqrt(max(err * (1 - err), 1e-12) / config.test_count),
-            )
-        )
+        pred, err, stderr = _vote_error(train_x[:, None], train_y, test_x[:, None], test_y, k)
+        reports.append(StageReport(stage=stage, n=n, k=k, frac_pred1_nonatomic=float(pred.mean()),
+                                   error=err, bayes=0.0, delta=0.0, stderr=stderr))
     _write_output(reports_to_csv(reports), config.output_path)
     return reports
 
@@ -303,59 +300,30 @@ def run_coverhart(config: ExperimentConfig) -> list[dict]:
     0.3 (asymptotic error 2*0.3*0.7 = 0.42), a deterministic half-plane
     (error tends to 0), and the error-to-Bayes ratio against the bound 2."""
     rng = np.random.default_rng(config.seed)
-    cases = []
+    T = config.test_count
 
-    n = 20_000
-    train = rng.random((n, 2))
-    z = rng.random(n)
-    train_y = (z <= 0.3).astype(np.int64)
-    test = rng.random((config.test_count, 2))
-    test_y = (rng.random(config.test_count) <= 0.3).astype(np.int64)
-    pred = euclidean_vote(train, train_y, test, 1)
-    err = float((pred != test_y).mean())
-    cases.append(
-        {
-            "case": "constant_eta_0.3",
-            "n": n,
-            "k": 1,
-            "error": err,
-            "bayes": 0.3,
-            "ratio": err / 0.3,
-            "stderr": math.sqrt(max(err * (1 - err), 1e-12) / config.test_count),
-        }
-    )
+    n_const = 20_000
+    train = rng.random((n_const, 2))
+    train_y = (rng.random(n_const) <= 0.3).astype(np.int64)
+    test = rng.random((T, 2))
+    test_y = (rng.random(T) <= 0.3).astype(np.int64)
+    _, err_const, stderr_const = _vote_error(train, train_y, test, test_y, 1)
 
     n = 10_000
     train = rng.random((n, 2))
     train_y = (train[:, 0] > 0.5).astype(np.int64)
-    test = rng.random((config.test_count, 2))
+    test = rng.random((T, 2))
     test_y = (test[:, 0] > 0.5).astype(np.int64)
-    pred = euclidean_vote(train, train_y, test, 1)
-    err = float((pred != test_y).mean())
-    cases.append(
-        {
-            "case": "deterministic_halfplane",
-            "n": n,
-            "k": 1,
-            "error": err,
-            "bayes": 0.0,
-            "ratio": None,
-            "stderr": math.sqrt(max(err * (1 - err), 1e-12) / config.test_count),
-        }
-    )
+    _, err, stderr = _vote_error(train, train_y, test, test_y, 1)
 
-    cases.append(
-        {
-            "case": "ratio_vs_twice_bayes",
-            "n": cases[0]["n"],
-            "k": 1,
-            "error": cases[0]["error"],
-            "bayes": 0.3,
-            "ratio": cases[0]["ratio"],
-            "bound": 2.0,
-            "stderr": cases[0]["stderr"],
-        }
-    )
+    # the ratio row restates the constant case against the Cover-Hart bound
+    constant = {"n": n_const, "k": 1, "error": err_const, "bayes": 0.3, "ratio": err_const / 0.3}
+    cases = [
+        {"case": "constant_eta_0.3", **constant, "stderr": stderr_const},
+        {"case": "deterministic_halfplane", "n": n, "k": 1, "error": err, "bayes": 0.0,
+         "ratio": None, "stderr": stderr},
+        {"case": "ratio_vs_twice_bayes", **constant, "bound": 2.0, "stderr": stderr_const},
+    ]
     _write_output(json.dumps(cases, indent=2) + "\n", config.output_path)
     return cases
 
@@ -443,10 +411,10 @@ def random_word_family(rng: np.random.Generator, count: int, alphabet: int) -> B
     return BallFamily(tuple(balls), UltrametricWords(alphabet), math.inf)
 
 
-def heisenberg_unit_grid(step: float = 0.25) -> list[HPoint]:
-    """Lattice points of the unit gauge ball; dyadic steps so that dilation
-    by powers of two is exact in floating point."""
-    vals = np.arange(-1.0, 1.0 + step / 2, step)
+def heisenberg_unit_grid() -> list[HPoint]:
+    """Lattice points of the unit gauge ball at step 0.25; a dyadic step so
+    that dilation by powers of two is exact in floating point."""
+    vals = np.arange(-1.0, 1.125, 0.25)
     pts = []
     for x in vals:
         for y in vals:

@@ -83,8 +83,8 @@ Point = Union[Real, Vec, HPoint, Word, SparsePoint]
 class DirectionIds:
     """Issues fresh direction ids; distinct ids are orthogonal unit axes."""
 
-    def __init__(self, start: int = 1):
-        self._counter = itertools.count(start)
+    def __init__(self):
+        self._counter = itertools.count(1)
 
     def fresh(self) -> int:
         return next(self._counter)

@@ -117,6 +117,102 @@ def test_derive_overflow_depth4():
     assert err.value.stage <= 4
 
 
+def _reference_bounds(depth, k_rule, mode, n_override, m=None, n=None):
+    """Reference for ``derive_schedule``: the schedule and its bounds, each
+    bound worked out while its stage is chosen rather than by
+    ``stage_bounds``; raises where the derivation fails."""
+    n_override = n_override or {}
+    if any(not 0 <= stage < (len(n) if n else depth + 1) for stage in n_override):
+        raise ValueError("n_override names a stage outside the schedule")
+    if mode == "empirical":
+        sched = Schedule(m, tuple(n_override.get(i, v) for i, v in enumerate(n)), k_rule, mode)
+        if validate_schedule(sched):
+            raise ScheduleValidationError(validate_schedule(sched))
+        return sched, [
+            adv.StageBounds(i, math.nan, adv.ratio_bound(sched, i), sched.n[i],
+                            k_of(k_rule, sched.n[i]), None,
+                            sched.m[i + 1] if i + 1 < len(sched.m) else None)
+            for i in range(len(sched.n))
+        ]
+    m_seq, n_seq, bounds = [1], [], []
+    for i in range(depth + 1):
+        partial = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
+        thr = adv.occupancy_threshold(partial, i)
+        if math.isinf(thr) or thr >= adv.INT64_MAX:
+            raise ScheduleOverflowError(i, "n")
+        rb = adv.ratio_bound(partial, i)
+        n_i = adv._minimal_n(k_rule, rb, int(math.floor(thr)) + 1)
+        if i in n_override:
+            n_i = n_override[i]
+            if not (n_i > thr and Fraction(k_of(k_rule, n_i), n_i) < rb):
+                raise ScheduleValidationError([f"stage {i}: override n = {n_i}"])
+        n_seq.append(n_i)
+        m_next_bound = m_next = None
+        if i < depth:
+            staged = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
+            m_next_bound = adv.next_branching_bound(staged, i)
+            m_next = adv.minimal_branching(staged, i)
+            m_seq.append(m_next)
+        bounds.append(adv.StageBounds(i, thr, rb, n_i, k_of(k_rule, n_i), m_next_bound, m_next))
+    sched = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
+    if validate_schedule(sched):
+        raise ScheduleValidationError(validate_schedule(sched))
+    return sched, bounds
+
+
+def _derivable(case):
+    try:
+        _reference_bounds(**case)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+_EMPIRICAL = dict(mode="empirical", m=(1, 293, 2000), n=(128, 10**6))
+_BOUNDS_CASES = [
+    case
+    for k_rule in adv.K_RULES
+    for case in [
+        *(dict(depth=depth, k_rule=k_rule, mode="proof", n_override=override)
+          for depth in (0, 1)
+          for override in (None, {0: 128}, {0: 10**4}, {1: 2**40}, {0: 128, 1: 2**40})),
+        *(dict(depth=1, k_rule=k_rule, n_override=override, **_EMPIRICAL)
+          for override in (None, {1: 500_000})),
+    ]
+    if _derivable(case)
+]
+
+
+@pytest.mark.parametrize(
+    "case", _BOUNDS_CASES,
+    ids=lambda c: f"{c['mode']}-depth{c['depth']}-{c['k_rule']}-{c['n_override']}",
+)
+def test_derived_bounds_match_the_stagewise_reference(case):
+    sched, expect = _reference_bounds(**case)
+    derived = derive_schedule(**case)
+    assert derived.schedule == sched
+    assert len(derived.bounds) == len(expect)
+    for got, want in zip(derived.bounds, expect):
+        for field, a, b in zip(adv.StageBounds._fields, got, want):
+            nan = isinstance(a, float) and math.isnan(a) and math.isnan(b)
+            assert nan or (a == b and type(a) is type(b)), (field, a, b)
+
+
+def test_bounds_cases_cover_every_k_rule_depth_and_mode():
+    assert {(c["k_rule"], c["mode"], c["depth"], bool(c["n_override"])) for c in _BOUNDS_CASES} == {
+        (rule, mode, depth, over)
+        for rule in ("log2ceil", "const1")
+        for mode, depth in (("proof", 0), ("proof", 1), ("empirical", 1))
+        for over in (False, True)
+    } | {("sqrtceil", "proof", depth, over) for depth in (0, 1) for over in (False, True)}
+
+
+def test_binomial_stderr_is_floored_at_both_ends():
+    floor = math.sqrt(1e-12 / 400)
+    assert adv.binomial_stderr(0.0, 400) == adv.binomial_stderr(1.0, 400) == floor
+    assert adv.binomial_stderr(0.5, 400) == 0.025
+
+
 def test_schedule_json_roundtrip_fields():
     s = Schedule(m=(1, 5), n=(40,), mode="empirical")
     d = s.to_json_dict()

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from metriclab import cli
 from metriclab.cli import _measure, build_parser, config_from_args, main
 from metriclab.experiments import (
     ExperimentConfig,
@@ -131,6 +132,13 @@ def test_n_override_outside_the_schedule_exits_1(experiment, mode, depth, capsys
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"lab {experiment}: ")
     assert "stage 5" in err
+
+
+@pytest.mark.parametrize("mode", ["empirical", "proof"])
+def test_nonpositive_n_override_exits_1(mode, capsys):
+    # a sample size below 1 is invalid input in both modes, not a bound violation
+    assert main(["schedule", "--mode", mode, "--depth", "1", "--n-override", "0=0"]) == 1
+    assert capsys.readouterr().err == "lab schedule: sample sizes must be positive\n"
 
 
 @pytest.mark.parametrize("value", ["5", "x=3", "1=", "=300", "1=2.5"])
@@ -264,6 +272,26 @@ def test_lab_all_exits_1_when_the_output_directory_cannot_be_created(tmp_path, c
         err = capsys.readouterr().err
         assert err.startswith(f"lab all: cannot create output directory {str(out_dir)!r}: ")
         assert err.count("\n") == 1
+
+
+def test_lab_all_checks_the_bench_file_before_the_first_job(tmp_path, capsys, monkeypatch):
+    def no_job(args):
+        pytest.fail(f"lab all ran {args} before checking its bench file")
+
+    monkeypatch.setattr(cli, "_measure", no_job)
+    bench = tmp_path / "missing-dir" / "b.json"
+    assert main(["all", "--out-dir", str(tmp_path / "out"), "--bench", str(bench)]) == 1
+    assert capsys.readouterr().err == (
+        f"lab all: cannot write bench file {str(bench)!r}: No such file or directory\n"
+    )
+
+
+def test_bad_proof_override_names_the_bounds_it_breaks(capsys):
+    assert main(["schedule", "--mode", "proof", "--depth", "1", "--n-override", "0=5"]) == 2
+    assert capsys.readouterr().err == (
+        "stage 0: k/n = 3/5 must be below 0.125\n"
+        "stage 0: n = 5 must exceed the occupancy bound 66.5421\n"
+    )
 
 
 def test_lab_all_stops_at_the_first_failing_job(tmp_path, capsys):

@@ -24,15 +24,10 @@ from .spaces import (
     pairwise_distances,
 )
 from .knn import (
-    BayesEstimate,
     LabelledSample,
-    LearningProblem,
     TieStrategy,
-    bayes_error,
-    empirical_error,
     euclidean_vote,
     knn_predict,
-    one_nn_error_estimate,
     r_k,
     select_neighbours,
 )
@@ -61,7 +56,6 @@ from .adversarial import (
     derive_schedule,
     distance_classes,
     k_of,
-    sample_mu,
     structured_stage_sim,
     validate_schedule,
     verify_node,

@@ -15,9 +15,14 @@ Every node at depth i uses the same three constants:
 
 The 1/16 ratio satisfies the separation inequality checked by
 ``verify_node`` (3*eps < r*(sqrt(2) - sqrt(1 + 25/64))) with a wide
-margin, and keeping every constant dyadic makes squared distances between
-materialized points exact doubles at small depths, which the simulator
-equivalence tests rely on.
+margin. Every constant is dyadic, so float distances between materialized
+points follow the exact ``distance_classes`` at small truncation depths D.
+Seen from a diffuse test point, with one point per class: for D <= 3 every
+squared distance is an exact double; for D = 4 some are not, but the
+classes keep distinct float distances in the exact order; from D = 5
+float distances merge classes of different labels (at D = 5, 27 classes
+share 26 distances). So the brute-force rule on materialized points is an
+oracle for the stage simulator only up to D = 4.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterable, Iterator, NamedTuple, Optional
+from typing import ClassVar, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -318,7 +323,7 @@ def child_radius(depth: int) -> float:
 
 
 def node_eps(depth: int) -> float:
-    return 2.0 ** (-6 * depth - 6)
+    return child_radius(depth) / 16
 
 
 def atom_offset(depth: int) -> float:
@@ -326,30 +331,28 @@ def atom_offset(depth: int) -> float:
 
 
 def child_radius2_frac(depth: int) -> Fraction:
-    return Fraction(1, 1 << (12 * depth + 4))
+    return Fraction(child_radius(depth)) ** 2
 
 
 def atom_offset2_frac(depth: int) -> Fraction:
-    return Fraction(25, 1 << (12 * depth + 10))
+    return Fraction(atom_offset(depth)) ** 2
 
 
 @dataclass(frozen=True)
 class NodeGeometry:
-    word: TreeWord
     center: SparsePoint  # the node hub (origin at the root)
     atom: SparsePoint  # hub atom, offset along its own fresh direction
     eps: float
     child_radius: float
     child_ids: tuple[int, ...]
-    atom_id: int
 
 
 class AdversarialProblem:
     """Lazily materialized adversarial learning problem.
 
-    Geometry records are memoized once per tree word; samplers and the
-    stage simulator take explicit seeds and share one trace-drawing core so
-    their draws agree draw for draw.
+    Geometry records are memoized once per tree word, so every draw of a
+    node's hub or atom is the same point object. Sampling goes through
+    ``draw_trace``, which takes an explicit generator.
     """
 
     def __init__(self, schedule: Schedule, truncation_depth: int):
@@ -366,7 +369,6 @@ class AdversarialProblem:
         )
         self._geometry: dict[TreeWord, NodeGeometry] = {}
         self._ids = DirectionIds()
-        self._atom_words: dict[SparsePoint, TreeWord] = {}
 
     def branching_at(self, depth: int) -> int:
         return self._branching[depth]
@@ -391,35 +393,9 @@ class AdversarialProblem:
         child_ids = tuple(self._ids.fresh() for _ in range(n_children))
         atom_id = self._ids.fresh()
         atom = center.shift(atom_id, atom_offset(depth))
-        g = NodeGeometry(
-            word, center, atom, node_eps(depth), child_radius(depth), child_ids, atom_id
-        )
+        g = NodeGeometry(center, atom, node_eps(depth), child_radius(depth), child_ids)
         self._geometry[word] = g
-        self._atom_words[atom] = word
         return g
-
-    def eta(self, point: SparsePoint) -> float:
-        """Indicator of the (materialized) atom set."""
-        return 1.0 if point in self._atom_words else 0.0
-
-
-def geometry_json(problem: AdversarialProblem, words: Iterable[Iterable[int]]) -> list[dict]:
-    """Debug dump: one JSON record per requested node."""
-    records = []
-    for t in words:
-        g = problem.geometry(t)
-        records.append(
-            {
-                "word": list(g.word),
-                "center": {str(i): v for i, v in g.center.items},
-                "atom": {str(i): v for i, v in g.atom.items},
-                "eps": g.eps,
-                "child_radius": g.child_radius,
-                "child_ids": list(g.child_ids),
-                "atom_id": g.atom_id,
-            }
-        )
-    return records
 
 
 def verify_node(problem: AdversarialProblem, t: Iterable[int]) -> bool:
@@ -543,38 +519,21 @@ def draw_test_words(
     return words
 
 
-def _trace_rows(problem: AdversarialProblem, trace: SampleTrace) -> Iterator[tuple[SparsePoint, int, tuple]]:
-    """Materialize the trace rows in order as (point, label, provenance),
-    reading the arrays as plain lists; points are the memoized geometry
-    objects."""
-    D = problem.truncation_depth
-    rows = zip(trace.is_atomic.tolist(), trace.atom_depth.tolist(), trace.letters.tolist())
-    for atomic, depth, letters in rows:
-        if atomic:
-            word = tuple(letters[:depth])
-            yield problem.geometry(word).atom, 1, ("atomic", word)
-        else:
-            word = tuple(letters[:D])
-            yield problem.geometry(word).center, 0, ("diffuse", word)
-
-
-def sample_mu(
-    problem: AdversarialProblem, count: int, seed: int
-) -> list[tuple[SparsePoint, int, tuple]]:
-    """Materialized i.i.d. draws (point, label, provenance); deterministic
-    for a given seed."""
-    rng = np.random.default_rng(seed)
-    return list(_trace_rows(problem, draw_trace(problem, count, rng)))
-
-
 def labelled_sample_from_trace(
     problem: AdversarialProblem, trace: SampleTrace
 ) -> LabelledSample:
-    points, labels = [], []
-    for p, lab, _ in _trace_rows(problem, trace):
-        points.append(p)
-        labels.append(lab)
-    return LabelledSample(tuple(points), tuple(labels), tuple(trace.tie_keys.tolist()))
+    """The trace rows materialized in order: an atomic row is the hub atom
+    of its word (label 1), a diffuse row the hub at its full branch (label
+    0). The arrays are read as plain lists, and points are the memoized
+    geometry objects."""
+    geometry, D = problem.geometry, problem.truncation_depth
+    atomic = trace.is_atomic.tolist()
+    rows = zip(atomic, trace.atom_depth.tolist(), trace.letters.tolist())
+    points = tuple(
+        geometry(letters[:depth]).atom if a else geometry(letters[:D]).center
+        for a, depth, letters in rows
+    )
+    return LabelledSample(points, tuple(map(int, atomic)), tuple(trace.tie_keys.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import adversarial as adv
-from .knn import LearningProblem, euclidean_vote
+from .knn import euclidean_vote
 from .nagata import (
     Ball,
     BallFamily,
@@ -507,22 +507,3 @@ def print_schedule(config: ExperimentConfig) -> dict:
     _write_output(json.dumps(out, indent=2) + "\n", config.output_path)
     return out
 
-
-def uniform_interval_problem() -> LearningProblem:
-    """Uniform mass on [0, 1] with the deterministic right-half labelling."""
-
-    def sampler(rng: np.random.Generator):
-        x = float(rng.random())
-        return Real(x), int(x > 0.5)
-
-    return LearningProblem(sampler, lambda p: 1.0 if p.value > 0.5 else 0.0, 0.0)
-
-
-def constant_eta_square_problem(eta: float) -> LearningProblem:
-    """Uniform mass on the unit square with a constant regression function."""
-
-    def sampler(rng: np.random.Generator):
-        p = Vec((float(rng.random()), float(rng.random())))
-        return p, int(rng.random() <= eta)
-
-    return LearningProblem(sampler, lambda p: eta, min(eta, 1.0 - eta))

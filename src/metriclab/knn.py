@@ -5,19 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .spaces import (
-    PAIRWISE_BLOCK,
-    MetricSpace,
-    Point,
-    Real,
-    Vec,
-    distance,
-    pairwise_distances,
-)
+from .spaces import MetricSpace, Point, distance
 
 
 class TieStrategy(Enum):
@@ -45,15 +36,6 @@ class LabelledSample:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-@dataclass(frozen=True)
-class LearningProblem:
-    """A distribution of labelled data: point sampler plus regression function."""
-
-    sampler: Callable[[np.random.Generator], tuple[Point, int]]
-    eta: Callable[[Point], float]
-    bayes_error: Optional[float] = None
 
 
 def r_k(sample: LabelledSample, x: Point, k: int, space: MetricSpace) -> float:
@@ -111,45 +93,6 @@ def knn_predict(
     chosen = select_neighbours(sample, x, k, strategy, space)
     ones = sum(sample.labels[i] for i in chosen)
     return int(2 * ones >= k)
-
-
-def empirical_error(predictions: Sequence[int], truths: Sequence[int]) -> float:
-    """Fraction of disagreements between two equal-length label sequences."""
-    if len(predictions) != len(truths) or len(predictions) == 0:
-        raise ValueError("prediction and truth sequences must have equal length >= 1")
-    wrong = sum(1 for p, t in zip(predictions, truths) if p != t)
-    return wrong / len(predictions)
-
-
-class BayesEstimate(NamedTuple):
-    value: float
-    stderr: float
-
-
-def bayes_error(problem: LearningProblem, mc_samples: int, seed: int) -> BayesEstimate:
-    """Bayes error of the problem: exact when stored, else a Monte Carlo mean
-    of min(eta, 1-eta) with its standard error."""
-    if problem.bayes_error is not None:
-        return BayesEstimate(problem.bayes_error, 0.0)
-    rng = np.random.default_rng(seed)
-    vals = np.empty(mc_samples)
-    for i in range(mc_samples):
-        x, _ = problem.sampler(rng)
-        e = problem.eta(x)
-        vals[i] = min(e, 1.0 - e)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
-    return BayesEstimate(mean, stderr)
-
-
-def _pack_euclidean(points: Sequence[Point]) -> Optional[np.ndarray]:
-    if all(isinstance(p, Real) for p in points):
-        return np.array([[p.value] for p in points])
-    if all(isinstance(p, Vec) for p in points):
-        dims = {len(p.coords) for p in points}
-        if len(dims) == 1:
-            return np.array([p.coords for p in points])
-    return None
 
 
 EUCLIDEAN_CHUNK = 256  # queries per distance block
@@ -216,43 +159,3 @@ def euclidean_vote(
         near = np.take_along_axis(slab, np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
         out[lo : lo + EUCLIDEAN_CHUNK] = 2 * sorted_labels[near].sum(axis=1) >= k
     return out
-
-
-def one_nn_error_estimate(
-    problem: LearningProblem,
-    n: int,
-    test_points: int,
-    space: MetricSpace,
-    seed: int,
-) -> float:
-    """Monte Carlo estimate of the 1-NN misclassification probability at
-    sample size ``n``.
-
-    Labels are generated through the threshold coupling: a uniform variate
-    Z per point, label = 1 iff Z <= eta(point).
-    """
-    if n < 1:
-        raise ValueError("sample size must be positive")
-    rng = np.random.default_rng(seed)
-    train_pts = [problem.sampler(rng)[0] for _ in range(n)]
-    train_lab = np.array(
-        [1 if rng.random() <= problem.eta(p) else 0 for p in train_pts]
-    )
-    test_pts = [problem.sampler(rng)[0] for _ in range(test_points)]
-    test_lab = np.array([1 if rng.random() <= problem.eta(p) else 0 for p in test_pts])
-
-    packed_train = _pack_euclidean(train_pts)
-    packed_test = _pack_euclidean(test_pts) if packed_train is not None else None
-    if packed_train is not None and packed_test is not None:
-        pred = euclidean_vote(packed_train, train_lab, packed_test, 1)
-    else:
-        # argmin takes the first nearest training point, and pairwise
-        # distances equal ``distance`` bit for bit
-        nn = np.concatenate(
-            [
-                pairwise_distances(space, test_pts[lo : lo + PAIRWISE_BLOCK], train_pts).argmin(1)
-                for lo in range(0, test_points, PAIRWISE_BLOCK)
-            ]
-        )
-        pred = train_lab[nn]
-    return float((pred != test_lab).mean())

@@ -16,7 +16,6 @@ from metriclab.adversarial import (
     ball_mass,
     derive_schedule,
     k_of,
-    sample_mu,
     validate_schedule,
     verify_node,
 )
@@ -259,6 +258,14 @@ def test_sibling_distance_orthogonal():
     assert distance(SPACE, a, b) == pytest.approx(r * math.sqrt(2), rel=1e-15)
 
 
+def test_geometry_constants_match_closed_forms():
+    # the closed forms the float-derived constants replaced
+    for d in range(adv.MAX_TRUNCATION + 1):
+        assert adv.child_radius2_frac(d) == Fraction(1, 1 << (12 * d + 4))
+        assert adv.atom_offset2_frac(d) == Fraction(25, 1 << (12 * d + 10))
+        assert adv.node_eps(d) == 2.0 ** (-6 * d - 6)
+
+
 def test_geometry_memoized():
     p = small_problem()
     assert p.geometry((1, 2)) is p.geometry((1, 2))
@@ -328,24 +335,16 @@ def test_ball_mass_examples():
 # sampler
 
 
-def test_sample_mu_deterministic():
-    p = small_problem()
-    a = sample_mu(p, 64, seed=5)
-    b = sample_mu(small_problem(), 64, seed=5)
-    assert [(lab, prov) for _, lab, prov in a] == [(lab, prov) for _, lab, prov in b]
-    assert [pt for pt, _, _ in a] == [pt for pt, _, _ in b]
-
-
 def _rows_one_at_a_time(problem, trace):
     """The reference: each trace row read one numpy element at a time."""
     rows = []
     for row in range(len(trace)):
         if trace.is_atomic[row]:
             word = tuple(int(v) for v in trace.letters[row, : int(trace.atom_depth[row])])
-            rows.append((problem.geometry(word).atom, 1, ("atomic", word)))
+            rows.append((problem.geometry(word).atom, 1))
         else:
             word = tuple(int(v) for v in trace.letters[row, : problem.truncation_depth])
-            rows.append((problem.geometry(word).center, 0, ("diffuse", word)))
+            rows.append((problem.geometry(word).center, 0))
     return rows
 
 
@@ -375,8 +374,8 @@ def test_labelled_sample_matches_rows_read_one_at_a_time(name):
     sample = adv.labelled_sample_from_trace(p, trace)
     expect = _rows_one_at_a_time(p, trace)
     assert len(sample) == len(expect) == len(trace)
-    assert all(got is pt for got, (pt, _, _) in zip(sample.points, expect))
-    assert sample.labels == tuple(lab for _, lab, _ in expect)
+    assert all(got is pt for got, (pt, _) in zip(sample.points, expect))
+    assert sample.labels == tuple(lab for _, lab in expect)
     assert all(type(key) is float for key in sample.tie_keys)
     assert [key.hex() for key in sample.tie_keys] == [float(v).hex() for v in trace.tie_keys]
 
@@ -384,19 +383,16 @@ def test_labelled_sample_matches_rows_read_one_at_a_time(name):
 @pytest.mark.parametrize(
     "seed, digest",
     [
-        (5, "8b2e1ee8139afa8576d23e0884c5057caefdad16f449821608a38d951faf32d6"),
-        (11, "859458fe57188ca54457972ebd2d85b9f85e9009a80049550b59a2095f68fd8a"),
+        (5, "203f8ba761fdb6f8a827aee4e8b3eb8f66c6e4cbf7621d27cb99a2cbbf60b4b0"),
+        (11, "66ba40b60c1093a5d7fdab91f00e59456b68c2244a38244f8771a5bdcff29ee7"),
     ],
     ids=["seed5", "seed11"],
 )
-def test_sample_mu_output_is_pinned(seed, digest):
+def test_labelled_sample_from_trace_is_pinned(seed, digest):
+    # pins draw_trace's stream and the sample built from it
     p = small_problem()
-    draws = sample_mu(p, 64, seed)
-    expect = _rows_one_at_a_time(p, adv.draw_trace(p, 64, np.random.default_rng(seed)))
-    assert all(pt is ref_pt for (pt, _, _), (ref_pt, _, _) in zip(draws, expect))
-    assert [d[1:] for d in draws] == [e[1:] for e in expect]
-    assert all(type(v) is int for _, _, (_, word) in draws for v in word)
-    assert hashlib.sha256(repr(draws).encode()).hexdigest() == digest
+    s = adv.labelled_sample_from_trace(p, adv.draw_trace(p, 64, np.random.default_rng(seed)))
+    assert hashlib.sha256(repr((s.points, s.labels, s.tie_keys)).encode()).hexdigest() == digest
 
 
 def test_sample_mu_label_frequency():
@@ -454,31 +450,6 @@ def test_draw_trace_redraws_repeated_tie_keys():
     # the first copy of each value stays, every later copy is redrawn
     assert (trace.tie_keys[::3] == rng.repeated[::3]).all()
     assert not np.isin(trace.tie_keys[1::3], rng.repeated).any()
-
-
-def test_sample_points_match_provenance():
-    p = small_problem()
-    for pt, lab, (kind, word) in sample_mu(p, 64, seed=11):
-        if kind == "atomic":
-            assert lab == 1
-            assert pt == p.geometry(word).atom
-            assert p.eta(pt) == 1.0
-        else:
-            assert lab == 0
-            assert len(word) == p.truncation_depth
-            assert pt == p.geometry(word).center
-            assert p.eta(pt) == 0.0
-
-
-def test_geometry_json_dump():
-    import json
-
-    p = small_problem()
-    records = adv.geometry_json(p, [(), (1,), (1, 2)])
-    text = json.dumps(records)
-    assert json.loads(text)[1]["word"] == [1]
-    assert records[0]["center"] == {}
-    assert records[2]["eps"] == p.geometry((1, 2)).eps
 
 
 def test_atoms_disjoint_from_diffuse_support():

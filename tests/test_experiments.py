@@ -9,17 +9,14 @@ from metriclab.cli import _measure, build_parser, config_from_args, main
 from metriclab.experiments import (
     ExperimentConfig,
     build_schedule,
-    constant_eta_square_problem,
     print_schedule,
     reports_to_csv,
     run_baseline,
     run_consistency,
     run_coverhart,
     run_dimension_suite,
-    uniform_interval_problem,
 )
-from metriclab.knn import euclidean_vote, one_nn_error_estimate
-from metriclab.spaces import EuclideanD, EuclideanLine
+from metriclab.knn import euclidean_vote
 
 
 def cfg(**kw):
@@ -347,18 +344,3 @@ def test_config_validation():
         ExperimentConfig(experiment="consistency", test_count=10)
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="consistency", stages=(2, 1))
-
-
-def test_generic_one_nn_agrees_with_runner():
-    # the generic estimator on the square problem lands on the same value
-    # the vectorized runner reports for the constant regression function
-    err = one_nn_error_estimate(
-        constant_eta_square_problem(0.3), n=4000, test_points=2000,
-        space=EuclideanD(2), seed=13,
-    )
-    assert err == pytest.approx(0.42, abs=0.04)
-    err = one_nn_error_estimate(
-        uniform_interval_problem(), n=4000, test_points=2000,
-        space=EuclideanLine(), seed=14,
-    )
-    assert err <= 0.02

@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 from metriclab import knn
 from metriclab.knn import (
     LabelledSample,
-    LearningProblem,
     TieStrategy,
-    bayes_error,
-    empirical_error,
     euclidean_vote,
     knn_predict,
-    one_nn_error_estimate,
     r_k,
     select_neighbours,
 )
@@ -247,61 +243,6 @@ def test_select_neighbours_ranks_by_the_query_first_distance():
     assert r_k(sample, x, 1, H) == distance(H, x, p)
 
 
-def test_empirical_error():
-    assert empirical_error([1, 0, 1], [1, 0, 1]) == 0.0
-    assert empirical_error([1, 0], [0, 1]) == 1.0
-    assert empirical_error([1, 1, 0, 0], [1, 0, 0, 1]) == 0.5
-    with pytest.raises(ValueError):
-        empirical_error([1], [1, 0])
-
-
-def _constant_problem(eta):
-    def sampler(rng):
-        return Real(float(rng.random())), int(rng.random() <= eta)
-
-    return LearningProblem(sampler, lambda p: eta, None)
-
-
-def test_bayes_error():
-    det = LearningProblem(lambda rng: (Real(0.0), 1), lambda p: 1.0, 0.0)
-    assert bayes_error(det, 10, seed=0) == (0.0, 0.0)
-    est = bayes_error(_constant_problem(0.3), 500, seed=1)
-    assert est.value == pytest.approx(0.3, abs=1e-12)
-    est = bayes_error(_constant_problem(0.5), 500, seed=2)
-    assert est.value == pytest.approx(0.5, abs=1e-12)
-
-
-def test_one_nn_separated_clusters():
-    # deterministic labels on two clusters far apart: 1-NN is near perfect
-    def sampler(rng):
-        if rng.random() < 0.5:
-            return Real(float(rng.random())), 0
-        return Real(float(10.0 + rng.random())), 1
-
-    prob = LearningProblem(sampler, lambda p: 1.0 if p.value > 5.0 else 0.0, 0.0)
-    err = one_nn_error_estimate(prob, n=2000, test_points=2000, space=LINE, seed=3)
-    assert err <= 0.02
-
-
-def test_one_nn_constant_eta():
-    err = one_nn_error_estimate(_constant_problem(0.3), n=4000, test_points=4000,
-                                space=LINE, seed=4)
-    assert err == pytest.approx(2 * 0.3 * 0.7, abs=0.03)
-    err = one_nn_error_estimate(_constant_problem(0.5), n=4000, test_points=4000,
-                                space=LINE, seed=5)
-    assert err == pytest.approx(0.5, abs=0.03)
-
-
-def test_threshold_coupling_disagreement_bound():
-    # labels via a shared uniform threshold: P[Y != Y'] equals |p - p1|
-    zs = (np.arange(2001) + 0.5) / 2001
-    for p in np.linspace(0, 1, 11):
-        for p1 in np.linspace(0, 1, 11):
-            y = zs <= p1
-            y_prime = zs <= p
-            assert abs((y != y_prime).mean() - abs(p - p1)) <= 1e-3
-
-
 # ---------------------------------------------------------------------------
 # euclidean_vote
 
@@ -456,44 +397,3 @@ def test_euclidean_vote_on_a_lattice_with_ties(d):
             assert g == knn_predict(sample, point(q), k, TieStrategy.FIRST_INDEX, space)
             compared += 1
     assert compared > 0 and skipped > 0
-
-
-def _scalar_one_nn_error(problem, n, test_points, space, seed):
-    """``one_nn_error_estimate``'s former generic path: a scalar
-    ``min(range(n), key=distance)`` per test point."""
-    rng = np.random.default_rng(seed)
-    train_pts = [problem.sampler(rng)[0] for _ in range(n)]
-    train_lab = np.array([1 if rng.random() <= problem.eta(p) else 0 for p in train_pts])
-    test_pts = [problem.sampler(rng)[0] for _ in range(test_points)]
-    test_lab = np.array([1 if rng.random() <= problem.eta(p) else 0 for p in test_pts])
-    nn = [min(range(n), key=lambda i: distance(space, q, train_pts[i])) for q in test_pts]
-    return float((train_lab[nn] != test_lab).mean())
-
-
-def _word_problem():
-    # three-letter words: ultrametric distances are powers of 2, so nearest
-    # points tie often and the first-minimum rule decides
-    def sampler(rng):
-        return Word(tuple(int(v) for v in rng.integers(1, 4, 3))), 0
-
-    return LearningProblem(sampler, lambda p: 0.9 if p.letters[0] == 1 else 0.2)
-
-
-def _sparse_problem():
-    def sampler(rng):
-        ids = rng.integers(1, 6, 2)
-        return SparsePoint.from_dict({int(i): float(rng.random()) for i in ids}), 0
-
-    return LearningProblem(sampler, lambda p: 0.8 if p.items[0][0] <= 2 else 0.3)
-
-
-@pytest.mark.parametrize(
-    "problem, space",
-    [(_word_problem(), UltrametricWords(3)), (_sparse_problem(), SparseL2())],
-    ids=["ultrametric_words", "sparse_l2"],
-)
-def test_one_nn_generic_path_matches_scalar_loop(problem, space):
-    # 300 test points: the second block of 256 ends early
-    for seed in range(3):
-        got = one_nn_error_estimate(problem, n=60, test_points=300, space=space, seed=seed)
-        assert got == _scalar_one_nn_error(problem, 60, 300, space, seed)

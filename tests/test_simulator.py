@@ -13,7 +13,7 @@ from metriclab.adversarial import (
     structured_stage_sim,
 )
 from metriclab.knn import TieStrategy, knn_predict
-from metriclab.spaces import SparseL2, distance
+from metriclab.spaces import SparseL2, distance, sparse_d2
 
 SPACE = SparseL2()
 
@@ -60,6 +60,37 @@ def test_class_distances_match_materialized_points():
             z = p.geometry(word).center
         assert distance(SPACE, x, z) ** 2 == pytest.approx(float(cls.d2), rel=1e-12)
 
+
+def _class_point(prob, cls):
+    """A materialized point of ``cls`` as seen from the test word 1...1:
+    its word follows the test word for ``cls.split`` letters, then turns off."""
+    turn = (2,) + (1,) * (cls.depth - cls.split - 1) if cls.split < cls.depth else ()
+    g = prob.geometry((1,) * cls.split + turn)
+    return g.atom if cls.kind == "atom" else g.center
+
+
+def test_float_distances_resolve_the_classes_only_up_to_depth_4():
+    # the float-oracle limit: exact doubles for D <= 3, the exact order for
+    # D <= 4, and at D = 5 one label-0 and one label-1 class merge
+    for D in range(1, 6):
+        p = problem(truncation=D)
+        x = p.geometry((1,) * D).center
+        classes = distance_classes(p)
+        assert all(a.d2 < b.d2 for a, b in zip(classes, classes[1:]))
+        points = [_class_point(p, c) for c in classes]
+        exact = [Fraction(sparse_d2(x, z)) == c.d2 for z, c in zip(points, classes)]
+        assert all(exact) == (D <= 3)
+        dists = [distance(SPACE, x, z) for z in points]
+        merged = [
+            (a.label, b.label)
+            for a, b, da, db in zip(classes, classes[1:], dists, dists[1:])
+            if da == db
+        ]
+        assert all(da <= db for da, db in zip(dists, dists[1:]))
+        if D <= 4:
+            assert merged == []
+        else:
+            assert (len(classes), len(set(dists)), merged) == (27, 26, [(0, 1)])
 
 def test_label_pure_distance_groups():
     # classes sharing a distance always share a label (guarded at build time)

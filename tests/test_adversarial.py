@@ -266,6 +266,20 @@ def test_geometry_constants_match_closed_forms():
         assert adv.node_eps(d) == 2.0 ** (-6 * d - 6)
 
 
+def test_node_geometry_fields():
+    p = small_problem()
+    ids = []
+    for word in [(), (2,), (2, 3), (2, 3, 1), (2, 3, 1, 2)]:
+        g, depth = p.geometry(word), len(word)
+        assert g.eps == adv.node_eps(depth)
+        assert g.child_radius == adv.child_radius(depth)
+        expect = p.branching_at(depth + 1) if depth < p.truncation_depth else 0
+        assert len(g.child_ids) == expect
+        assert distance(SPACE, g.center, g.atom) == adv.atom_offset(depth)
+        ids.extend(g.child_ids)
+    assert len(set(ids)) == len(ids)
+
+
 def test_geometry_memoized():
     p = small_problem()
     assert p.geometry((1, 2)) is p.geometry((1, 2))
@@ -393,6 +407,34 @@ def test_labelled_sample_from_trace_is_pinned(seed, digest):
     p = small_problem()
     s = adv.labelled_sample_from_trace(p, adv.draw_trace(p, 64, np.random.default_rng(seed)))
     assert hashlib.sha256(repr((s.points, s.labels, s.tie_keys)).encode()).hexdigest() == digest
+
+
+def test_labelled_sample_from_trace_deterministic():
+    a, b = small_problem(), small_problem()
+    sa = adv.labelled_sample_from_trace(a, adv.draw_trace(a, 64, np.random.default_rng(5)))
+    sb = adv.labelled_sample_from_trace(b, adv.draw_trace(b, 64, np.random.default_rng(5)))
+    assert sa == sb
+
+
+def test_sample_points_carry_one_label_each():
+    # atoms (label 1) sit off their hubs, diffuse points (label 0) on the
+    # hubs at the truncation depth, so no point carries both labels
+    p = small_problem()
+    trace = adv.draw_trace(p, 2000, np.random.default_rng(11))
+    sample = adv.labelled_sample_from_trace(p, trace)
+    labels = {}
+    for row, (pt, lab) in enumerate(zip(sample.points, sample.labels)):
+        assert labels.setdefault(pt, lab) == lab
+        if trace.is_atomic[row]:
+            depth = int(trace.atom_depth[row])
+            hub = p.geometry(tuple(trace.letters[row, :depth].tolist())).center
+            assert lab == 1
+            assert distance(SPACE, hub, pt) == adv.atom_offset(depth)
+        else:
+            leaf = p.geometry(tuple(trace.letters[row].tolist())).center
+            assert lab == 0
+            assert pt is leaf
+    assert set(labels.values()) == {0, 1}
 
 
 def test_sample_mu_label_frequency():

@@ -16,7 +16,10 @@ from metriclab.experiments import (
     run_coverhart,
     run_dimension_suite,
 )
-from metriclab.knn import euclidean_vote
+from metriclab import adversarial as adv
+from metriclab.experiments import _vote_error
+from metriclab.knn import LabelledSample, TieStrategy, euclidean_vote, knn_predict
+from metriclab.spaces import EuclideanD, Vec
 
 
 def cfg(**kw):
@@ -344,3 +347,34 @@ def test_config_validation():
         ExperimentConfig(experiment="consistency", test_count=10)
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="consistency", stages=(2, 1))
+
+
+def test_vote_error_counts_mismatches():
+    train = np.array([[0.0], [1.0]])
+    test = np.array([[0.1], [0.9], [0.2], [0.8]])
+    pred, err, stderr = _vote_error(train, np.array([0, 1]), test, np.array([0, 1, 1, 1]), 1)
+    assert pred.tolist() == [0, 1, 0, 1]
+    assert err == 0.25
+    assert stderr == adv.binomial_stderr(0.25, 4)
+
+
+def test_generic_one_nn_agrees_with_runner():
+    # on run_coverhart's two square problems, the generic 1-NN rule gives
+    # the runner's predictions and error
+    rng = np.random.default_rng(13)
+    space = EuclideanD(2)
+    for label in (lambda xy, u: u <= 0.3, lambda xy, u: xy[:, 0] > 0.5):
+        train, test = rng.random((300, 2)), rng.random((200, 2))
+        train_y = label(train, rng.random(300)).astype(np.int64)
+        test_y = label(test, rng.random(200)).astype(np.int64)
+        pred, err, _ = _vote_error(train, train_y, test, test_y, 1)
+        sample = LabelledSample(
+            tuple(Vec(tuple(r)) for r in train.tolist()), tuple(train_y.tolist()),
+            tuple(float(i) for i in range(300)),
+        )
+        expected = [
+            knn_predict(sample, Vec(tuple(q)), 1, TieStrategy.FIRST_INDEX, space)
+            for q in test.tolist()
+        ]
+        assert pred.tolist() == expected
+        assert err == float((np.array(expected) != test_y).mean())

@@ -243,6 +243,69 @@ def test_select_neighbours_ranks_by_the_query_first_distance():
     assert r_k(sample, x, 1, H) == distance(H, x, p)
 
 
+def _first_nearest_label(sample, x, space):
+    """The reference 1-NN rule: the label of the first sample point at the
+    least distance, from a scalar ``min`` over the indices."""
+    i = min(range(len(sample)), key=lambda j: distance(space, x, sample.points[j]))
+    return sample.labels[i]
+
+
+def _word_draw(rng):
+    # three-letter words: ultrametric distances are powers of 2, so nearest
+    # points tie often and the first-minimum rule decides
+    word = Word(tuple(int(v) for v in rng.integers(1, 4, 3)))
+    return word, int(rng.random() <= (0.9 if word.letters[0] == 1 else 0.2))
+
+
+def _sparse_draw(rng):
+    ids = rng.integers(1, 6, 2)
+    point = SparsePoint.from_dict({int(i): float(rng.random()) for i in ids})
+    return point, int(rng.random() <= (0.8 if point.items[0][0] <= 2 else 0.3))
+
+
+@pytest.mark.parametrize(
+    "draw, space",
+    [(_word_draw, UltrametricWords(3)), (_sparse_draw, SparseL2())],
+    ids=["ultrametric_words", "sparse_l2"],
+)
+def test_one_nn_generic_path_matches_scalar_loop(draw, space):
+    # the generic 1-NN rule with index tie-breaking picks the first nearest point
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        train = [draw(rng) for _ in range(60)]
+        sample = LabelledSample(
+            tuple(pt for pt, _ in train), tuple(lab for _, lab in train),
+            tuple(float(i) for i in range(60)),
+        )
+        for q, _ in (draw(rng) for _ in range(300)):
+            assert knn_predict(sample, q, 1, TieStrategy.FIRST_INDEX, space) == \
+                _first_nearest_label(sample, q, space)
+
+
+def test_one_nn_separated_clusters():
+    # deterministic labels on two clusters far apart: 1-NN is near perfect
+    rng = np.random.default_rng(3)
+
+    def draw(count):
+        right = rng.random(count) >= 0.5
+        return (rng.random(count) + 10.0 * right)[:, None], right.astype(np.int64)
+
+    train, train_y = draw(2000)
+    test, test_y = draw(2000)
+    assert (euclidean_vote(train, train_y, test, 1) != test_y).mean() <= 0.02
+
+
+def test_one_nn_constant_eta():
+    # labels independent of the point: the 1-NN error is 2 eta (1 - eta)
+    for seed, eta in [(4, 0.3), (5, 0.5)]:
+        rng = np.random.default_rng(seed)
+        train, test = rng.random((4000, 1)), rng.random((4000, 1))
+        train_y = (rng.random(4000) <= eta).astype(np.int64)
+        test_y = (rng.random(4000) <= eta).astype(np.int64)
+        err = (euclidean_vote(train, train_y, test, 1) != test_y).mean()
+        assert err == pytest.approx(2 * eta * (1 - eta), abs=0.03)
+
+
 # ---------------------------------------------------------------------------
 # euclidean_vote
 

@@ -138,17 +138,10 @@ def delta_value(s: Schedule, i: int) -> Fraction:
     return s.delta_scale * s.delta_ratio**i
 
 
-def _branch_product(m: Iterable[int]) -> int:
-    out = 1
-    for v in m:
-        out *= v
-    return out
-
-
 def occupancy_threshold(s: Schedule, i: int) -> float:
     """Sample size above which every depth-i atom shows up at least half its
     expected number of times, jointly with confidence 1 - delta_i."""
-    prod = _branch_product(s.m[: i + 1])
+    prod = math.prod(s.m[: i + 1])
     g = gamma_value(s, i)
     coeff = 2 * Fraction(prod * prod) / (g * g)
     if coeff > Fraction(10) ** 300:
@@ -159,7 +152,7 @@ def occupancy_threshold(s: Schedule, i: int) -> float:
 
 def ratio_bound(s: Schedule, i: int) -> Fraction:
     """Upper bound required of k_n / n at stage i: half the depth-i atom mass."""
-    prod = _branch_product(s.m[: i + 1])
+    prod = math.prod(s.m[: i + 1])
     return gamma_value(s, i) / (2 * prod)
 
 
@@ -168,7 +161,7 @@ def next_branching_bound(s: Schedule, i: int) -> Fraction:
     the depth-(i+1) balls can hold k/2 sample points."""
     n_i = s.n[i]
     k = k_of(s.k_rule, n_i)
-    prod = _branch_product(s.m[: i + 1])
+    prod = math.prod(s.m[: i + 1])
     return Fraction(2 * n_i, k * prod) / delta_value(s, i)
 
 
@@ -447,7 +440,7 @@ def atom_mass(s: Schedule, t: Iterable[int]) -> Fraction:
     i = len(word)
     if i >= len(s.m):
         raise ValueError(f"word depth {i} exceeds the schedule depth")
-    return gamma_value(s, i) / _branch_product(s.m[: i + 1])
+    return gamma_value(s, i) / math.prod(s.m[: i + 1])
 
 
 class BallMass(NamedTuple):
@@ -465,7 +458,7 @@ def ball_mass(problem: AdversarialProblem, t: Iterable[int]) -> BallMass:
         raise ValueError("ball masses are defined for nonroot nodes")
     if i > problem.truncation_depth:
         raise ValueError("word depth exceeds the truncation depth")
-    prod = _branch_product(problem.branching_at(d) for d in range(1, i + 1))
+    prod = math.prod(problem.branching_at(d) for d in range(1, i + 1))
     mu0 = Fraction(1, 2 * prod)
     mu1 = gamma_tail(problem.schedule, i) / prod
     return BallMass(mu0, mu1)

@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--seed", type=int, default=None, help="default 0")
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", dest="output_path", type=str, default=None, metavar="OUT")
         p.add_argument("--mode", choices=MODES, default=None)
         p.add_argument("--stages", type=_parse_stages, default=None, metavar="A..B")
@@ -134,26 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the JSON config file with the flags that were given (flags win)
-    and build the config once, so that its own checks see the final values."""
-    merged: dict = {"k_rule": "sqrtceil"} if args.experiment == "baseline" else {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read config file {args.config!r}: {exc.strerror}") from None
-        except ValueError as exc:
-            raise ValueError(f"config file {args.config!r} is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ValueError(
-                f"config file {args.config!r} must hold a JSON object, got {type(loaded).__name__}"
-            )
-        merged.update(loaded)
-    flags = {key: value for key, value in vars(args).items() if key != "config"}
-    flags["n_override"] = _parse_override(args.n_override) if args.n_override else None
-    merged.update({key: value for key, value in flags.items() if value is not None})
-    return ExperimentConfig.from_json_dict(merged)
+    """Build the config once from the flags that were given, so that its
+    own checks see the final values."""
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    flags["n_override"] = _parse_override(args.n_override)
+    if args.experiment == "baseline":
+        flags.setdefault("k_rule", "sqrtceil")
+    return ExperimentConfig(**flags)
 
 
 def _measure(args: list[str]) -> dict:

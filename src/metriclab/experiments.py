@@ -9,7 +9,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -49,43 +49,6 @@ DEFAULT_EMPIRICAL_N = (128, 1_000_000)
 DEFAULT_PROOF_N_OVERRIDE = {0: 128}
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_str(v) -> bool:
-    return isinstance(v, str)
-
-
-def _is_ints(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(map(_is_int, v))
-
-
-def _is_stage_sizes(v) -> bool:
-    return isinstance(v, dict) and all(
-        (_is_int(stage) or isinstance(stage, str) and stage.lstrip("-").isdecimal())
-        and _is_int(size)
-        for stage, size in v.items()
-    )
-
-
-# what each config key must hold, checked before any conversion; a key whose
-# default is None also takes null
-_KEY_SHAPES = {
-    "experiment": ("a string", _is_str),
-    "seed": ("an integer", _is_int),
-    "stages": ("a pair of integers", lambda v: _is_ints(v) and len(v) == 2),
-    "n_override": ("an object from stage numbers to integers", _is_stage_sizes),
-    "k_rule": ("a string", _is_str),
-    "test_count": ("an integer", _is_int),
-    "mode": ("a string", _is_str),
-    "output_path": ("a string", _is_str),
-    "m": ("a list of integers", _is_ints),
-    "n": ("a list of integers", _is_ints),
-    "depth": ("an integer", _is_int),
-}
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -115,28 +78,6 @@ class ExperimentConfig:
                 f"empirical mode takes its stages from --n: {stages} stages, so "
                 f"--depth must be {stages - 1} or left out, not {self.depth}"
             )
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
-        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
-        unknown = sorted(set(d) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in d.items():
-            shape, ok = _KEY_SHAPES[key]
-            if not (ok(value) or value is None and defaults[key] is None):
-                raise ValueError(f"config key {key!r} must be {shape}, got {value!r}")
-        kwargs = dict(d)
-        if "stages" in kwargs:
-            kwargs["stages"] = tuple(kwargs["stages"])
-        if "n_override" in kwargs:
-            kwargs["n_override"] = {int(k): int(v) for k, v in kwargs["n_override"].items()}
-        for key in ("m", "n"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return ExperimentConfig(**kwargs)
 
 
 @dataclass

@@ -437,7 +437,7 @@ def test_sample_points_carry_one_label_each():
     assert set(labels.values()) == {0, 1}
 
 
-def test_sample_mu_label_frequency():
+def test_draw_trace_label_frequency():
     p = small_problem()
     rng = np.random.default_rng(8)
     trace = adv.draw_trace(p, 10**6, rng)

@@ -1,5 +1,4 @@
 import json
-import re
 
 import numpy as np
 import pytest
@@ -171,27 +170,10 @@ def test_empirical_depth_must_match_the_stages_of_n(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_config_file_roundtrip(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(
-        json.dumps(
-            {
-                "seed": 3,
-                "stages": [0, 0],
-                "mode": "empirical",
-                "test_count": 500,
-                "m": [1, 50, 50],
-                "n": [200],
-            }
-        )
-    )
-    assert main(["consistency", "--config", str(path)]) == 0
-    # the file's seed holds unless --seed is given
-    args = build_parser().parse_args(["consistency", "--config", str(path)])
-    assert config_from_args(args).seed == 3
-    args = build_parser().parse_args(["consistency", "--config", str(path), "--seed", "5"])
-    assert config_from_args(args).seed == 5
+def test_baseline_defaults_to_sqrtceil():
     assert config_from_args(build_parser().parse_args(["baseline"])).k_rule == "sqrtceil"
+    args = build_parser().parse_args(["baseline", "--k-rule", "log2ceil"])
+    assert config_from_args(args).k_rule == "log2ceil"
 
 
 def test_cli_exit_codes(tmp_path):
@@ -205,17 +187,11 @@ def test_cli_exit_codes(tmp_path):
     assert main(["schedule", "--mode", "proof", "--depth", "4"]) == 3
 
 
-def test_cli_flags_pass_config_validation(tmp_path, capsys):
-    # flags override the config file and are checked like every other value
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"test_count": 500}))
-    typo = tmp_path / "typo.json"
-    typo.write_text(json.dumps({"test_cnt": 500}))
+def test_cli_flags_pass_config_validation(capsys):
+    # flags are checked like every other config value
     for argv in (
         ["consistency", "--test-count", "10"],
-        ["consistency", "--config", str(path), "--test-count", "10"],
         ["consistency", "--stages", "2..1"],
-        ["consistency", "--config", str(typo)],
         ["consistency", "--seed", "-1"],
     ):
         with pytest.raises(ValueError):
@@ -225,39 +201,10 @@ def test_cli_flags_pass_config_validation(tmp_path, capsys):
         assert err.count("\n") == 1 and err.startswith("lab consistency: ")
 
 
-@pytest.mark.parametrize(
-    "experiment, content, message",
-    [
-        ("schedule", None, "cannot read config file "),
-        ("schedule", [1, 2], "must hold a JSON object, got list"),
-        ("schedule", {"stages": 5}, "config key 'stages' must be a pair of integers, got 5"),
-        ("schedule", {"seed": "x"}, "config key 'seed' must be an integer, got 'x'"),
-        ("consistency", {"seed": "x"}, "config key 'seed' must be an integer, got 'x'"),
-        ("schedule", {"m": "abc"}, "config key 'm' must be a list of integers, got 'abc'"),
-        ("schedule", {"test_count": 1.5}, "config key 'test_count' must be an integer, got 1.5"),
-        ("schedule", {"mode": "foo"}, "mode must be one of proof, empirical, got 'foo'"),
-    ],
-    ids=["missing", "array", "stages", "seed", "seed-consistency", "m", "test_count", "mode"],
-)
-def test_malformed_config_file_exits_1(tmp_path, capsys, experiment, content, message):
-    path = tmp_path / "config.json"
-    if content is not None:
-        path.write_text(json.dumps(content))
-        if isinstance(content, dict):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                ExperimentConfig.from_json_dict({"experiment": experiment, **content})
-    assert main([experiment, "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"lab {experiment}: ")
-    assert message in err
-
-
 @pytest.mark.parametrize("experiment", ["schedule", "consistency"])
 def test_unwritable_output_exits_1(tmp_path, capsys, experiment):
     out = tmp_path / "missing-dir" / "x.json"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"output_path": str(out), "stages": [0, 0], "test_count": 500}))
-    assert main([experiment, "--config", str(config)]) == 1
+    assert main([experiment, "--out", str(out), "--stages", "0..0", "--test-count", "500"]) == 1
     err = capsys.readouterr().err
     assert err == f"lab {experiment}: cannot write output {str(out)!r}: No such file or directory\n"
     assert main([experiment, "--out", str(tmp_path), "--stages", "0..0", "--test-count", "500"]) == 1
@@ -307,8 +254,10 @@ def test_lab_all_stops_at_the_first_failing_job(tmp_path, capsys):
         (["--stages", "1..b"], "argument --stages: expected integers A..B, got '1..b'"),
         (["--m", "1,a"], "argument --m: expected comma-separated integers, got '1,a'"),
         (["--n", "128;1000"], "argument --n: expected comma-separated integers, got '128;1000'"),
+        (["--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["--test-count", "1.5"], "argument --test-count: invalid int value: '1.5'"),
     ],
-    ids=["stages", "stages-hi", "m", "n"],
+    ids=["stages", "stages-hi", "m", "n", "seed", "test_count"],
 )
 def test_typed_flag_usage_errors_name_the_expected_form(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -329,24 +278,13 @@ def test_measure_reports_wall_time_and_peak_rss_or_exits_with_the_child_code():
     assert exc.value.code == 3
 
 
-def test_config_keys_take_null_only_where_the_default_is_null():
-    cfg = ExperimentConfig.from_json_dict(
-        {"experiment": "schedule", "m": None, "n": None, "depth": None, "output_path": None}
-    )
-    assert cfg.m is None and cfg.depth is None
-    with pytest.raises(ValueError, match="config key 'seed' must be an integer, got None"):
-        ExperimentConfig.from_json_dict({"experiment": "schedule", "seed": None})
-    with pytest.raises(ValueError, match="config key 'depth' must be an integer, got True"):
-        ExperimentConfig.from_json_dict({"experiment": "schedule", "depth": True})
-    with pytest.raises(ValueError, match="a config must be a JSON object, got list"):
-        ExperimentConfig.from_json_dict([["seed", 1]])
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="consistency", test_count=10)
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="consistency", stages=(2, 1))
+    with pytest.raises(ValueError, match="mode must be one of proof, empirical, got 'foo'"):
+        ExperimentConfig(experiment="schedule", mode="foo")
 
 
 def test_vote_error_counts_mismatches():

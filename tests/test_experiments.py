@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -174,6 +175,39 @@ def test_baseline_defaults_to_sqrtceil():
     assert config_from_args(build_parser().parse_args(["baseline"])).k_rule == "sqrtceil"
     args = build_parser().parse_args(["baseline", "--k-rule", "log2ceil"])
     assert config_from_args(args).k_rule == "log2ceil"
+
+
+# each config key, a command line that sets it, and the value it must get;
+# every value differs from the default, so the flag is what sets it
+FLAG_FOR_KEY = {
+    "experiment": (["dimension"], "dimension"),
+    "seed": (["consistency", "--seed", "7"], 7),
+    "stages": (["consistency", "--stages", "1..3"], (1, 3)),
+    "n_override": (["consistency", "--n-override", "1=500", "--n-override", "0=300"],
+                   {1: 500, 0: 300}),
+    "k_rule": (["consistency", "--k-rule", "const1"], "const1"),
+    "test_count": (["consistency", "--test-count", "500"], 500),
+    "mode": (["consistency", "--mode", "proof"], "proof"),
+    "output_path": (["consistency", "--out", "x.csv"], "x.csv"),
+    "m": (["consistency", "--m", "1,50"], (1, 50)),
+    "n": (["consistency", "--n", "200,400"], (200, 400)),
+    "depth": (["schedule", "--mode", "proof", "--depth", "2"], 2),
+}
+
+
+@pytest.mark.parametrize("key", list(FLAG_FOR_KEY))
+def test_every_config_key_has_a_flag(key):
+    argv, value = FLAG_FOR_KEY[key]
+    assert value != getattr(ExperimentConfig(experiment="consistency"), key)
+    assert getattr(config_from_args(build_parser().parse_args(argv)), key) == value
+
+
+def test_the_flags_are_exactly_the_config_keys():
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(FLAG_FOR_KEY) == keys
+    for name in cli.EXPERIMENTS:
+        args = build_parser().parse_args([name])
+        assert set(vars(args)) == keys
 
 
 def test_cli_exit_codes(tmp_path):

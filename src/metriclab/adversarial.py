@@ -642,7 +642,9 @@ def _trace_predictions(
     trie of the test words without sorting the sample: at level h only the
     rows that match some word's h-prefix remain, their next letter is found
     among the words' distinct letters at that level, and the pair (prefix
-    id, letter index) is looked up among the words' (h+1)-prefixes. One
+    id, letter index) is looked up among the words' (h+1)-prefixes; at
+    h = 0 there is one empty prefix, so the letter index is already the
+    1-prefix id and the lookup is skipped. One
     bincount per level gives ge[h + 1], the rows of each group agreeing with
     each word on h + 1 letters; ge[h] - ge[h+1] rows split at h. Lookup keys
     stay below T**2, so no letter is ever packed into an integer.
@@ -665,10 +667,11 @@ def _trace_predictions(
         row_letter = trace.letters[rows, h]
         idx = np.minimum(np.searchsorted(letters, row_letter), len(letters) - 1)
         hit = letters[idx] == row_letter
-        rows, keys = rows[hit], row_pid[hit] * len(letters) + idx[hit]
-        pos = np.minimum(np.searchsorted(prefixes, keys), len(prefixes) - 1)
-        hit = prefixes[pos] == keys  # prefix and letter may each occur, the pair not
-        rows, row_pid = rows[hit], pos[hit]
+        rows, row_pid = rows[hit], row_pid[hit] * len(letters) + idx[hit]
+        if h > 0:
+            pos = np.minimum(np.searchsorted(prefixes, row_pid), len(prefixes) - 1)
+            hit = prefixes[pos] == row_pid  # prefix and letter may each occur, the pair not
+            rows, row_pid = rows[hit], pos[hit]
         row_group = group[rows]
         P = len(prefixes)
         tables.append(

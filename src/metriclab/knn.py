@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,6 +17,14 @@ class TieStrategy(Enum):
     # distance ties at the k-th radius: prefer smaller tie key vs lower index
     UNIFORM_RANDOM = "uniform_random"
     FIRST_INDEX = "first_index"
+
+
+class PackedSample(NamedTuple):
+    objects: tuple[Point, ...]  # distinct point objects, in order of first use
+    inverse: np.ndarray  # sample index -> position in ``objects``
+    counts: np.ndarray  # sample points per object
+    labels: np.ndarray
+    tie_keys: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -37,21 +47,41 @@ class LabelledSample:
     def __len__(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def packed(self) -> PackedSample:
+        """The sample as arrays over its distinct point objects: points are
+        frozen, so an object has one distance from a query."""
+        slots: dict[int, int] = {}
+        inverse = np.array([slots.setdefault(id(p), len(slots)) for p in self.points])
+        objects = tuple({id(p): p for p in self.points}.values())
+        return PackedSample(
+            objects,
+            inverse,
+            np.bincount(inverse, minlength=len(objects)),
+            np.array(self.labels),
+            np.array(self.tie_keys, dtype=float),
+        )
 
-def r_k(sample: LabelledSample, x: Point, k: int, space: MetricSpace) -> float:
-    """Smallest radius of a closed ball around ``x`` holding k sample points."""
+
+def _radius(
+    sample: LabelledSample, x: Point, k: int, space: MetricSpace
+) -> tuple[np.ndarray, float]:
+    """Each sample point's ``distance(space, x, p)``, evaluated once per
+    distinct object, and the k-th smallest of them, found by counting the
+    points at each sorted distinct distance."""
     n = len(sample)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    return sorted(_distances(sample, x, space))[k - 1]
+    packed = sample.packed
+    dists = np.array([distance(space, x, p) for p in packed.objects], dtype=float)
+    order = np.argsort(dists)
+    radius = dists[order[np.searchsorted(np.cumsum(packed.counts[order]), k)]]
+    return dists[packed.inverse], float(radius)
 
 
-def _distances(sample: LabelledSample, x: Point, space: MetricSpace) -> list[float]:
-    """``distance(space, x, p)`` for each sample point, evaluated once per
-    distinct point object: points are frozen, so an object has one distance."""
-    distinct = {id(p): p for p in sample.points}
-    by_id = {key: distance(space, x, p) for key, p in distinct.items()}
-    return [by_id[id(p)] for p in sample.points]
+def r_k(sample: LabelledSample, x: Point, k: int, space: MetricSpace) -> float:
+    """Smallest radius of a closed ball around ``x`` holding k sample points."""
+    return _radius(sample, x, k, space)[1]
 
 
 def select_neighbours(
@@ -67,19 +97,15 @@ def select_neighbours(
     ``distance`` is not bitwise symmetric, so the reverse order can differ.
     Everything strictly inside the k-th radius is taken; the remaining
     slots are filled from the boundary, preferring smaller tie keys
-    (UNIFORM_RANDOM) or lower indices (FIRST_INDEX).
+    (UNIFORM_RANDOM) or lower indices (FIRST_INDEX). Only the boundary is
+    sorted.
     """
-    n = len(sample)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    dists = _distances(sample, x, space)
-    radius = sorted(dists)[k - 1]
-    inside = [i for i, d in enumerate(dists) if d < radius]
-    boundary = [i for i, d in enumerate(dists) if d == radius]
+    dists, radius = _radius(sample, x, k, space)
+    inside = np.flatnonzero(dists < radius)
+    boundary = np.flatnonzero(dists == radius)
     if strategy is TieStrategy.UNIFORM_RANDOM:
-        boundary.sort(key=lambda i: sample.tie_keys[i])
-    need = k - len(inside)
-    return inside + boundary[:need]
+        boundary = boundary[np.argsort(sample.packed.tie_keys[boundary])]
+    return inside.tolist() + boundary[: k - len(inside)].tolist()
 
 
 def knn_predict(
@@ -91,7 +117,7 @@ def knn_predict(
 ) -> int:
     """Majority label among the k nearest neighbours; vote ties go to 1."""
     chosen = select_neighbours(sample, x, k, strategy, space)
-    ones = sum(sample.labels[i] for i in chosen)
+    ones = int(sample.packed.labels[chosen].sum())
     return int(2 * ones >= k)
 
 
@@ -109,22 +135,52 @@ def _gathered_d2(q: np.ndarray, columns: np.ndarray, idx: np.ndarray) -> np.ndar
     return d2
 
 
+def _concatenated_ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of the result lists the ranges [start[i, j], stop[i, j]) one
+    after another, padded with 0 to the longest row; the mask marks the
+    padding."""
+    lengths = stop - start
+    totals = lengths.sum(axis=1)
+    width, flat = int(totals.max()), lengths.ravel()
+    # padded flat position of each range's first entry
+    first = np.arange(len(start))[:, None] * width + np.cumsum(lengths, axis=1) - lengths
+    dest = np.repeat(first.ravel() - (np.cumsum(flat) - flat), flat) + np.arange(flat.sum())
+    idx = np.zeros(len(start) * width, dtype=np.int64)
+    idx[dest] = dest + np.repeat((start - first).ravel(), flat)
+    return idx.reshape(len(start), width), np.arange(width) >= totals[:, None]
+
+
 def euclidean_vote(
     train: np.ndarray, labels: np.ndarray, queries: np.ndarray, k: int
 ) -> np.ndarray:
     """k-NN predictions for (T, d) query rows against (n, d) training rows
     with 0/1 labels; vote ties go to label 1.
 
-    Exact sorted-slab search. The training rows are sorted once by
-    coordinate 0. For each query, the k-th smallest squared distance r²
-    over a window of w = min(n, max(2k, 2·isqrt(n))) sorted rows around
-    its place in that order bounds its true k-th neighbour distance from
-    above, since k real rows reach it. Every row at squared distance at
-    most r² lies in the slab |t₀ - q₀| <= r, which ``searchsorted`` finds
-    with bounds rounded outward. The k nearest are picked from the query's
-    own slab with ``argpartition``. Time is O(n log n + T·(w + s)) for
-    slabs of s rows; queries are taken EUCLIDEAN_CHUNK at a time, so memory
-    is O(EUCLIDEAN_CHUNK · n) whatever the input.
+    Exact sorted-strip search. The training rows are sorted by coordinate 0.
+    At d = 1 a query's rounded squared distance only grows away from its
+    place in that order, so its k nearest rows are among the w = min(n, 2k)
+    rows around that place, and those are its candidates.
+
+    At d >= 2 the sorted rows are cut into strips of s = isqrt(n·w)
+    consecutive rows, and each strip is sorted by coordinate 1; w is
+    min(n, max(2k, 8)) at d = 2 and min(n, max(2k, 2·isqrt(n))) at d >= 3.
+    For each query, the k-th smallest squared distance r² over the w rows
+    around its place in its own strip bounds its true k-th neighbour
+    distance from above, since k real rows reach it. Every row at squared
+    distance at most r² has |t₀ - q₀| <= r and |t₁ - q₁| <= r, so it lies
+    in a strip meeting [q₀ - r, q₀ + r], inside that strip's one contiguous
+    run with |t₁ - q₁| <= r. The runs are found by ``searchsorted`` with
+    bounds rounded outward, on the exact integer key strip·(n + 1) +
+    rank(t₁), and their rows are the candidates. On uniform data in the
+    plane a query reads O(w) rows, where pruning by coordinate 0 alone
+    would leave O(sqrt(n)).
+
+    The k nearest candidates are picked with ``argpartition``. Queries are
+    visited in the order of their places, EUCLIDEAN_CHUNK at a time, so
+    neighbouring queries read neighbouring rows and memory is
+    O(EUCLIDEAN_CHUNK · n) whatever the input. Time is
+    O((n + T) log n + T·(w + R·L)) for R strips of L candidate rows per
+    query (R·L = 0 at d = 1).
 
     Squared distances are summed one coordinate at a time, and each equals
     the dense computation's bits, so the prediction equals the brute-force
@@ -133,29 +189,51 @@ def euclidean_vote(
     have probability zero, and ``select_neighbours`` stays the reference
     for the tie rule.
     """
-    n = len(train)
+    n, d = train.shape
+    w = min(n, 2 * k)
     order = np.argsort(train[:, 0], kind="stable")
+    key0 = train[order, 0]
+    places = np.searchsorted(key0, queries[:, 0])
+    if d > 1:
+        w = min(n, max(w, 8 if d == 2 else 2 * math.isqrt(n)))
+        s = math.isqrt(n * w)
+        values1 = np.sort(train[:, 1])
+        key = np.arange(n) // s * (n + 1) + np.searchsorted(values1, train[order, 1])
+        by_strip = np.argsort(key, kind="stable")
+        order, key = order[by_strip], key[by_strip]
+        strip = np.minimum(places, n - 1) // s
+        places = np.searchsorted(key, strip * (n + 1) + np.searchsorted(values1, queries[:, 1]))
     columns = np.ascontiguousarray(train[order].T)
-    key, sorted_labels = columns[0], labels[order]
-    w = min(n, max(2 * k, 2 * math.isqrt(n)))
+    sorted_labels = labels[order]
+    visit = np.argsort(places, kind="stable")
     out = np.empty(len(queries), dtype=np.int64)
     for lo in range(0, len(queries), EUCLIDEAN_CHUNK):
-        q = queries[lo : lo + EUCLIDEAN_CHUNK]
-        q0 = q[:, 0]
-        first = np.clip(np.searchsorted(key, q0) - w // 2, 0, n - w)
-        window = first[:, None] + np.arange(w)
-        r2 = np.partition(_gathered_d2(q, columns, window), k - 1, axis=1)[:, k - 1]
-        # fl((t0 - q0)**2) <= r2 implies |t0 - q0| <= sqrt(r2)·(1 + 5u) when
-        # the square is a normal float, and |t0 - q0| < 1.5e-154 when it
-        # underflows; nextafter undoes the rounding of q0 -/+ h
-        h = np.sqrt(r2) * (1 + 1e-12) + 1e-150
-        start = np.searchsorted(key, np.nextafter(q0 - h, -np.inf), "left")
-        stop = np.searchsorted(key, np.nextafter(q0 + h, np.inf), "right")
-        slab = start[:, None] + np.arange((stop - start).max())
-        padding = slab >= stop[:, None]
-        np.minimum(slab, n - 1, out=slab)
-        d2 = _gathered_d2(q, columns, slab)
-        d2[padding] = np.inf
-        near = np.take_along_axis(slab, np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
-        out[lo : lo + EUCLIDEAN_CHUNK] = 2 * sorted_labels[near].sum(axis=1) >= k
+        these = visit[lo : lo + EUCLIDEAN_CHUNK]
+        q = queries[these]
+        # at d >= 2 the window may run into a neighbouring strip: its rows are real rows
+        idx = np.clip(places[these] - w // 2, 0, n - w)[:, None] + np.arange(w)
+        d2 = _gathered_d2(q, columns, idx)
+        if d > 1:
+            r2 = np.partition(d2, k - 1, axis=1)[:, k - 1]
+            # fl((t - q)**2) <= r2 implies |t - q| <= sqrt(r2)·(1 + 5u) when the
+            # square is a normal float, and |t - q| < 1.5e-154 when it
+            # underflows, on coordinates 0 and 1 alike, since a sum of
+            # nonnegative rounded terms is at least each term; nextafter
+            # undoes the rounding of q -/+ h
+            h = np.sqrt(r2) * (1 + 1e-12) + 1e-150
+            below = np.nextafter(q[:, :2] - h[:, None], -np.inf)
+            above = np.nextafter(q[:, :2] + h[:, None], np.inf)
+            first = np.searchsorted(key0, below[:, 0], "left") // s
+            last = (np.searchsorted(key0, above[:, 0], "right") - 1) // s
+            strips = first[:, None] + np.arange((last - first).max() + 1)
+            base = strips * (n + 1)
+            low = np.searchsorted(values1, below[:, 1], "left")[:, None]
+            high = np.searchsorted(values1, above[:, 1], "right")[:, None]
+            start, stop = np.searchsorted(key, base + low), np.searchsorted(key, base + high)
+            stop = np.where(strips <= last[:, None], stop, start)  # no rows past the last strip
+            idx, padding = _concatenated_ranges(start, stop)
+            d2 = _gathered_d2(q, columns, idx)
+            d2[padding] = np.inf
+        near = np.take_along_axis(idx, np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+        out[these] = 2 * sorted_labels[near].sum(axis=1) >= k
     return out

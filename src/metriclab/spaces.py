@@ -14,9 +14,11 @@ sparse l2 space gets a vectorised merge, the other kinds a loop over
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence, Union
 
 import numpy as np
@@ -69,10 +71,14 @@ class SparsePoint:
         )
 
     def shift(self, direction: int, amount: float) -> "SparsePoint":
-        """Return this point moved by ``amount`` along one direction."""
-        d = dict(self.items)
-        d[direction] = d.get(direction, 0.0) + amount
-        return SparsePoint.from_dict(d)
+        """Return this point moved by ``amount`` along one direction, with
+        ``from_dict``'s rules: a float value, and no zero coordinate."""
+        items = self.items
+        i = bisect.bisect_left(items, direction, key=itemgetter(0))
+        found = i < len(items) and items[i][0] == direction
+        value = float((items[i][1] if found else 0.0) + amount)
+        moved = ((direction, value),) if value != 0.0 else ()
+        return SparsePoint(items[:i] + moved + items[i + found :])
 
 
 ORIGIN = SparsePoint(())

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -342,7 +343,7 @@ def _argmin_nn1_labels(train_xy, train_y, test_xy):
     return out
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_euclidean_vote_matches_generic_oracle(d):
     n, T = 60, 257  # T = 257 puts a chunk boundary inside the queries
     rng = np.random.default_rng(d)
@@ -385,7 +386,14 @@ def test_euclidean_vote_matches_argmin_nn1(n):
     )
 
 
-LAYOUTS = ("uniform", "clustered", "offset", "duplicate_first_coordinate")
+LAYOUTS = (
+    "uniform",
+    "clustered",
+    "offset",
+    "duplicate_first_coordinate",
+    "duplicate_second_coordinate",
+    "strip_edges",
+)
 
 
 @st.composite
@@ -400,33 +408,48 @@ def vote_inputs(draw):
     return d, layout, n, k, T, chunk, draw(st.integers(0, 2**32 - 1))
 
 
-def _vote_data(d, layout, n, T, seed):
+def _strip_edges(train, k):
+    """The coordinate-0 values at which ``euclidean_vote`` cuts its strips:
+    those of every s-th row in coordinate-0 order."""
+    n, d = train.shape
+    w = min(n, max(2 * k, 8 if d == 2 else 2 * math.isqrt(n)))
+    return np.sort(train[:, 0])[:: math.isqrt(n * w)]
+
+
+def _vote_data(d, layout, n, k, T, seed):
     """Continuous draws, so k-th radius ties have probability zero. Half the
     queries sit near training rows; the rest range over [-1, 2]^d, a box
-    three times wider than the training data's."""
+    three times wider than the training data's. The duplicate layouts put
+    the training rows, and a quarter of the queries, on four values of one
+    coordinate; ``strip_edges`` puts a quarter of the queries' coordinate 0
+    exactly on the kernel's strip edges."""
     rng = np.random.default_rng(seed)
     if layout == "clustered":
         centres = rng.random((3, d))
         train = centres[rng.integers(0, 3, n)] + 1e-3 * rng.standard_normal((n, d))
     else:
         train = rng.random((n, d))
-    if layout == "duplicate_first_coordinate":
-        train[:, 0] = rng.integers(0, 4, n) / 4
+    duplicated = {"duplicate_first_coordinate": 0, "duplicate_second_coordinate": 1}.get(layout)
+    if duplicated is not None:
+        train[:, duplicated] = rng.integers(0, 4, n) / 4
     queries = 3 * rng.random((T, d)) - 1
     near = T // 2
     queries[:near] = train[rng.integers(0, n, near)] + 1e-3 * rng.standard_normal((near, d))
-    if layout == "duplicate_first_coordinate":
-        queries[: near // 2, 0] = rng.integers(0, 4, near // 2) / 4
+    if duplicated is not None:
+        queries[: near // 2, duplicated] = rng.integers(0, 4, near // 2) / 4
+    if layout == "strip_edges":
+        edges = _strip_edges(train, k)
+        queries[: near // 2, 0] = edges[rng.integers(0, len(edges), near // 2)]
     if layout == "offset":
         train, queries = train + 1e6, queries + 1e6
     return train, rng.integers(0, 2, n), queries
 
 
 @given(vote_inputs())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_euclidean_vote_matches_dense_kernel(inputs):
     d, layout, n, k, T, chunk, seed = inputs
-    train, labels, queries = _vote_data(d, layout, n, T, seed)
+    train, labels, queries = _vote_data(d, layout, n, k, T, seed)
     with mock.patch.object(knn, "EUCLIDEAN_CHUNK", chunk):
         got = euclidean_vote(train, labels, queries, k)
     assert np.array_equal(got, _dense_vote(train, labels, queries, k))

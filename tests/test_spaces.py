@@ -129,6 +129,36 @@ def test_sparse_zero_coordinates_dropped():
     assert SparsePoint.from_dict({5: 0.0}) == SparsePoint.from_dict({})
 
 
+def _shift_by_dict(p, direction, amount):
+    """The reference shift: a round trip through a dict and ``from_dict``."""
+    coords = dict(p.items)
+    coords[direction] = coords.get(direction, 0.0) + amount
+    return SparsePoint.from_dict(coords)
+
+
+def test_sparse_shift_examples():
+    p = SparsePoint.from_dict({2: 1.0, 5: -0.5})
+    assert p.shift(5, 0.5).items == ((2, 1.0),)  # to zero: dropped
+    assert p.shift(2, 2).items == ((2, 3.0), (5, -0.5))  # onto an existing id
+    assert type(p.shift(2, 2).items[0][1]) is float
+    assert p.shift(3, 0.25).items == ((2, 1.0), (3, 0.25), (5, -0.5))
+    assert p.shift(9, 0.0) == p
+    assert ORIGIN.shift(1, 1).items == ((1, 1.0),)
+
+
+@given(
+    st.dictionaries(st.integers(1, 6), st.sampled_from([-1.0, -0.5, 0.25, 1.0, 3]), max_size=4),
+    st.integers(0, 7),
+    st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1, 2.5]),
+)
+@settings(max_examples=300)
+def test_sparse_shift_equals_from_dict(coords, direction, amount):
+    p = SparsePoint.from_dict(coords)
+    moved = p.shift(direction, amount)
+    assert moved.items == _shift_by_dict(p, direction, amount).items
+    assert all(type(v) is float for _, v in moved.items)
+
+
 def test_kind_mismatch():
     with pytest.raises(KindMismatchError):
         distance(EuclideanLine(), Real(0.0), HPoint(0, 0, 0))

@@ -2,13 +2,13 @@
 ``lab all`` runs every job of ``ALL_JOBS`` with one seed.
 
 Exit codes: 0 on success, 1 when a config value or input is invalid or
-the output cannot be written (one line on stderr), 2 when schedule
-constraints are violated, 3 when the schedule recursion overflows the
-64-bit range. Exit 2 is also argparse's code for a usage error; that
-message starts with ``usage:``. ``lab all`` exits 1, before any job
-runs, when its output directory cannot be created or its ``--bench`` file
-cannot be written, and otherwise stops at the first job that fails, with
-that job's message and exit code.
+the output cannot be written (one line on stderr), 2 for a usage error
+such as a flag the experiment does not take (argparse's message, starting
+with ``usage:``), 3 when the schedule recursion overflows the 64-bit
+range, 4 when schedule constraints are violated (one line per violation).
+``lab all`` exits 1, before any job runs, when its output directory cannot
+be created or its ``--bench`` file cannot be written, and otherwise stops
+at the first job that fails, with that job's message and exit code.
 """
 
 from __future__ import annotations
@@ -53,14 +53,16 @@ def _dimension_lines(out) -> list[str]:
     return [json.dumps(summary, indent=2), f"sparse witnesses verified: {witnesses}"]
 
 
-# each experiment's runner (which writes its own output) and the console
-# lines it prints from the runner's result
+# each experiment's runner (which writes its own output), the console
+# lines it prints from the runner's result, and the flags of the keys it reads
 EXPERIMENTS = {
-    "consistency": (run_consistency, _stage_lines),
-    "baseline": (run_baseline, _baseline_lines),
-    "coverhart": (run_coverhart, _coverhart_lines),
-    "dimension": (run_dimension_suite, _dimension_lines),
-    "schedule": (print_schedule, lambda out: [json.dumps(out, indent=2)]),
+    "consistency": (run_consistency, _stage_lines,
+                    "--seed --out --mode --stages --test-count --k-rule --m --n --n-override"),
+    "baseline": (run_baseline, _baseline_lines, "--seed --out --test-count --k-rule"),
+    "coverhart": (run_coverhart, _coverhart_lines, "--seed --out --test-count"),
+    "dimension": (run_dimension_suite, _dimension_lines, "--seed --out"),
+    "schedule": (print_schedule, lambda out: [json.dumps(out, indent=2)],
+                 "--out --mode --depth --k-rule --m --n --n-override"),
 }
 
 # the jobs of `lab all`; each job's last argument is its output file under
@@ -103,25 +105,29 @@ def _parse_override(pairs: Sequence[str]) -> dict[int, int]:
     return out
 
 
+# each experiment flag's argparse keywords; its dest is the config key it sets
+FLAGS = {
+    "--seed": dict(type=int, help="default 0"),
+    "--out": dict(dest="output_path", metavar="OUT"),
+    "--mode": dict(choices=MODES, help="default empirical"),
+    "--stages": dict(type=_parse_stages, metavar="A..B"),
+    "--test-count": dict(type=int),
+    "--k-rule": dict(choices=K_RULES),
+    "--depth": dict(type=int, help="proof mode only; default 1"),
+    "--m": dict(type=_parse_int_tuple, metavar="M0,M1,...", help="empirical mode only"),
+    "--n": dict(type=_parse_int_tuple, metavar="N0,N1,...", help="empirical mode only"),
+    "--n-override": dict(action="append", metavar="STAGE=N", help="pin one stage's n; repeatable"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Every experiment flag's ``dest`` is the config key it sets."""
     parser = argparse.ArgumentParser(prog="lab", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name, (_, _, flags) in EXPERIMENTS.items():
         p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=None, help="default 0")
-        p.add_argument("--out", dest="output_path", type=str, default=None, metavar="OUT")
-        p.add_argument("--mode", choices=MODES, default=None)
-        p.add_argument("--stages", type=_parse_stages, default=None, metavar="A..B")
-        p.add_argument("--test-count", type=int, default=None)
-        p.add_argument("--k-rule", choices=K_RULES, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--m", type=_parse_int_tuple, default=None, metavar="M0,M1,...")
-        p.add_argument("--n", type=_parse_int_tuple, default=None, metavar="N0,N1,...")
-        p.add_argument(
-            "--n-override", action="append", default=[], metavar="STAGE=N",
-            help="pin the sample size of one stage (repeatable)",
-        )
+        for flag in flags.split():
+            p.add_argument(flag, default=None, **FLAGS[flag])
+    sub.choices["baseline"].set_defaults(k_rule="sqrtceil")
     p = sub.add_parser("all", help="run every job of ALL_JOBS with one seed")
     p.add_argument("--seed", type=int, default=0, help="default 0")
     p.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("results"),
@@ -136,9 +142,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Build the config once from the flags that were given, so that its
     own checks see the final values."""
     flags = {key: value for key, value in vars(args).items() if value is not None}
-    flags["n_override"] = _parse_override(args.n_override)
-    if args.experiment == "baseline":
-        flags.setdefault("k_rule", "sqrtceil")
+    if "n_override" in flags:
+        flags["n_override"] = _parse_override(flags["n_override"])
     return ExperimentConfig(**flags)
 
 
@@ -169,7 +174,8 @@ def _run_all(seed: int, out_dir: pathlib.Path, bench: Optional[pathlib.Path]) ->
             print(f"lab all: cannot write bench file {str(bench)!r}: {exc.strerror}",
                   file=sys.stderr)
             return 1
-    jobs = {pathlib.Path(name).stem: [*flags, str(out_dir.resolve() / name), "--seed", str(seed)]
+    jobs = {pathlib.Path(name).stem: [*flags, str(out_dir.resolve() / name)]
+            + (["--seed", str(seed)] if "--seed" in EXPERIMENTS[flags[0]][2].split() else [])
             for *flags, name in ALL_JOBS}
     if bench is None:
         for job in jobs.values():
@@ -186,14 +192,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.experiment == "all":
         return _run_all(args.seed, args.out_dir, args.bench)
-    run, lines = EXPERIMENTS[args.experiment]
+    run, lines, _ = EXPERIMENTS[args.experiment]
     try:
         for line in lines(run(config_from_args(args))):
             print(line)
     except ScheduleValidationError as exc:
         for violation in exc.violations:
             print(violation, file=sys.stderr)
-        return 2
+        return 4
     except ScheduleOverflowError as exc:
         print(exc, file=sys.stderr)
         return 3

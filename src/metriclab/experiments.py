@@ -72,12 +72,11 @@ class ExperimentConfig:
             raise ValueError("statistical runs need test_count >= 100")
         if self.stages[0] < 0 or self.stages[1] < self.stages[0]:
             raise ValueError("stage range must be a nonempty 0-based range")
-        stages = len(self.n or DEFAULT_EMPIRICAL_N)
-        if self.mode == "empirical" and self.depth not in (None, stages - 1):
-            raise ValueError(
-                f"empirical mode takes its stages from --n: {stages} stages, so "
-                f"--depth must be {stages - 1} or left out, not {self.depth}"
-            )
+        # proof mode derives m and n; empirical mode takes its stages from n
+        other = {"proof": ("m", "n"), "empirical": ("depth",)}[self.mode]
+        given = [f"--{key}" for key in other if getattr(self, key) is not None]
+        if given:
+            raise ValueError(f"{self.mode} mode takes no {' or '.join(given)}")
 
 
 @dataclass
@@ -137,9 +136,9 @@ def _stage_seeds(seed: int, count: int) -> list[int]:
 
 
 def _derive_schedule(config: ExperimentConfig, depth: int) -> adv.DerivedSchedule:
-    """The configured schedule under the experiment defaults: the stage-0
-    sample size pinned at 128 in proof mode unless overridden, and
-    ``DEFAULT_EMPIRICAL_M``/``N`` in empirical mode."""
+    """The configured schedule under the experiment defaults: in proof mode
+    to ``depth``, the stage-0 sample size pinned at 128 unless overridden;
+    in empirical mode ``DEFAULT_EMPIRICAL_M``/``N`` unless given."""
     if config.mode == "proof":
         override = {**DEFAULT_PROOF_N_OVERRIDE, **config.n_override}
         return adv.derive_schedule(
@@ -274,14 +273,8 @@ def run_coverhart(config: ExperimentConfig) -> list[dict]:
 
 
 def _point_to_json(p) -> object:
-    if isinstance(p, Real):
-        return p.value
     if isinstance(p, Vec):
         return list(p.coords)
-    if isinstance(p, HPoint):
-        return [p.x, p.y, p.z]
-    if isinstance(p, Word):
-        return list(p.letters)
     if isinstance(p, SparsePoint):
         return {str(i): v for i, v in p.items}
     raise TypeError(f"unsupported point {p!r}")
@@ -425,8 +418,8 @@ def run_dimension_suite(config: ExperimentConfig) -> dict:
 
 def print_schedule(config: ExperimentConfig) -> dict:
     """Derive the schedule and report each stage's bounds and slack."""
-    depth = config.depth if config.depth is not None else config.stages[1]
-    derived = _derive_schedule(config, depth)
+    proof_depth = config.depth if config.mode == "proof" and config.depth is not None else 1
+    derived = _derive_schedule(config, proof_depth)
     rows = []
     for b in derived.bounds:
         rows.append(

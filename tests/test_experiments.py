@@ -117,7 +117,7 @@ def test_print_schedule_depth0():
 
 def test_print_schedule_applies_n_override():
     # `lab schedule` shows the schedule that `lab consistency` runs
-    config = cfg(experiment="schedule", mode="empirical", depth=1, n_override={1: 2_000_000})
+    config = cfg(experiment="schedule", mode="empirical", n_override={1: 2_000_000})
     assert print_schedule(config)["schedule"]["n"] == [128, 2_000_000]
     assert build_schedule(config).schedule.n == (128, 2_000_000)
 
@@ -126,8 +126,9 @@ def test_print_schedule_applies_n_override():
 @pytest.mark.parametrize("mode, depth", [("empirical", "1"), ("proof", "0")])
 def test_n_override_outside_the_schedule_exits_1(experiment, mode, depth, capsys):
     # an override for a stage the schedule lacks is an error, not a no-op
-    argv = [experiment, "--mode", mode, "--depth", depth, "--stages", f"0..{depth}",
-            "--test-count", "100", "--n-override", "5=300"]
+    flags = {"schedule": ["--depth", depth] if mode == "proof" else [],
+             "consistency": ["--stages", f"0..{depth}", "--test-count", "100"]}[experiment]
+    argv = [experiment, "--mode", mode, *flags, "--n-override", "5=300"]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"lab {experiment}: ")
@@ -137,7 +138,7 @@ def test_n_override_outside_the_schedule_exits_1(experiment, mode, depth, capsys
 @pytest.mark.parametrize("mode", ["empirical", "proof"])
 def test_nonpositive_n_override_exits_1(mode, capsys):
     # a sample size below 1 is invalid input in both modes, not a bound violation
-    assert main(["schedule", "--mode", mode, "--depth", "1", "--n-override", "0=0"]) == 1
+    assert main(["schedule", "--mode", mode, "--n-override", "0=0"]) == 1
     assert capsys.readouterr().err == "lab schedule: sample sizes must be positive\n"
 
 
@@ -150,24 +151,25 @@ def test_malformed_n_override_exits_1(value, capsys):
     assert "STAGE=N" in err and repr(value) in err
 
 
-def test_empirical_depth_must_match_the_stages_of_n(capsys):
-    # empirical mode takes its stages from --n, so a --depth that disagrees
-    # is an error rather than ignored
-    for argv in (
-        ["schedule", "--mode", "empirical", "--depth", "0"],
-        ["schedule", "--mode", "empirical", "--depth", "2"],
-        ["schedule", "--mode", "empirical", "--m", "1,2,3", "--n", "200", "--depth", "1"],
+@pytest.mark.parametrize("experiment", ["consistency", "schedule"])
+def test_each_mode_refuses_the_flags_of_the_other(experiment, capsys):
+    # proof mode derives m and n, and empirical mode takes its stages from
+    # --n, so a flag of the other mode is an error rather than ignored
+    run = {"consistency": ["--stages", "0..0", "--test-count", "100"], "schedule": []}[experiment]
+    for flags, message in (
+        (["--mode", "proof", "--m", "1,9"], "proof mode takes no --m"),
+        (["--mode", "proof", "--n", "4,5"], "proof mode takes no --n"),
+        (["--mode", "proof", "--m", "1,9", "--n", "4"], "proof mode takes no --m or --n"),
     ):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("lab schedule: ")
-        assert "empirical mode takes its stages from --n" in err
-    for argv in (
-        ["schedule", "--mode", "empirical"],
-        ["schedule", "--mode", "empirical", "--depth", "1"],
-        ["schedule", "--mode", "empirical", "--m", "1,50,50", "--n", "200", "--depth", "0"],
-    ):
-        assert main(argv) == 0
+        assert main([experiment, *run, *flags]) == 1
+        assert capsys.readouterr().err == f"lab {experiment}: {message}\n"
+    # consistency takes its depth from --stages and no --depth in either mode
+    if experiment == "schedule":
+        assert main(["schedule", "--mode", "empirical", "--depth", "1"]) == 1
+        assert capsys.readouterr().err == "lab schedule: empirical mode takes no --depth\n"
+        assert main(["schedule", "--mode", "proof", "--depth", "0"]) == 0
+    assert main([experiment, *run, "--mode", "empirical", "--m", "1,50,50", "--n", "200"]) == 0
+    assert main([experiment, *run, "--mode", "proof"]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -202,12 +204,59 @@ def test_every_config_key_has_a_flag(key):
     assert getattr(config_from_args(build_parser().parse_args(argv)), key) == value
 
 
-def test_the_flags_are_exactly_the_config_keys():
-    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert set(FLAG_FOR_KEY) == keys
-    for name in cli.EXPERIMENTS:
-        args = build_parser().parse_args([name])
-        assert set(vars(args)) == keys
+FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+class _RecordingConfig(ExperimentConfig):
+    """A config that records each field read after ``__post_init__``."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.read = set()
+
+    def __getattribute__(self, name):
+        read = object.__getattribute__(self, "__dict__").get("read")
+        if read is not None and name in FIELDS:
+            read.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("experiment, mode, small", [
+    ("consistency", "proof", dict(stages=(0, 0), test_count=100)),
+    ("consistency", "empirical", dict(stages=(0, 0), test_count=100)),
+    ("baseline", None, dict(test_count=100)),
+    ("coverhart", None, dict(test_count=100)),
+    ("dimension", None, {}),
+    ("schedule", "proof", {}),
+    ("schedule", "empirical", {}),
+], ids=["consistency-proof", "consistency-empirical", "baseline", "coverhart", "dimension",
+        "schedule-proof", "schedule-empirical"])
+def test_each_experiment_takes_exactly_the_flags_its_runner_reads(experiment, mode, small):
+    # the config keys of the flags the experiment takes, less those of the other mode
+    keys = set(vars(build_parser().parse_args([experiment]))) - {"experiment"}
+    assert ("mode" in keys) == (mode is not None)
+    if mode is not None:
+        small = dict(small, mode=mode)
+        keys -= {"proof": {"m", "n"}, "empirical": {"depth"}}[mode]
+    config = _RecordingConfig(experiment=experiment, **small)
+    cli.EXPERIMENTS[experiment][0](config)
+    assert config.read == keys
+
+
+@pytest.mark.parametrize("argv", [
+    ["dimension", "--test-count", "10"],
+    ["coverhart", "--k-rule", "const1"],
+    ["baseline", "--mode", "proof"],
+    ["schedule", "--stages", "3..4", "--test-count", "500", "--seed", "9"],
+    ["consistency", "--depth", "7"],
+], ids=lambda argv: argv[0])
+def test_a_flag_the_experiment_does_not_take_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lab ")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
 
 def test_cli_exit_codes(tmp_path):
@@ -217,7 +266,7 @@ def test_cli_exit_codes(tmp_path):
     assert out.exists()
     # stage-0 ratio constraint violated: k/n = 1/8 is not below 1/8
     assert main(["consistency", "--mode", "empirical", "--m", "1,2", "--n", "8",
-                 "--k-rule", "const1", "--stages", "0..0", "--test-count", "500"]) == 2
+                 "--k-rule", "const1", "--stages", "0..0", "--test-count", "500"]) == 4
     assert main(["schedule", "--mode", "proof", "--depth", "4"]) == 3
 
 
@@ -237,11 +286,12 @@ def test_cli_flags_pass_config_validation(capsys):
 
 @pytest.mark.parametrize("experiment", ["schedule", "consistency"])
 def test_unwritable_output_exits_1(tmp_path, capsys, experiment):
+    run = {"consistency": ["--stages", "0..0", "--test-count", "500"], "schedule": []}[experiment]
     out = tmp_path / "missing-dir" / "x.json"
-    assert main([experiment, "--out", str(out), "--stages", "0..0", "--test-count", "500"]) == 1
+    assert main([experiment, "--out", str(out), *run]) == 1
     err = capsys.readouterr().err
     assert err == f"lab {experiment}: cannot write output {str(out)!r}: No such file or directory\n"
-    assert main([experiment, "--out", str(tmp_path), "--stages", "0..0", "--test-count", "500"]) == 1
+    assert main([experiment, "--out", str(tmp_path), *run]) == 1
     assert capsys.readouterr().err.startswith(f"lab {experiment}: cannot write output {str(tmp_path)!r}: ")
 
 
@@ -268,7 +318,7 @@ def test_lab_all_checks_the_bench_file_before_the_first_job(tmp_path, capsys, mo
 
 
 def test_bad_proof_override_names_the_bounds_it_breaks(capsys):
-    assert main(["schedule", "--mode", "proof", "--depth", "1", "--n-override", "0=5"]) == 2
+    assert main(["schedule", "--mode", "proof", "--depth", "1", "--n-override", "0=5"]) == 4
     assert capsys.readouterr().err == (
         "stage 0: k/n = 3/5 must be below 0.125\n"
         "stage 0: n = 5 must exceed the occupancy bound 66.5421\n"
@@ -295,11 +345,11 @@ def test_lab_all_stops_at_the_first_failing_job(tmp_path, capsys):
 )
 def test_typed_flag_usage_errors_name_the_expected_form(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["schedule", *argv])
+        main(["consistency", *argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: lab schedule")
-    assert err.endswith(f"lab schedule: error: {message}\n")
+    assert err.startswith("usage: lab consistency")
+    assert err.endswith(f"lab consistency: error: {message}\n")
 
 
 def test_measure_reports_wall_time_and_peak_rss_or_exits_with_the_child_code():

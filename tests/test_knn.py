@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metriclab import knn
@@ -405,7 +405,8 @@ def vote_inputs(draw):
     k = draw(st.one_of(st.integers(1, min(n, 8)), st.integers(1, n)))
     T = draw(st.integers(1, 600).filter(lambda t: t % 256))
     chunk = draw(st.sampled_from([1, 3, 256]))
-    return d, layout, n, k, T, chunk, draw(st.integers(0, 2**32 - 1))
+    train, labels, queries = _vote_data(d, layout, n, k, T, draw(st.integers(0, 2**32 - 1)))
+    return train, labels, queries, k, chunk
 
 
 def _strip_edges(train, k):
@@ -445,11 +446,25 @@ def _vote_data(d, layout, n, k, T, seed):
     return train, rng.integers(0, 2, n), queries
 
 
+def _rounded_bound(axis):
+    """d = 2, k = 1: a label-1 row 0.75 + 2^-60 from the query along
+    coordinate ``axis``, whose squared distance rounds to 0.5625, and far
+    label-0 rows. The row lies 2^-60 beyond q ± sqrt(0.5625), so only the
+    margin of the search bounds keeps it. At axis 0 it is the last row of
+    strip 0 (s = 11), so the strip index would drop it as well."""
+    far = [[-100.0 - i] * 2 for i in range(10)] + [[100.0 + i] * 2 for i in range(5)]
+    train, queries = np.array([[0.5, -(2.0**-60)], *far]), np.array([[0.5, 0.75]])
+    if axis == 0:
+        train, queries = train[:, ::-1].copy(), queries[:, ::-1].copy()
+    return train, np.array([1] + [0] * 15), queries, 1, 256
+
+
 @given(vote_inputs())
+@example(_rounded_bound(0))
+@example(_rounded_bound(1))
 @settings(max_examples=300, deadline=None)
 def test_euclidean_vote_matches_dense_kernel(inputs):
-    d, layout, n, k, T, chunk, seed = inputs
-    train, labels, queries = _vote_data(d, layout, n, k, T, seed)
+    train, labels, queries, k, chunk = inputs
     with mock.patch.object(knn, "EUCLIDEAN_CHUNK", chunk):
         got = euclidean_vote(train, labels, queries, k)
     assert np.array_equal(got, _dense_vote(train, labels, queries, k))

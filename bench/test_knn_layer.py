@@ -31,12 +31,12 @@ def _dense_vote(train, labels, queries, k):
     return (2 * ones >= k).astype(np.int64)
 
 
-# the shapes of run_baseline's last stage and run_coverhart's first case, and
-# a d >= 3 shape, where the search window keeps its 2·isqrt(n) rows
+# the shapes of run_baseline's three stages and run_coverhart's first case,
+# and a d >= 3 shape, where the search window keeps its 2·isqrt(n) rows
 @pytest.mark.parametrize(
     "d, n, k",
-    [(1, 10_000, 100), (2, 20_000, 1), (3, 5000, 5)],
-    ids=["baseline", "coverhart", "d3"],
+    [(1, 100, 10), (1, 1000, 32), (1, 10_000, 100), (2, 20_000, 1), (3, 5000, 5)],
+    ids=["baseline_stage0", "baseline_stage1", "baseline", "coverhart", "d3"],
 )
 def test_euclidean_vote(benchmark, d, n, k):
     rng = np.random.default_rng(n)

@@ -4,8 +4,9 @@
 Exit codes: 0 on success, 1 when a config value or input is invalid or
 the output cannot be written (one line on stderr), 2 for a usage error
 such as a flag the experiment does not take (argparse's message, starting
-with ``usage:``), 3 when the schedule recursion overflows the 64-bit
-range, 4 when schedule constraints are violated (one line per violation).
+with the experiment's ``usage: lab <experiment>`` line), 3 when the
+schedule recursion overflows the 64-bit range, 4 when schedule
+constraints are violated (one line per violation).
 ``lab all`` exits 1, before any job runs, when its output directory cannot
 be created or its ``--bench`` file cannot be written, and otherwise stops
 at the first job that fails, with that job's message and exit code.
@@ -123,6 +124,7 @@ FLAGS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lab", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
+    parser.experiments = sub.choices  # each subparser, for its own usage line in errors
     for name, (_, _, flags) in EXPERIMENTS.items():
         p = sub.add_parser(name)
         for flag in flags.split():
@@ -189,7 +191,11 @@ def _run_all(seed: int, out_dir: pathlib.Path, bench: Optional[pathlib.Path]) ->
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    # parse_args would report a flag the experiment does not take with the top-level usage
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.experiments[args.experiment].error(f"unrecognized arguments: {' '.join(extra)}")
     if args.experiment == "all":
         return _run_all(args.seed, args.out_dir, args.bench)
     run, lines, _ = EXPERIMENTS[args.experiment]

@@ -156,12 +156,19 @@ def euclidean_vote(
     """k-NN predictions for (T, d) query rows against (n, d) training rows
     with 0/1 labels; vote ties go to label 1.
 
-    Exact sorted-strip search. The training rows are sorted by coordinate 0.
-    At d = 1 a query's rounded squared distance only grows away from its
-    place in that order, so its k nearest rows are among the w = min(n, 2k)
-    rows around that place, and those are its candidates.
+    At d = 1 the search is exact and reads no candidates. Over the sorted
+    rows, a query's rounded squared distance does not increase before its
+    place in that order and does not decrease from its place on. So its k
+    nearest rows are one run of k sorted rows, starting at some lo in
+    [max(0, place - k), min(place, n - k)], and row lo + k lies at or
+    after the place. Over that range "row lo is farther than row lo + k"
+    holds and then fails, and the first lo where it fails starts a nearest
+    run. One binary search over all queries finds it in k.bit_length()
+    rounds, and prefix sums of the sorted labels count the run's ones.
+    Time is O((n + T) log n + T log k) and memory O(n + T).
 
-    At d >= 2 the sorted rows are cut into strips of s = isqrt(n·w)
+    At d >= 2 the search is over sorted strips. The training rows are
+    sorted by coordinate 0 and cut into strips of s = isqrt(n·w)
     consecutive rows, and each strip is sorted by coordinate 1; w is
     min(n, max(2k, 8)) at d = 2 and min(n, max(2k, 2·isqrt(n))) at d >= 3.
     For each query, the k-th smallest squared distance r² over the w rows
@@ -170,7 +177,7 @@ def euclidean_vote(
     distance at most r² has |t₀ - q₀| <= r and |t₁ - q₁| <= r, so it lies
     in a strip meeting [q₀ - r, q₀ + r], inside that strip's one contiguous
     run with |t₁ - q₁| <= r. The runs are found by ``searchsorted`` with
-    bounds rounded outward, on the exact integer key strip·(n + 1) +
+    bounds widened by a margin, on the exact integer key strip·(n + 1) +
     rank(t₁), and their rows are the candidates. On uniform data in the
     plane a query reads O(w) rows, where pruning by coordinate 0 alone
     would leave O(sqrt(n)).
@@ -180,7 +187,7 @@ def euclidean_vote(
     neighbouring queries read neighbouring rows and memory is
     O(EUCLIDEAN_CHUNK · n) whatever the input. Time is
     O((n + T) log n + T·(w + R·L)) for R strips of L candidate rows per
-    query (R·L = 0 at d = 1).
+    query.
 
     Squared distances are summed one coordinate at a time, and each equals
     the dense computation's bits, so the prediction equals the brute-force
@@ -190,19 +197,26 @@ def euclidean_vote(
     for the tie rule.
     """
     n, d = train.shape
-    w = min(n, 2 * k)
     order = np.argsort(train[:, 0], kind="stable")
     key0 = train[order, 0]
     places = np.searchsorted(key0, queries[:, 0])
-    if d > 1:
-        w = min(n, max(w, 8 if d == 2 else 2 * math.isqrt(n)))
-        s = math.isqrt(n * w)
-        values1 = np.sort(train[:, 1])
-        key = np.arange(n) // s * (n + 1) + np.searchsorted(values1, train[order, 1])
-        by_strip = np.argsort(key, kind="stable")
-        order, key = order[by_strip], key[by_strip]
-        strip = np.minimum(places, n - 1) // s
-        places = np.searchsorted(key, strip * (n + 1) + np.searchsorted(values1, queries[:, 1]))
+    if d == 1:
+        q, cum = queries[:, 0], np.concatenate(([0], np.cumsum(labels[order])))
+        lo, hi = np.maximum(places - k, 0), np.minimum(places, n - k)
+        for _ in range(k.bit_length()):  # hi - lo <= k, halved each round
+            mid = (lo + hi) // 2
+            # mid + k < n while lo < hi; the clip only guards finished searches
+            farther = (q - key0[mid]) ** 2 > (q - key0[np.minimum(mid + k, n - 1)]) ** 2
+            lo, hi = np.where((lo < hi) & farther, mid + 1, lo), np.where(farther, hi, mid)
+        return (2 * (cum[lo + k] - cum[lo]) >= k).astype(np.int64)
+    w = min(n, max(2 * k, 8 if d == 2 else 2 * math.isqrt(n)))
+    s = math.isqrt(n * w)
+    values1 = np.sort(train[:, 1])
+    key = np.arange(n) // s * (n + 1) + np.searchsorted(values1, train[order, 1])
+    by_strip = np.argsort(key, kind="stable")
+    order, key = order[by_strip], key[by_strip]
+    strip = np.minimum(places, n - 1) // s
+    places = np.searchsorted(key, strip * (n + 1) + np.searchsorted(values1, queries[:, 1]))
     columns = np.ascontiguousarray(train[order].T)
     sorted_labels = labels[order]
     visit = np.argsort(places, kind="stable")
@@ -210,30 +224,27 @@ def euclidean_vote(
     for lo in range(0, len(queries), EUCLIDEAN_CHUNK):
         these = visit[lo : lo + EUCLIDEAN_CHUNK]
         q = queries[these]
-        # at d >= 2 the window may run into a neighbouring strip: its rows are real rows
+        # the window may run into a neighbouring strip: its rows are real rows
         idx = np.clip(places[these] - w // 2, 0, n - w)[:, None] + np.arange(w)
+        r2 = np.partition(_gathered_d2(q, columns, idx), k - 1, axis=1)[:, k - 1]
+        # fl((t - q)**2) <= r2 implies |t - q| <= sqrt(r2)·(1 + 5u) when the
+        # square is a normal float, and |t - q| < 1.5e-154 when it
+        # underflows, on coordinates 0 and 1 alike, since a sum of
+        # nonnegative rounded terms is at least each term; so q - h <= t <=
+        # q + h, and rounding to nearest is monotone, so fl(q -/+ h) keeps t
+        h = np.sqrt(r2) * (1 + 1e-12) + 1e-150
+        below, above = q[:, :2] - h[:, None], q[:, :2] + h[:, None]
+        first = np.searchsorted(key0, below[:, 0], "left") // s
+        last = (np.searchsorted(key0, above[:, 0], "right") - 1) // s
+        strips = first[:, None] + np.arange((last - first).max() + 1)
+        base = strips * (n + 1)
+        low = np.searchsorted(values1, below[:, 1], "left")[:, None]
+        high = np.searchsorted(values1, above[:, 1], "right")[:, None]
+        start, stop = np.searchsorted(key, base + low), np.searchsorted(key, base + high)
+        stop = np.where(strips <= last[:, None], stop, start)  # no rows past the last strip
+        idx, padding = _concatenated_ranges(start, stop)
         d2 = _gathered_d2(q, columns, idx)
-        if d > 1:
-            r2 = np.partition(d2, k - 1, axis=1)[:, k - 1]
-            # fl((t - q)**2) <= r2 implies |t - q| <= sqrt(r2)·(1 + 5u) when the
-            # square is a normal float, and |t - q| < 1.5e-154 when it
-            # underflows, on coordinates 0 and 1 alike, since a sum of
-            # nonnegative rounded terms is at least each term; nextafter
-            # undoes the rounding of q -/+ h
-            h = np.sqrt(r2) * (1 + 1e-12) + 1e-150
-            below = np.nextafter(q[:, :2] - h[:, None], -np.inf)
-            above = np.nextafter(q[:, :2] + h[:, None], np.inf)
-            first = np.searchsorted(key0, below[:, 0], "left") // s
-            last = (np.searchsorted(key0, above[:, 0], "right") - 1) // s
-            strips = first[:, None] + np.arange((last - first).max() + 1)
-            base = strips * (n + 1)
-            low = np.searchsorted(values1, below[:, 1], "left")[:, None]
-            high = np.searchsorted(values1, above[:, 1], "right")[:, None]
-            start, stop = np.searchsorted(key, base + low), np.searchsorted(key, base + high)
-            stop = np.where(strips <= last[:, None], stop, start)  # no rows past the last strip
-            idx, padding = _concatenated_ranges(start, stop)
-            d2 = _gathered_d2(q, columns, idx)
-            d2[padding] = np.inf
+        d2[padding] = np.inf
         near = np.take_along_axis(idx, np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
         out[these] = 2 * sorted_labels[near].sum(axis=1) >= k
     return out

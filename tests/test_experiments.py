@@ -255,7 +255,7 @@ def test_a_flag_the_experiment_does_not_take_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: lab ")
+    assert err.startswith(f"usage: lab {argv[0]} ")
     assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
 

@@ -375,6 +375,51 @@ def test_euclidean_vote_matches_dense_line_kernel(n, k):
         assert np.array_equal(got[lo : lo + 500], ref)
 
 
+def _first_index_line_votes(train_x, train_y, test_x, k):
+    """``knn_predict`` with FIRST_INDEX on the line, one query at a time."""
+    sample = line_sample(train_x, train_y)
+    return [knn_predict(sample, Real(float(q)), k, TieStrategy.FIRST_INDEX, LINE) for q in test_x]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_line_vote_for_queries_beyond_every_row(side, n):
+    # every query's place is 0 (left) or n (right), so the search range
+    # holds the one window start 0 or n - k
+    rng = np.random.default_rng(n)
+    train_x, train_y = rng.random(n), rng.integers(0, 2, n)
+    test_x = rng.random(50) + (1.001 if side == "right" else -1.001)
+    for k in sorted({1, (n + 1) // 2, n}):
+        got = euclidean_vote(train_x[:, None], train_y, test_x[:, None], k)
+        assert np.array_equal(got, _dense_line_vote(train_x, train_y, test_x, k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_line_vote_with_k_equal_to_n_is_the_global_majority(n):
+    rng = np.random.default_rng(n)
+    train_x, test_x = rng.random(n), 3 * rng.random(50) - 1
+    for train_y in (rng.integers(0, 2, n), np.zeros(n, np.int64), np.ones(n, np.int64)):
+        got = euclidean_vote(train_x[:, None], train_y, test_x[:, None], n)
+        assert got.tolist() == [int(2 * train_y.sum() >= n)] * 50
+        assert got.tolist() == _first_index_line_votes(train_x, train_y, test_x, n)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["left", "right"])
+def test_line_vote_next_to_a_plateau_of_equal_rows(side):
+    # queries in [-0.5, 0.5], 20 label-1 rows at 3 on one side and 6
+    # label-0 rows at 1 to 1.5 on the other side. For k <= 6 the plateau
+    # is beyond the k-th radius, and no window inside it is a nearest one;
+    # for 6 < k < 26 the k-th radius ties inside the plateau, but every
+    # plateau row has label 1, so the vote is determined
+    train_x = np.array([3.0 * side] * 20 + [-side * (1 + 0.1 * i) for i in range(6)])
+    train_y = np.array([1] * 20 + [0] * 6)
+    test_x = np.random.default_rng(0).random(40) - 0.5
+    for k in (1, 4, 6, 7, 11, 12, 20, 26):
+        got = euclidean_vote(train_x[:, None], train_y, test_x[:, None], k)
+        assert got.tolist() == [int(k >= 12)] * 40
+        assert got.tolist() == _first_index_line_votes(train_x, train_y, test_x, k)
+
+
 @pytest.mark.parametrize("n", [20_000, 10_000])
 def test_euclidean_vote_matches_argmin_nn1(n):
     # the 1-NN runner's sample sizes on the unit square; the runner's full

@@ -28,7 +28,6 @@ from .knn import (
     TieStrategy,
     euclidean_vote,
     knn_predict,
-    r_k,
     select_neighbours,
 )
 from .nagata import (

@@ -244,32 +244,39 @@ def minimal_branching(s: Schedule, i: int) -> int:
 
 
 def derive_schedule(
-    depth: int,
+    depth: Optional[int] = None,
     k_rule: str = "log2ceil",
     mode: str = "proof",
     n_override: Optional[dict[int, int]] = None,
     m: Optional[tuple[int, ...]] = None,
     n: Optional[tuple[int, ...]] = None,
 ) -> DerivedSchedule:
-    """Build the stage sequences for depth+1 stages, reporting every bound.
+    """Build the stage sequences, reporting every bound.
 
-    Proof mode alternates minimal choices: n_i is the smallest integer above
-    both the occupancy bound and the neighbour-ratio bound (or a supplied
-    override), then m[i+1] is the smallest admissible branching. Growth is
-    double exponential; quantities beyond the 64-bit range raise
-    ScheduleOverflowError naming the offending stage. Empirical mode passes
-    user-supplied (m, n) through, with the overrides applied. The result
-    passes ``validate_schedule`` (else ScheduleValidationError lists the
-    violations), and its bounds are ``stage_bounds`` of each stage. In
-    either mode an override for a stage the schedule lacks is a ValueError.
+    Proof mode derives depth+1 stages, alternating minimal choices: n_i is
+    the smallest integer above both the occupancy bound and the
+    neighbour-ratio bound (or a supplied override), then m[i+1] is the
+    smallest admissible branching. Growth is double exponential;
+    quantities beyond the 64-bit range raise ScheduleOverflowError naming
+    the offending stage. Empirical mode takes no depth: it passes
+    user-supplied (m, n) through, with the overrides applied, and has one
+    stage per entry of n. The result passes ``validate_schedule`` (else
+    ScheduleValidationError lists the violations), and its bounds are
+    ``stage_bounds`` of each stage. In either mode an override for a stage
+    the schedule lacks is a ValueError.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     n_override = dict(n_override or {})
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "empirical" and (m is None or n is None):
-        raise ValueError("empirical mode requires explicit m and n sequences")
+    if mode == "empirical":
+        if depth is not None:
+            raise ValueError("empirical mode takes its stages from n, not a depth")
+        if m is None or n is None:
+            raise ValueError("empirical mode requires explicit m and n sequences")
+    elif depth is None:
+        raise ValueError("proof mode requires a depth")
+    elif depth < 0:
+        raise ValueError("depth must be nonnegative")
     stages = len(n) if mode == "empirical" else depth + 1
     for stage in sorted(n_override):
         if not 0 <= stage < stages:
@@ -470,11 +477,17 @@ def ball_mass(problem: AdversarialProblem, t: Iterable[int]) -> BallMass:
 
 @dataclass
 class SampleTrace:
-    """Provenance-level draw of an i.i.d. sample (no points materialized)."""
+    """Provenance-level draw of an i.i.d. sample (no points materialized).
+
+    ``atom_depth`` and ``letters`` share the narrowest integer type that
+    holds -1..D and the largest branching, so a row takes 9 + (D + 1)·b
+    bytes for b-byte integers: 17 MB at n = 10**6, D = 3 and branching
+    2000 (int16), against 41 MB with int64 arrays.
+    """
 
     is_atomic: np.ndarray  # bool (count,)
-    atom_depth: np.ndarray  # int64 (count,), -1 on diffuse rows
-    letters: np.ndarray  # int64 (count, truncation_depth), 1-based
+    atom_depth: np.ndarray  # int (count,), -1 on diffuse rows
+    letters: np.ndarray  # int (count, truncation_depth), 1-based
     tie_keys: np.ndarray  # float64 (count,), pairwise distinct
 
     def __len__(self) -> int:
@@ -483,33 +496,48 @@ class SampleTrace:
 
 def draw_trace(problem: AdversarialProblem, count: int, rng: np.random.Generator) -> SampleTrace:
     """Draw sample provenance: a fair atomic/diffuse coin, a geometric atom
-    depth clamped at the truncation depth, and uniform branch letters."""
+    depth clamped at the truncation depth, and uniform branch letters.
+    Every column is drawn as int64, as ``draw_test_words`` draws it, and
+    then narrowed, so the random stream does not depend on the type."""
     if count < 1:
         raise ValueError("count must be positive")
     D = problem.truncation_depth
+    dtype = np.min_scalar_type(-1 - max(D, *map(problem.branching_at, range(1, D + 1))))
     is_atomic = rng.random(count) < 0.5
-    p_stop = float(1 - problem.schedule.gamma_ratio)
-    depths = rng.geometric(p_stop, size=count) - 1
-    depths = np.minimum(depths, D)
-    atom_depth = np.where(is_atomic, depths, -1)
-    letters = draw_test_words(problem, count, rng)
+    depths = rng.geometric(float(1 - problem.schedule.gamma_ratio), size=count)
+    depths -= 1
+    np.minimum(depths, D, out=depths)
+    depths[~is_atomic] = -1
+    atom_depth = depths.astype(dtype)
+    del depths  # freed before the letters are drawn
+    letters = _draw_words(problem, count, rng, dtype)
     tie_keys = rng.random(count)
-    while (np.diff(np.sort(tie_keys)) == 0).any():  # a repeat: astronomically rare
+    # n draws repeat a key with probability about n**2 / 2**54 (5.6e-5 at
+    # n = 10**6); a repeat is redrawn
+    ordered = np.sort(tie_keys)
+    while (ordered[1:] == ordered[:-1]).any():
         _, idx = np.unique(tie_keys, return_index=True)
         dup = np.setdiff1d(np.arange(count), idx)
         tie_keys[dup] = rng.random(len(dup))
-    return SampleTrace(is_atomic, atom_depth.astype(np.int64), letters, tie_keys)
+        ordered = np.sort(tie_keys)
+    return SampleTrace(is_atomic, atom_depth, letters, tie_keys)
+
+
+def _draw_words(
+    problem: AdversarialProblem, count: int, rng: np.random.Generator, dtype
+) -> np.ndarray:
+    """Uniform letters at each level, drawn as int64 and stored as dtype."""
+    words = np.empty((count, problem.truncation_depth), dtype=dtype)
+    for level in range(1, problem.truncation_depth + 1):
+        words[:, level - 1] = rng.integers(1, problem.branching_at(level) + 1, size=count)
+    return words
 
 
 def draw_test_words(
     problem: AdversarialProblem, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform diffuse branches at the truncation depth, one row per draw."""
-    D = problem.truncation_depth
-    words = np.empty((count, D), dtype=np.int64)
-    for level in range(1, D + 1):
-        words[:, level - 1] = rng.integers(1, problem.branching_at(level) + 1, size=count)
-    return words
+    return _draw_words(problem, count, rng, np.int64)
 
 
 def labelled_sample_from_trace(
@@ -596,36 +624,51 @@ def distance_classes(problem: AdversarialProblem) -> list[DistanceClass]:
 
 
 def _vote(classes: list[DistanceClass], counts: Iterable[np.ndarray], k: int) -> np.ndarray:
-    """k-NN vote in O(T) memory from per-class sample counts, one length-T
-    vector per class in distance order; label 1 wins with half the votes.
-    Stops reading ``counts`` once every point has its k neighbours."""
-    need, ones = k, 0  # need = max(k - before, 0), before = points met so far
-    for c, count in zip(classes, counts):
-        take = np.minimum(need, count)
-        need = need - take
-        ones = ones + take * c.label
+    """k-NN vote from per-class sample counts, one length-T int64 vector
+    per class in distance order; label 1 wins with half the votes. Each
+    count is cut in place to the votes its class casts and dropped before
+    the next is read, so the vote holds need, ones and one count, 3·8·T
+    bytes. Stops reading ``counts`` once every point has its k neighbours."""
+    counts = iter(counts)  # read by next(): zip would keep the last count alive
+    need = ones = None  # need = max(k - before, 0), before = points met so far
+    for c in classes:
+        count = next(counts)
+        if need is None:
+            need, ones = np.full_like(count, k), np.zeros_like(count)
+        np.minimum(need, count, out=count)  # the votes of this class
+        need -= count
+        if c.label:
+            ones += count
+        del count
         if not need.any():
             break
-    return (2 * ones >= k).astype(np.int64)
+    del need
+    ones *= 2
+    return (ones >= k).astype(np.int64)
 
 
 def _fresh_predictions(
     problem: AdversarialProblem, n: int, k: int, test_count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Per test point, draw class occupancies of an independent n-sample via
-    a conditional binomial chain, voting on each class as it is drawn."""
+    a conditional binomial chain, voting on each class as it is drawn. The
+    chain holds rem_n, so with the vote 4·8·T bytes are live."""
     classes = distance_classes(problem)
 
     def draws():
         rem_n, rem_p = np.full(test_count, n, dtype=np.int64), Fraction(1)
-        for c in classes:
-            p = c.prob / rem_p  # exactly 1 at the last class, which takes the rest
-            drawn = rng.binomial(rem_n, float(p)) if p < 1 else rem_n.copy()
+        for c in classes[:-1]:
+            drawn = rng.binomial(rem_n, float(c.prob / rem_p))
             rem_n -= drawn
             rem_p -= c.prob
             yield drawn
+            del drawn  # the vote is done with it before the next draw
+        yield rem_n  # the last class takes the rest
 
     return _vote(classes, draws(), k)
+
+
+CHUNK = 1 << 16  # trace rows per block of the trace kernel
 
 
 def _trace_predictions(
@@ -638,54 +681,66 @@ def _trace_predictions(
     the k nearest does not depend on which tied rows the keys pick.
 
     Rows fall into groups: atom depth j for atomic rows, D + 1 for diffuse
-    rows (which have D letters). One pass filters the rows down the prefix
-    trie of the test words without sorting the sample: at level h only the
-    rows that match some word's h-prefix remain, their next letter is found
-    among the words' distinct letters at that level, and the pair (prefix
-    id, letter index) is looked up among the words' (h+1)-prefixes; at
-    h = 0 there is one empty prefix, so the letter index is already the
-    1-prefix id and the lookup is skipped. One
-    bincount per level gives ge[h + 1], the rows of each group agreeing with
-    each word on h + 1 letters; ge[h] - ge[h+1] rows split at h. Lookup keys
-    stay below T**2, so no letter is ever packed into an integer.
-    O(n D log T + T D log T) time, O(n + D T + D**2 P) memory for at most P
-    distinct prefixes per level (P <= T).
+    rows (which have D letters). The words' distinct letters and prefixes
+    at each level are found once. Then one pass, CHUNK rows at a time,
+    filters the rows down the prefix trie of the test words without
+    sorting the sample: at level h only the rows that match some word's
+    h-prefix remain, their next letter is found among the words' distinct
+    letters at that level, and the pair (prefix id, letter index) is
+    looked up among the words' (h+1)-prefixes; at h = 0 there is one empty
+    prefix, so the letter index is already the 1-prefix id and the lookup
+    is skipped. Each block's bincount per level is added to ge[h + 1], the
+    rows of each group agreeing with each word on h + 1 letters; ge[h] -
+    ge[h+1] rows split at h. Lookup keys stay below T**2, so no letter is
+    ever packed into an integer. O(n D log T + T D log T) time; beyond the
+    trace, O(CHUNK + D T + D**2 P) memory for at most P distinct prefixes
+    per level (P <= T).
     """
     D, T = problem.truncation_depth, len(test_words)
     groups = D + 2
-    group = np.where(trace.is_atomic, trace.atom_depth, D + 1)
-    # tables[h][g, p]: rows of group g matching prefix p of length h;
-    # pids[h]: each word's prefix id at length h
-    tables = [np.bincount(group, minlength=groups)[:, None]]
-    pids = [np.zeros(T, dtype=np.int64)]
-    rows = np.flatnonzero(group > 0)  # rows with a letter at level 0
-    row_pid = np.zeros(len(rows), dtype=np.int64)
+    # per level h: the words' distinct letters and (h+1)-prefixes; pids[h]:
+    # each word's prefix id at length h
+    levels, pids = [], [np.zeros(T, dtype=np.int64)]
     for h in range(D):
         letters = np.unique(test_words[:, h])
         word_keys = pids[h] * len(letters) + np.searchsorted(letters, test_words[:, h])
         prefixes, word_pid = np.unique(word_keys, return_inverse=True)
-        row_letter = trace.letters[rows, h]
-        idx = np.minimum(np.searchsorted(letters, row_letter), len(letters) - 1)
-        hit = letters[idx] == row_letter
-        rows, row_pid = rows[hit], row_pid[hit] * len(letters) + idx[hit]
-        if h > 0:
-            pos = np.minimum(np.searchsorted(prefixes, row_pid), len(prefixes) - 1)
-            hit = prefixes[pos] == row_pid  # prefix and letter may each occur, the pair not
-            rows, row_pid = rows[hit], pos[hit]
-        row_group = group[rows]
-        P = len(prefixes)
-        tables.append(
-            np.bincount(row_group * P + row_pid, minlength=groups * P).reshape(groups, P)
-        )
+        levels.append((letters, prefixes))
         pids.append(word_pid)
-        deeper = row_group > h + 1  # atoms at depth h + 1 have no further letter
-        rows, row_pid = rows[deeper], row_pid[deeper]
+    # tables[h][g, p]: rows of group g matching prefix p of length h
+    tables = [np.zeros((groups, 1), dtype=np.int64)]
+    tables += [np.zeros((groups, len(prefixes)), dtype=np.int64) for _, prefixes in levels]
+    for lo in range(0, len(trace), CHUNK):
+        block = slice(lo, lo + CHUNK)
+        # int64, so that the bincount keys group * P + pid cannot wrap
+        group = np.where(trace.is_atomic[block], trace.atom_depth[block], D + 1).astype(np.int64)
+        tables[0][:, 0] += np.bincount(group, minlength=groups)
+        rows = np.flatnonzero(group > 0)  # rows with a letter at level 0
+        row_pid = np.zeros(len(rows), dtype=np.int64)
+        block_letters = trace.letters[block]
+        for h, (letters, prefixes) in enumerate(levels):
+            row_letter = block_letters[rows, h]
+            idx = np.minimum(np.searchsorted(letters, row_letter), len(letters) - 1)
+            hit = letters[idx] == row_letter
+            rows, row_pid = rows[hit], row_pid[hit] * len(letters) + idx[hit]
+            if h > 0:
+                pos = np.minimum(np.searchsorted(prefixes, row_pid), len(prefixes) - 1)
+                hit = prefixes[pos] == row_pid  # prefix and letter may each occur, the pair not
+                rows, row_pid = rows[hit], pos[hit]
+            row_group = group[rows]
+            P = len(prefixes)
+            keys = row_group * P + row_pid
+            tables[h + 1] += np.bincount(keys, minlength=groups * P).reshape(groups, P)
+            deeper = row_group > h + 1  # atoms at depth h + 1 have no further letter
+            rows, row_pid = rows[deeper], row_pid[deeper]
 
     def counts():
         for c in classes:
             g, h = (c.depth if c.kind == "atom" else D + 1), c.split
             ge = tables[h][g, pids[h]]
-            yield ge - tables[h + 1][g, pids[h + 1]] if h < c.depth else ge
+            if h < c.depth:
+                ge -= tables[h + 1][g, pids[h + 1]]
+            yield ge
 
     classes = distance_classes(problem)
     return _vote(classes, counts(), k)

@@ -135,32 +135,38 @@ def _stage_seeds(seed: int, count: int) -> list[int]:
 # consistency failure
 
 
-def _derive_schedule(config: ExperimentConfig, depth: int) -> adv.DerivedSchedule:
+def _derive_schedule(config: ExperimentConfig, depth: Optional[int] = None) -> adv.DerivedSchedule:
     """The configured schedule under the experiment defaults: in proof mode
-    to ``depth``, the stage-0 sample size pinned at 128 unless overridden;
-    in empirical mode ``DEFAULT_EMPIRICAL_M``/``N`` unless given."""
+    to ``depth`` (default 1), the stage-0 sample size pinned at 128 unless
+    overridden; in empirical mode, which takes no depth,
+    ``DEFAULT_EMPIRICAL_M``/``N`` unless given."""
     if config.mode == "proof":
         override = {**DEFAULT_PROOF_N_OVERRIDE, **config.n_override}
         return adv.derive_schedule(
-            depth=depth, k_rule=config.k_rule, mode="proof", n_override=override
+            depth=1 if depth is None else depth, k_rule=config.k_rule, mode="proof",
+            n_override=override,
         )
     return adv.derive_schedule(
-        depth=depth, k_rule=config.k_rule, mode="empirical",
-        n_override=config.n_override,
+        k_rule=config.k_rule, mode="empirical", n_override=config.n_override,
         m=config.m or DEFAULT_EMPIRICAL_M, n=config.n or DEFAULT_EMPIRICAL_N,
     )
 
 
 def build_schedule(config: ExperimentConfig) -> adv.DerivedSchedule:
-    """Schedule for the consistency run, derived up to the last stage.
+    """Schedule for the consistency run, covering the last stage.
 
-    In proof mode the branching value one level past the last stage is also
-    derived, since simulating stage B needs the stage-(B+1) ball layout.
+    Proof mode derives it up to the last stage, and also the branching
+    value one level past it, since simulating stage B needs the
+    stage-(B+1) ball layout. Empirical mode checks that n reaches the last
+    stage.
     """
     hi = config.stages[1]
-    derived = _derive_schedule(config, hi)
     if config.mode != "proof":
+        derived = _derive_schedule(config)
+        if hi >= len(derived.schedule.n):
+            raise ValueError("stage range exceeds the schedule depth")
         return derived
+    derived = _derive_schedule(config, hi)
     sched = derived.schedule
     tail = adv.minimal_branching(sched, hi)
     return derived._replace(schedule=replace(sched, m=sched.m + (tail,)))
@@ -172,29 +178,27 @@ def run_consistency(config: ExperimentConfig) -> list[StageReport]:
     of zero. Atoms are predicted correctly in the large-sample limit, and
     the diffuse part carries mass 1/2, so error ~= fraction / 2."""
     lo, hi = config.stages
-    derived = build_schedule(config)
-    sched = derived.schedule
-    if hi >= len(sched.n):
-        raise ValueError("stage range exceeds the schedule depth")
+    sched = build_schedule(config).schedule
     problem = adv.AdversarialProblem(sched, truncation_depth=hi + 2)
     seeds = _stage_seeds(config.seed, hi + 1)
     reports = []
     for stage in range(lo, hi + 1):
         n = sched.n[stage]
         k = adv.k_of(sched.k_rule, n)
-        res = adv.structured_stage_sim(
+        # only the two floats are kept, not the stage's predictions
+        fraction, stderr = adv.structured_stage_sim(
             problem, stage, n, k, config.test_count, seeds[stage], sample_mode="fresh"
-        )
+        )[:2]
         reports.append(
             StageReport(
                 stage=stage,
                 n=n,
                 k=k,
-                frac_pred1_nonatomic=res.fraction,
-                error=res.fraction / 2.0,
+                frac_pred1_nonatomic=fraction,
+                error=fraction / 2.0,
                 bayes=0.0,
                 delta=float(adv.delta_value(sched, stage)),
-                stderr=res.stderr,
+                stderr=stderr,
             )
         )
     _write_output(reports_to_csv(reports), config.output_path)
@@ -418,8 +422,7 @@ def run_dimension_suite(config: ExperimentConfig) -> dict:
 
 def print_schedule(config: ExperimentConfig) -> dict:
     """Derive the schedule and report each stage's bounds and slack."""
-    proof_depth = config.depth if config.mode == "proof" and config.depth is not None else 1
-    derived = _derive_schedule(config, proof_depth)
+    derived = _derive_schedule(config, config.depth if config.mode == "proof" else None)
     rows = []
     for b in derived.bounds:
         rows.append(

@@ -79,11 +79,6 @@ def _radius(
     return dists[packed.inverse], float(radius)
 
 
-def r_k(sample: LabelledSample, x: Point, k: int, space: MetricSpace) -> float:
-    """Smallest radius of a closed ball around ``x`` holding k sample points."""
-    return _radius(sample, x, k, space)[1]
-
-
 def select_neighbours(
     sample: LabelledSample,
     x: Point,
@@ -197,6 +192,8 @@ def euclidean_vote(
     for the tie rule.
     """
     n, d = train.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
     order = np.argsort(train[:, 0], kind="stable")
     key0 = train[order, 0]
     places = np.searchsorted(key0, queries[:, 0])

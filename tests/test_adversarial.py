@@ -102,12 +102,16 @@ def test_derive_override_below_bounds_rejected():
 
 
 def test_derive_empirical_passthrough():
-    d = derive_schedule(depth=1, mode="empirical", m=(1, 293, 2000), n=(128, 10**6))
+    d = derive_schedule(mode="empirical", m=(1, 293, 2000), n=(128, 10**6))
     assert d.schedule.m == (1, 293, 2000)
     assert d.schedule.n == (128, 10**6)
     assert math.isnan(d.bounds[0].n_occupancy_bound)
     with pytest.raises(ScheduleValidationError):
-        derive_schedule(depth=0, mode="empirical", m=(1,), n=(8,), k_rule="const1")
+        derive_schedule(mode="empirical", m=(1,), n=(8,), k_rule="const1")
+    with pytest.raises(ValueError, match="empirical mode takes its stages from n"):
+        derive_schedule(depth=1, mode="empirical", m=(1, 293, 2000), n=(128, 10**6))
+    with pytest.raises(ValueError, match="proof mode requires a depth"):
+        derive_schedule(mode="proof")
 
 
 def test_derive_overflow_depth4():
@@ -116,7 +120,7 @@ def test_derive_overflow_depth4():
     assert err.value.stage <= 4
 
 
-def _reference_bounds(depth, k_rule, mode, n_override, m=None, n=None):
+def _reference_bounds(k_rule, mode, n_override, depth=None, m=None, n=None):
     """Reference for ``derive_schedule``: the schedule and its bounds, each
     bound worked out while its stage is chosen rather than by
     ``stage_bounds``; raises where the derivation fails."""
@@ -175,7 +179,7 @@ _BOUNDS_CASES = [
         *(dict(depth=depth, k_rule=k_rule, mode="proof", n_override=override)
           for depth in (0, 1)
           for override in (None, {0: 128}, {0: 10**4}, {1: 2**40}, {0: 128, 1: 2**40})),
-        *(dict(depth=1, k_rule=k_rule, n_override=override, **_EMPIRICAL)
+        *(dict(k_rule=k_rule, n_override=override, **_EMPIRICAL)
           for override in (None, {1: 500_000})),
     ]
     if _derivable(case)
@@ -184,7 +188,7 @@ _BOUNDS_CASES = [
 
 @pytest.mark.parametrize(
     "case", _BOUNDS_CASES,
-    ids=lambda c: f"{c['mode']}-depth{c['depth']}-{c['k_rule']}-{c['n_override']}",
+    ids=lambda c: f"{c['mode']}-depth{c.get('depth')}-{c['k_rule']}-{c['n_override']}",
 )
 def test_derived_bounds_match_the_stagewise_reference(case):
     sched, expect = _reference_bounds(**case)
@@ -198,10 +202,11 @@ def test_derived_bounds_match_the_stagewise_reference(case):
 
 
 def test_bounds_cases_cover_every_k_rule_depth_and_mode():
-    assert {(c["k_rule"], c["mode"], c["depth"], bool(c["n_override"])) for c in _BOUNDS_CASES} == {
+    cases = {(c["k_rule"], c["mode"], c.get("depth"), bool(c["n_override"])) for c in _BOUNDS_CASES}
+    assert cases == {
         (rule, mode, depth, over)
         for rule in ("log2ceil", "const1")
-        for mode, depth in (("proof", 0), ("proof", 1), ("empirical", 1))
+        for mode, depth in (("proof", 0), ("proof", 1), ("empirical", None))
         for over in (False, True)
     } | {("sqrtceil", "proof", depth, over) for depth in (0, 1) for over in (False, True)}
 

@@ -12,7 +12,6 @@ from metriclab.knn import (
     TieStrategy,
     euclidean_vote,
     knn_predict,
-    r_k,
     select_neighbours,
 )
 from metriclab import adversarial as adv
@@ -47,14 +46,14 @@ def test_sample_validation():
         line_sample([0, 1], [0, 2])
 
 
-def test_r_k_examples():
+def test_radius_examples():
     s = line_sample([0, 1, 2, 3], [0, 0, 0, 0])
-    assert r_k(s, Real(0.0), 2, LINE) == 1.0
-    assert r_k(s, Real(2.0), 1, LINE) == 0.0
+    assert knn._radius(s, Real(0.0), 2, LINE)[1] == 1.0
+    assert knn._radius(s, Real(2.0), 1, LINE)[1] == 0.0
     both = line_sample([0, 2], [0, 0])
-    assert r_k(both, Real(1.0), 2, LINE) == 1.0
+    assert knn._radius(both, Real(1.0), 2, LINE)[1] == 1.0
     with pytest.raises(ValueError):
-        r_k(s, Real(0.0), 5, LINE)
+        knn._radius(s, Real(0.0), 5, LINE)[1]
 
 
 def test_knn_all_ones():
@@ -189,7 +188,8 @@ def test_select_neighbours_matches_the_per_index_loop(case, strategy):
     space, sample, x, k = case
     expect = _loop_select_neighbours(sample, x, k, strategy, space)
     assert select_neighbours(sample, x, k, strategy, space) == expect
-    assert r_k(sample, x, k, space) == sorted(distance(space, x, p) for p in sample.points)[k - 1]
+    radius = knn._radius(sample, x, k, space)[1]
+    assert radius == sorted(distance(space, x, p) for p in sample.points)[k - 1]
 
 
 def _counting_distance():
@@ -206,7 +206,7 @@ def test_one_distance_call_per_distinct_point_object():
     assert spy.call_count == 4
     assert all(call.args[1] is x for call in spy.call_args_list)
     with _counting_distance() as spy:
-        assert r_k(sample, x, 5, LINE) == 1.5
+        assert knn._radius(sample, x, 5, LINE)[1] == 1.5
     assert spy.call_count == 4
 
 
@@ -241,7 +241,7 @@ def test_select_neighbours_ranks_by_the_query_first_distance():
     for strategy in TieStrategy:
         assert select_neighbours(sample, x, 1, strategy, H) == [1]
         assert knn_predict(sample, x, 1, strategy, H) == 1
-    assert r_k(sample, x, 1, H) == distance(H, x, p)
+    assert knn._radius(sample, x, 1, H)[1] == distance(H, x, p)
 
 
 def _first_nearest_label(sample, x, space):
@@ -361,6 +361,15 @@ def test_euclidean_vote_matches_generic_oracle(d):
             knn_predict(sample, point(q), k, TieStrategy.FIRST_INDEX, space) for q in queries
         ]
         assert euclidean_vote(train, labels, queries, k).tolist() == expected
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [0, 11])
+def test_euclidean_vote_rejects_k_outside_1_to_n(d, k):
+    rng = np.random.default_rng(d)
+    train, labels, queries = rng.random((10, d)), rng.integers(0, 2, 10), rng.random((5, d))
+    with pytest.raises(ValueError, match=f"k must be in 1..10, got {k}"):
+        euclidean_vote(train, labels, queries, k)
 
 
 @pytest.mark.parametrize("n, k", [(100, 10), (1000, 32), (10_000, 100)])

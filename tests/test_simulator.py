@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclab import adversarial as adv
+from metriclab import experiments as ex
 from metriclab.adversarial import (
     AdversarialProblem,
     Schedule,
@@ -178,6 +181,63 @@ def test_trace_mode_equals_brute_force(m, truncation, stage, n, k):
         sim = structured_stage_sim(prob, stage, n, k, 8, seed, sample_mode="trace")
         brute = _brute_force_predictions(prob, trace, words, k)
         assert (sim.predictions == brute).all()
+
+
+# criterion 07: (branching, truncation depth, stage, n, k)
+CRITERION_07_CONFIGS = [
+    ((1, 4, 3, 3), 3, 0, 60, 7),
+    ((1, 4, 3, 3), 3, 1, 250, 9),
+    ((1, 3, 2), 3, 0, 120, 1),
+    ((1, 2, 5), 2, 0, 500, 12),
+    ((1, 6, 2), 2, 0, 2000, 11),
+    ((1, 3, 3), 3, 1, 40, 40),
+    ((1, 5, 4), 2, 0, 1000, 2),
+    ((1, 2, 2, 2), 3, 0, 300, 17),
+    ((1, 7, 3), 2, 0, 800, 5),
+    ((1, 4, 4), 3, 1, 150, 30),
+]
+
+
+@pytest.mark.parametrize("m,truncation,stage,n,k", CRITERION_07_CONFIGS)
+def test_trace_kernel_does_not_depend_on_the_row_chunk(m, truncation, stage, n, k):
+    # every n here is below CHUNK, so the unpatched kernel reads one block
+    prob = problem(m=m, truncation=truncation)
+    rng = np.random.default_rng(n)
+    trace = adv.draw_trace(prob, n, rng)
+    words = adv.draw_test_words(prob, 10, rng)
+    want = adv._trace_predictions(prob, trace, words, k)
+    assert (want == _brute_force_predictions(prob, trace, words, k)).all()
+    for chunk in (1, 7, 64):
+        with mock.patch.object(adv, "CHUNK", chunk):
+            assert (adv._trace_predictions(prob, trace, words, k) == want).all()
+
+
+def _traced_peak_mb(run):
+    """Peak bytes that ``run()`` holds beyond what was live before it, in MB."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - before) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_stage_at_n_10_6_holds_under_40_mb():
+    # the shared-sample stage of the empirical table: the trace takes 17 MB
+    # (int16 depths and letters), and the kernel O(CHUNK) rows beyond it
+    prob = problem(m=ex.DEFAULT_EMPIRICAL_M, truncation=3)
+    peak = _traced_peak_mb(
+        lambda: structured_stage_sim(prob, 1, 10**6, 20, 20, 7, sample_mode="trace")
+    )
+    assert peak < 40
+
+
+def test_fresh_stages_at_t_10_6_hold_under_45_mb():
+    # the chain's rem_n and the vote's need, ones and one draw: four
+    # length-T int64 vectors, 32 MB
+    config = ex.ExperimentConfig("consistency", seed=7, stages=(0, 1), test_count=10**6)
+    assert _traced_peak_mb(lambda: ex.run_consistency(config)) < 45
 
 
 def _lexsort_reference(prob, trace, words, k):

@@ -107,10 +107,6 @@ class Schedule:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    @property
-    def max_depth(self) -> int:
-        return len(self.m) - 1
-
     def to_json_dict(self) -> dict:
         return {
             "gamma_rule": f"geometric:{self.gamma_ratio}",
@@ -119,7 +115,7 @@ class Schedule:
             "m": list(self.m),
             "n": list(self.n),
             "mode": self.mode,
-            "max_depth": self.max_depth,
+            "max_depth": len(self.m) - 1,
         }
 
 
@@ -167,7 +163,7 @@ def next_branching_bound(s: Schedule, i: int) -> Fraction:
 
 class StageBounds(NamedTuple):
     stage: int
-    n_occupancy_bound: float  # nan in empirical mode
+    n_occupancy_bound: Optional[float]  # None in empirical mode
     n_ratio_bound: Fraction
     n_chosen: int
     k: int
@@ -189,7 +185,7 @@ def stage_bounds(s: Schedule, i: int) -> StageBounds:
     m_next = s.m[i + 1] if i + 1 < len(s.m) else None
     return StageBounds(
         i,
-        occupancy_threshold(s, i) if proof else math.nan,
+        occupancy_threshold(s, i) if proof else None,
         ratio_bound(s, i),
         n_i,
         k_of(s.k_rule, n_i),
@@ -210,7 +206,7 @@ def validate_schedule(s: Schedule) -> list[str]:
             violations.append(
                 f"stage {i}: k/n = {b.k}/{n_i} must be below {float(b.n_ratio_bound):.6g}"
             )
-        if s.mode == "proof" and not n_i > b.n_occupancy_bound:
+        if b.n_occupancy_bound is not None and not n_i > b.n_occupancy_bound:
             violations.append(
                 f"stage {i}: n = {n_i} must exceed the occupancy bound {b.n_occupancy_bound:.6g}"
             )
@@ -253,10 +249,10 @@ def derive_schedule(
 ) -> DerivedSchedule:
     """Build the stage sequences, reporting every bound.
 
-    Proof mode derives depth+1 stages, alternating minimal choices: n_i is
-    the smallest integer above both the occupancy bound and the
-    neighbour-ratio bound (or a supplied override), then m[i+1] is the
-    smallest admissible branching. Growth is double exponential;
+    Proof mode takes no (m, n) and derives depth+1 stages, alternating
+    minimal choices: n_i is the smallest integer above both the occupancy
+    bound and the neighbour-ratio bound (or a supplied override), then
+    m[i+1] is the smallest admissible branching. Growth is double exponential;
     quantities beyond the 64-bit range raise ScheduleOverflowError naming
     the offending stage. Empirical mode takes no depth: it passes
     user-supplied (m, n) through, with the overrides applied, and has one
@@ -275,6 +271,8 @@ def derive_schedule(
             raise ValueError("empirical mode requires explicit m and n sequences")
     elif depth is None:
         raise ValueError("proof mode requires a depth")
+    elif m is not None or n is not None:
+        raise ValueError("proof mode derives m and n from the depth; it takes neither")
     elif depth < 0:
         raise ValueError("depth must be nonnegative")
     stages = len(n) if mode == "empirical" else depth + 1

@@ -286,7 +286,7 @@ def _point_to_json(p) -> object:
 
 def certificate_to_json(cert: DimensionCertificate) -> dict:
     return {
-        "kind": cert.kind,
+        "kind": "NagataWitness",
         "centers": [_point_to_json(b.center) for b in cert.family.balls],
         "radii": [b.radius for b in cert.family.balls],
         "witness": _point_to_json(cert.witness_point),
@@ -373,7 +373,7 @@ def run_dimension_suite(config: ExperimentConfig) -> dict:
     pentagon = plane_pentagon_family()
     mult = multiplicity_over_probes(pentagon, [Vec((0.0, 0.0))])
     out["plane_pentagon"] = certificate_to_json(
-        DimensionCertificate("NagataWitness", pentagon, Vec((0.0, 0.0)), mult.count)
+        DimensionCertificate(pentagon, Vec((0.0, 0.0)), mult.count)
     )
     # informative: six 60-degree cones cover the plane, which caps the
     # overlap of disconnected families at 5; the pentagon witness meets it
@@ -429,12 +429,12 @@ def print_schedule(config: ExperimentConfig) -> dict:
             {
                 "stage": b.stage,
                 "m": derived.schedule.m[b.stage],
-                "n_occupancy_bound": None if math.isnan(b.n_occupancy_bound) else b.n_occupancy_bound,
+                "n_occupancy_bound": b.n_occupancy_bound,
                 "k_over_n_bound": float(b.n_ratio_bound),
                 "n": b.n_chosen,
                 "k": b.k,
                 "n_slack": None
-                if math.isnan(b.n_occupancy_bound)
+                if b.n_occupancy_bound is None
                 else b.n_chosen - b.n_occupancy_bound,
                 "m_next_bound": None if b.m_next_bound is None else float(b.m_next_bound),
                 "m_next": b.m_next,

@@ -88,12 +88,10 @@ def select_neighbours(
 ) -> list[int]:
     """Indices of the k nearest neighbours of ``x``.
 
-    Distances are ``distance(space, x, p)``, query first: Heisenberg
-    ``distance`` is not bitwise symmetric, so the reverse order can differ.
-    Everything strictly inside the k-th radius is taken; the remaining
-    slots are filled from the boundary, preferring smaller tie keys
-    (UNIFORM_RANDOM) or lower indices (FIRST_INDEX). Only the boundary is
-    sorted.
+    Distances are ``distance(space, x, p)``. Everything strictly inside
+    the k-th radius is taken; the remaining slots are filled from the
+    boundary, preferring smaller tie keys (UNIFORM_RANDOM) or lower indices
+    (FIRST_INDEX). Only the boundary is sorted.
     """
     dists, radius = _radius(sample, x, k, space)
     inside = np.flatnonzero(dists < radius)

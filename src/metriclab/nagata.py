@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,16 +98,12 @@ class Multiplicity(NamedTuple):
     witness: Point
 
 
-def multiplicity_over_probes(
-    family: BallFamily, probes: Optional[Sequence[Point]] = None
-) -> Multiplicity:
+def multiplicity_over_probes(family: BallFamily, probes: Sequence[Point]) -> Multiplicity:
     """Max number of balls containing a single probe, and the argmax probe.
 
     A lower bound on the true multiplicity; exact whenever a genuine
-    witness point is among the probes. Defaults to probing the centers.
+    witness point is among the probes.
     """
-    if probes is None:
-        probes = family.centers()
     probes = list(probes)
     if not probes:
         raise ValueError("probe set must be nonempty")
@@ -172,12 +168,6 @@ def greedy_covering_subfamily(family: BallFamily) -> BallFamily:
     raise RuntimeError("covering exchange did not converge")
 
 
-def degroot_family_check(family: BallFamily) -> bool:
-    """True iff all radii in the family are equal (vacuously for empty)."""
-    radii = {b.radius for b in family.balls}
-    return len(radii) <= 1
-
-
 def doubling_cover_greedy(
     points: Sequence[Point], center: Point, r: float, space: MetricSpace
 ) -> int:
@@ -196,16 +186,12 @@ def doubling_cover_greedy(
 
 @dataclass(frozen=True)
 class DimensionCertificate:
-    kind: str  # "NagataWitness" | "DeGrootWitness"
+    """Nagata witness: a disconnected family whose balls all hold ``witness_point``."""
     family: BallFamily
     witness_point: Point
     multiplicity: int
 
     def __post_init__(self):
-        if self.kind not in ("NagataWitness", "DeGrootWitness"):
-            raise ValueError(f"unknown certificate kind {self.kind!r}")
-        if self.kind == "DeGrootWitness" and not degroot_family_check(self.family):
-            raise ValueError("DeGroot certificates require equal radii")
         # column 0 is the witness, the rest are the centers in ball order
         inside = _containment(self.family, (self.witness_point,) + self.family.centers())
         count = int(inside[:, 0].sum())
@@ -236,4 +222,4 @@ def nagata_witness_sparse(
         Ball(center.shift(ids.fresh(), r), r, closed=True) for _ in range(m)
     )
     family = BallFamily(balls, SparseL2(), scale)
-    return DimensionCertificate("NagataWitness", family, center, m)
+    return DimensionCertificate(family, center, m)

@@ -141,8 +141,9 @@ MetricSpace = Union[EuclideanLine, EuclideanD, Heisenberg, UltrametricWords, Spa
 
 
 def h_mul(p: HPoint, q: HPoint) -> HPoint:
-    """Group multiplication (x,y,z)*(x',y',z') = (x+x', y+y', z+z'-2xy'+2yx')."""
-    return HPoint(p.x + q.x, p.y + q.y, p.z + q.z - 2.0 * p.x * q.y + 2.0 * p.y * q.x)
+    """Group multiplication (x,y,z)*(x',y',z') = (x+x', y+y', z+z'+2(yx'-xy')), grouped so
+    that ``distance`` is symmetric bit for bit: swapping its points negates each z step."""
+    return HPoint(p.x + q.x, p.y + q.y, p.z + q.z + 2.0 * (p.y * q.x - p.x * q.y))
 
 
 def h_inv(p: HPoint) -> HPoint:

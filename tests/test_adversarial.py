@@ -105,13 +105,16 @@ def test_derive_empirical_passthrough():
     d = derive_schedule(mode="empirical", m=(1, 293, 2000), n=(128, 10**6))
     assert d.schedule.m == (1, 293, 2000)
     assert d.schedule.n == (128, 10**6)
-    assert math.isnan(d.bounds[0].n_occupancy_bound)
+    assert d.bounds[0].n_occupancy_bound is None
     with pytest.raises(ScheduleValidationError):
         derive_schedule(mode="empirical", m=(1,), n=(8,), k_rule="const1")
     with pytest.raises(ValueError, match="empirical mode takes its stages from n"):
         derive_schedule(depth=1, mode="empirical", m=(1, 293, 2000), n=(128, 10**6))
     with pytest.raises(ValueError, match="proof mode requires a depth"):
         derive_schedule(mode="proof")
+    for given in (dict(m=(1, 5), n=(10,)), dict(m=(1, 5)), dict(n=(10,))):
+        with pytest.raises(ValueError, match="proof mode derives m and n from the depth"):
+            derive_schedule(depth=0, mode="proof", **given)
 
 
 def test_derive_overflow_depth4():
@@ -132,7 +135,7 @@ def _reference_bounds(k_rule, mode, n_override, depth=None, m=None, n=None):
         if validate_schedule(sched):
             raise ScheduleValidationError(validate_schedule(sched))
         return sched, [
-            adv.StageBounds(i, math.nan, adv.ratio_bound(sched, i), sched.n[i],
+            adv.StageBounds(i, None, adv.ratio_bound(sched, i), sched.n[i],
                             k_of(k_rule, sched.n[i]), None,
                             sched.m[i + 1] if i + 1 < len(sched.m) else None)
             for i in range(len(sched.n))
@@ -197,8 +200,7 @@ def test_derived_bounds_match_the_stagewise_reference(case):
     assert len(derived.bounds) == len(expect)
     for got, want in zip(derived.bounds, expect):
         for field, a, b in zip(adv.StageBounds._fields, got, want):
-            nan = isinstance(a, float) and math.isnan(a) and math.isnan(b)
-            assert nan or (a == b and type(a) is type(b)), (field, a, b)
+            assert a == b and type(a) is type(b), (field, a, b)
 
 
 def test_bounds_cases_cover_every_k_rule_depth_and_mode():

@@ -115,6 +115,15 @@ def test_print_schedule_depth0():
     assert len(res["stages"]) == 1
 
 
+def test_empirical_schedule_prints_null_occupancy_bound_and_slack(capsys):
+    # the occupancy bound does not apply in empirical mode: JSON null, not NaN
+    assert main(["schedule", "--mode", "empirical"]) == 0
+    stages = json.loads(capsys.readouterr().out)["stages"]
+    assert [s["stage"] for s in stages] == [0, 1]
+    for s in stages:
+        assert s["n_occupancy_bound"] is None and s["n_slack"] is None
+
+
 def test_print_schedule_applies_n_override():
     # `lab schedule` shows the schedule that `lab consistency` runs
     config = cfg(experiment="schedule", mode="empirical", n_override={1: 2_000_000})

@@ -227,21 +227,26 @@ def test_one_distance_call_per_distinct_object_on_a_trace_sample():
     assert chosen == _loop_select_neighbours(sample, x, 11, TieStrategy.UNIFORM_RANDOM, SparseL2())
 
 
-def test_select_neighbours_ranks_by_the_query_first_distance():
+def test_select_neighbours_breaks_the_exact_heisenberg_tie_by_rule():
     # q = x * R(x^-1 p) for a quarter turn R about the z axis, so p and q are
-    # equally far from x in exact arithmetic; the float distance is not
-    # symmetric, and its two argument orders rank p and q oppositely
+    # equally far from x in exact arithmetic, and in floats in either
+    # argument order; the boundary rule alone picks the neighbour
     H = Heisenberg()
     x = HPoint(-0.045648981370904895, 0.4874034575034676, 0.47848239413867577)
     p = HPoint(-0.994250115786738, 0.23331998728461878, 0.6635643506728459)
     q = HPoint(0.2084344888479439, -0.4611976769123656, 1.7725415720137307)
-    assert distance(H, x, p) < distance(H, x, q)
-    assert distance(H, p, x) > distance(H, q, x)
+    d = distance(H, x, p)
+    assert d == distance(H, p, x) == distance(H, x, q) == distance(H, q, x) == 1.219777776107142
+    # index 0 (q) has the smaller tie key and the lower index
     sample = LabelledSample((q, p), (0, 1), (0.1, 0.9))
     for strategy in TieStrategy:
-        assert select_neighbours(sample, x, 1, strategy, H) == [1]
-        assert knn_predict(sample, x, 1, strategy, H) == 1
-    assert knn._radius(sample, x, 1, H)[1] == distance(H, x, p)
+        assert select_neighbours(sample, x, 1, strategy, H) == [0]
+        assert knn_predict(sample, x, 1, strategy, H) == 0
+    assert knn._radius(sample, x, 1, H)[1] == d
+    # reversed tie keys: UNIFORM_RANDOM follows the key, FIRST_INDEX the index
+    flipped = LabelledSample((q, p), (0, 1), (0.9, 0.1))
+    assert select_neighbours(flipped, x, 1, TieStrategy.UNIFORM_RANDOM, H) == [1]
+    assert select_neighbours(flipped, x, 1, TieStrategy.FIRST_INDEX, H) == [0]
 
 
 def _first_nearest_label(sample, x, space):

@@ -11,7 +11,6 @@ from metriclab.nagata import (
     BallFamily,
     DimensionCertificate,
     contains,
-    degroot_family_check,
     doubling_cover_greedy,
     greedy_covering_subfamily,
     interval_multiplicity_exact,
@@ -85,7 +84,7 @@ def test_multiplicity_probe_examples():
     res = multiplicity_over_probes(fam, [Real(-1.0), Real(0.0), Real(1.0), Real(2.0), Real(3.0)])
     assert res.count == 2 and res.witness == Real(1.0)
     single = line_family([interval(5, 1)])
-    assert multiplicity_over_probes(single).count == 1
+    assert multiplicity_over_probes(single, single.centers()).count == 1
     with pytest.raises(ValueError):
         multiplicity_over_probes(fam, [])
 
@@ -142,7 +141,7 @@ def test_sweep_matches_probe_oracle(rows):
 def test_probe_multiplicity_lower_bounds_sweep(rows):
     # probing only centers can miss the witness but never overshoots
     fam = line_family([interval(c, r, closed) for c, r, closed in rows])
-    assert multiplicity_over_probes(fam).count <= interval_multiplicity_exact(fam)
+    assert multiplicity_over_probes(fam, fam.centers()).count <= interval_multiplicity_exact(fam)
 
 
 def test_greedy_single_covering_ball_first():
@@ -222,12 +221,6 @@ def test_union_of_covers_covers_union():
                 assert any(contains(b, c, LINE) for b in merged.balls)
 
 
-def test_degroot_check():
-    assert degroot_family_check(line_family([interval(0, 1), interval(5, 1)]))
-    assert not degroot_family_check(line_family([interval(0, 1), interval(5, 2)]))
-    assert degroot_family_check(BallFamily((), LINE))
-
-
 def _grid_points(step, lo, hi):
     vals = np.arange(lo, hi + step / 2, step)
     return [Vec((float(x), float(y))) for x in vals for y in vals]
@@ -275,11 +268,7 @@ def test_certificate_validation():
     ids = DirectionIds()
     cert = nagata_witness_sparse(3, ORIGIN, 2.0, ids)
     with pytest.raises(ValueError):
-        DimensionCertificate("NagataWitness", cert.family, ORIGIN, 2)
-    with pytest.raises(ValueError):
-        DimensionCertificate("Bogus", cert.family, ORIGIN, 3)
-    # equal radii by construction, so a DeGroot certificate also stands
-    DimensionCertificate("DeGrootWitness", cert.family, ORIGIN, 3)
+        DimensionCertificate(cert.family, ORIGIN, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +353,9 @@ def test_matrix_routines_match_double_loops(space):
         res = multiplicity_over_probes(fam, probes)
         assert res.count == count and res.witness is witness  # the first maximum
         if disconnected:
-            DimensionCertificate("NagataWitness", fam, witness, count)
+            DimensionCertificate(fam, witness, count)
         else:
             with pytest.raises(ValueError, match="disconnected"):
-                DimensionCertificate("NagataWitness", fam, witness, count)
+                DimensionCertificate(fam, witness, count)
         with pytest.raises(ValueError, match="certificate claims"):
-            DimensionCertificate("NagataWitness", fam, witness, count + 1)
+            DimensionCertificate(fam, witness, count + 1)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metriclab import spaces
@@ -116,6 +116,18 @@ def test_heisenberg_left_invariance():
         g, p, q = (HPoint(*rng.normal(size=3)) for _ in range(3))
         d = distance(space, p, q)
         assert abs(distance(space, h_mul(g, p), h_mul(g, q)) - d) <= 1e-9 * max(d, 1.0)
+
+
+@given(hpoints, hpoints)
+@settings(max_examples=500)
+@example(
+    HPoint(-0.045648981370904895, 0.4874034575034676, 0.47848239413867577),
+    HPoint(-0.994250115786738, 0.23331998728461878, 0.6635643506728459),
+)
+def test_heisenberg_distance_is_bitwise_symmetric(p, q):
+    # a closed-ball test d <= r at the boundary must not depend on which
+    # point is the centre
+    assert distance(Heisenberg(), p, q) == distance(Heisenberg(), q, p)
 
 
 def test_sparse_distance_union_of_supports():

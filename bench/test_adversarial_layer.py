@@ -67,9 +67,8 @@ def test_structured_stage_sim_trace_many_words(benchmark):
 def test_derive_schedule(benchmark, mode):
     # the `lab schedule` defaults: n_0 = 128 in proof mode
     if mode == "proof":
-        args = dict(depth=1, n_override=ex.DEFAULT_PROOF_N_OVERRIDE)
+        derived = benchmark(adv.derive_schedule, 1, n_override=ex.DEFAULT_PROOF_N_OVERRIDE)
     else:
-        args = dict(m=ex.DEFAULT_EMPIRICAL_M, n=ex.DEFAULT_EMPIRICAL_N)
-    derived = benchmark(adv.derive_schedule, mode=mode, **args)
+        derived = benchmark(adv.empirical_schedule, ex.DEFAULT_EMPIRICAL_M, ex.DEFAULT_EMPIRICAL_N)
     assert derived.schedule.m[:2] == (1, 293)
     assert not adv.validate_schedule(derived.schedule)

@@ -28,9 +28,9 @@ oracle for the stage simulator only up to D = 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,18 +77,11 @@ def k_of(rule: str, n: int) -> int:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Branching and sample-size sequences plus the fixed mass/risk rules.
-
-    gamma_i = (1 - gamma_ratio) * gamma_ratio**i / 2 sums to exactly 1/2;
-    delta_i = delta_scale * delta_ratio**i is summable. The rule constants
-    give the dyadic sequences gamma_i = 2**-(i+2) and delta_i = 2**-(i+3).
-    ``m[i]`` is the branching into depth i (children per depth-(i-1) node),
-    with m[0] = 1 by convention.
+    """Branching and sample-size sequences under the fixed mass/risk rules
+    gamma_i = 2**-(i+2), summing to exactly 1/2, and the summable
+    delta_i = 2**-(i+3). ``m[i]`` is the branching into depth i (children
+    per depth-(i-1) node), with m[0] = 1 by convention.
     """
-
-    gamma_ratio: ClassVar[Fraction] = Fraction(1, 2)
-    delta_ratio: ClassVar[Fraction] = Fraction(1, 2)
-    delta_scale: ClassVar[Fraction] = Fraction(1, 8)
 
     m: tuple[int, ...]
     n: tuple[int, ...]
@@ -109,8 +102,8 @@ class Schedule:
 
     def to_json_dict(self) -> dict:
         return {
-            "gamma_rule": f"geometric:{self.gamma_ratio}",
-            "delta_rule": f"geometric:{self.delta_ratio}:{self.delta_scale}",
+            "gamma_rule": "geometric:1/2",
+            "delta_rule": "geometric:1/2:1/8",
             "k_rule": self.k_rule,
             "m": list(self.m),
             "n": list(self.n),
@@ -119,37 +112,37 @@ class Schedule:
         }
 
 
-def gamma_value(s: Schedule, i: int) -> Fraction:
+def gamma_value(i: int) -> Fraction:
     """Total atomic mass placed at depth i (exact)."""
-    q = s.gamma_ratio
-    return (1 - q) * q**i / 2
+    return Fraction(1, 2 ** (i + 2))
 
 
-def gamma_tail(s: Schedule, i: int) -> Fraction:
+def gamma_tail(i: int) -> Fraction:
     """Total atomic mass at depths >= i (exact closed form)."""
-    return s.gamma_ratio**i / 2
+    return Fraction(1, 2 ** (i + 1))
 
 
-def delta_value(s: Schedule, i: int) -> Fraction:
-    return s.delta_scale * s.delta_ratio**i
+def delta_value(i: int) -> Fraction:
+    """Failure probability allowed at stage i (exact)."""
+    return Fraction(1, 2 ** (i + 3))
 
 
 def occupancy_threshold(s: Schedule, i: int) -> float:
     """Sample size above which every depth-i atom shows up at least half its
     expected number of times, jointly with confidence 1 - delta_i."""
     prod = math.prod(s.m[: i + 1])
-    g = gamma_value(s, i)
+    g = gamma_value(i)
     coeff = 2 * Fraction(prod * prod) / (g * g)
     if coeff > Fraction(10) ** 300:
         return math.inf
-    logs = sum(math.log(mj) for mj in s.m[: i + 1]) - math.log(delta_value(s, i))
+    logs = sum(math.log(mj) for mj in s.m[: i + 1]) - math.log(delta_value(i))
     return float(coeff) * logs
 
 
 def ratio_bound(s: Schedule, i: int) -> Fraction:
     """Upper bound required of k_n / n at stage i: half the depth-i atom mass."""
     prod = math.prod(s.m[: i + 1])
-    return gamma_value(s, i) / (2 * prod)
+    return gamma_value(i) / (2 * prod)
 
 
 def next_branching_bound(s: Schedule, i: int) -> Fraction:
@@ -158,7 +151,7 @@ def next_branching_bound(s: Schedule, i: int) -> Fraction:
     n_i = s.n[i]
     k = k_of(s.k_rule, n_i)
     prod = math.prod(s.m[: i + 1])
-    return Fraction(2 * n_i, k * prod) / delta_value(s, i)
+    return Fraction(2 * n_i, k * prod) / delta_value(i)
 
 
 class StageBounds(NamedTuple):
@@ -173,7 +166,11 @@ class StageBounds(NamedTuple):
 
 class DerivedSchedule(NamedTuple):
     schedule: Schedule
-    bounds: list[StageBounds]
+
+    @property
+    def bounds(self) -> list[StageBounds]:
+        """``stage_bounds`` of each stage, computed from the schedule."""
+        return [stage_bounds(self.schedule, i) for i in range(len(self.schedule.n))]
 
 
 def stage_bounds(s: Schedule, i: int) -> StageBounds:
@@ -239,77 +236,70 @@ def minimal_branching(s: Schedule, i: int) -> int:
     return m_next
 
 
-def derive_schedule(
-    depth: Optional[int] = None,
-    k_rule: str = "log2ceil",
-    mode: str = "proof",
-    n_override: Optional[dict[int, int]] = None,
-    m: Optional[tuple[int, ...]] = None,
-    n: Optional[tuple[int, ...]] = None,
-) -> DerivedSchedule:
-    """Build the stage sequences, reporting every bound.
-
-    Proof mode takes no (m, n) and derives depth+1 stages, alternating
-    minimal choices: n_i is the smallest integer above both the occupancy
-    bound and the neighbour-ratio bound (or a supplied override), then
-    m[i+1] is the smallest admissible branching. Growth is double exponential;
-    quantities beyond the 64-bit range raise ScheduleOverflowError naming
-    the offending stage. Empirical mode takes no depth: it passes
-    user-supplied (m, n) through, with the overrides applied, and has one
-    stage per entry of n. The result passes ``validate_schedule`` (else
-    ScheduleValidationError lists the violations), and its bounds are
-    ``stage_bounds`` of each stage. In either mode an override for a stage
-    the schedule lacks is a ValueError.
-    """
-    n_override = dict(n_override or {})
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "empirical":
-        if depth is not None:
-            raise ValueError("empirical mode takes its stages from n, not a depth")
-        if m is None or n is None:
-            raise ValueError("empirical mode requires explicit m and n sequences")
-    elif depth is None:
-        raise ValueError("proof mode requires a depth")
-    elif m is not None or n is not None:
-        raise ValueError("proof mode derives m and n from the depth; it takes neither")
-    elif depth < 0:
-        raise ValueError("depth must be nonnegative")
-    stages = len(n) if mode == "empirical" else depth + 1
+def _checked_overrides(n_override: Optional[dict[int, int]], stages: int) -> dict[int, int]:
+    """The overrides, each of which must name one of the schedule's stages."""
+    n_override = n_override or {}
     for stage in sorted(n_override):
         if not 0 <= stage < stages:
             raise ValueError(
                 f"n_override names stage {stage}, but the schedule has stages "
                 f"0..{stages - 1}"
             )
+    return n_override
 
-    if mode == "empirical":
-        sched = Schedule(
-            tuple(m), tuple(n_override.get(i, v) for i, v in enumerate(n)), k_rule, "empirical"
-        )
-    else:
-        m_seq: list[int] = [1]
-        n_seq: list[int] = []
-        for i in range(depth + 1):
-            partial = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
-            thr = occupancy_threshold(partial, i)
-            if math.isinf(thr) or thr >= INT64_MAX:
-                raise ScheduleOverflowError(i, "n")
-            if i in n_override:
-                n_seq.append(n_override[i])
-            else:
-                try:
-                    n_seq.append(_minimal_n(k_rule, ratio_bound(partial, i), math.floor(thr) + 1))
-                except OverflowError:
-                    raise ScheduleOverflowError(i, "n") from None
-            if i < depth:
-                staged = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
-                m_seq.append(minimal_branching(staged, i))
-        sched = Schedule(tuple(m_seq), tuple(n_seq), k_rule, "proof")
-    violations = validate_schedule(sched)
+
+def _validated(s: Schedule) -> DerivedSchedule:
+    """``s`` if it passes ``validate_schedule``, else ScheduleValidationError
+    listing the violations."""
+    violations = validate_schedule(s)
     if violations:
         raise ScheduleValidationError(violations)
-    return DerivedSchedule(sched, [stage_bounds(sched, i) for i in range(len(sched.n))])
+    return DerivedSchedule(s)
+
+
+def derive_schedule(
+    depth: int, k_rule: str = "log2ceil", n_override: Optional[dict[int, int]] = None
+) -> DerivedSchedule:
+    """Derive the proof-mode schedule of depth+1 stages, alternating minimal
+    choices: n_i is the smallest integer above both the occupancy bound and
+    the neighbour-ratio bound (or a supplied override), then m[i+1] is the
+    smallest admissible branching. Growth is double exponential; quantities
+    beyond the 64-bit range raise ScheduleOverflowError naming the offending
+    stage. An override for a stage past ``depth`` is a ValueError, and one
+    below a bound a ScheduleValidationError (see ``_validated``).
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    n_override = _checked_overrides(n_override, depth + 1)
+    s = Schedule((1,), (), k_rule, "proof")
+    for i in range(depth + 1):
+        thr = occupancy_threshold(s, i)
+        if math.isinf(thr) or thr >= INT64_MAX:
+            raise ScheduleOverflowError(i, "n")
+        n_i = n_override.get(i)
+        if n_i is None:
+            try:
+                n_i = _minimal_n(k_rule, ratio_bound(s, i), math.floor(thr) + 1)
+            except OverflowError:
+                raise ScheduleOverflowError(i, "n") from None
+        s = replace(s, n=s.n + (n_i,))
+        if i < depth:
+            s = replace(s, m=s.m + (minimal_branching(s, i),))
+    return _validated(s)
+
+
+def empirical_schedule(
+    m: tuple[int, ...],
+    n: tuple[int, ...],
+    k_rule: str = "log2ceil",
+    n_override: Optional[dict[int, int]] = None,
+) -> DerivedSchedule:
+    """The given (m, n) sequences with the overrides applied, one stage per
+    entry of n. An override for a stage n lacks is a ValueError, and
+    sequences that break a bound a ScheduleValidationError."""
+    n_override = _checked_overrides(n_override, len(n))
+    n = tuple(n_override.get(i, v) for i, v in enumerate(n))
+    return _validated(Schedule(tuple(m), n, k_rule, "empirical"))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +435,7 @@ def atom_mass(s: Schedule, t: Iterable[int]) -> Fraction:
     i = len(word)
     if i >= len(s.m):
         raise ValueError(f"word depth {i} exceeds the schedule depth")
-    return gamma_value(s, i) / math.prod(s.m[: i + 1])
+    return gamma_value(i) / math.prod(s.m[: i + 1])
 
 
 class BallMass(NamedTuple):
@@ -465,7 +455,7 @@ def ball_mass(problem: AdversarialProblem, t: Iterable[int]) -> BallMass:
         raise ValueError("word depth exceeds the truncation depth")
     prod = math.prod(problem.branching_at(d) for d in range(1, i + 1))
     mu0 = Fraction(1, 2 * prod)
-    mu1 = gamma_tail(problem.schedule, i) / prod
+    mu1 = gamma_tail(i) / prod
     return BallMass(mu0, mu1)
 
 
@@ -502,7 +492,8 @@ def draw_trace(problem: AdversarialProblem, count: int, rng: np.random.Generator
     D = problem.truncation_depth
     dtype = np.min_scalar_type(-1 - max(D, *map(problem.branching_at, range(1, D + 1))))
     is_atomic = rng.random(count) < 0.5
-    depths = rng.geometric(float(1 - problem.schedule.gamma_ratio), size=count)
+    # P(depth j) = 2**-(j+1): gamma_j = 2**-(j+2) over the atomic half
+    depths = rng.geometric(0.5, size=count)
     depths -= 1
     np.minimum(depths, D, out=depths)
     depths[~is_atomic] = -1
@@ -578,7 +569,6 @@ def distance_classes(problem: AdversarialProblem) -> list[DistanceClass]:
     Raises if two classes with different labels sit at the same distance
     (the constants are chosen so they never do).
     """
-    s = problem.schedule
     D = problem.truncation_depth
     r2 = [child_radius2_frac(level) for level in range(D)]
     below = [Fraction(0)] * (D + 1)  # below[h] = sum of r2[h:]
@@ -590,7 +580,7 @@ def distance_classes(problem: AdversarialProblem) -> list[DistanceClass]:
 
     classes: list[DistanceClass] = []
     for j in range(D + 1):
-        gj = gamma_value(s, j) if j < D else gamma_tail(s, D)
+        gj = gamma_value(j) if j < D else gamma_tail(D)
         a2 = atom_offset2_frac(j)
         classes.append(
             DistanceClass(below[j] + a2, 1, gj * inv_prefix[j], "atom", j, j)

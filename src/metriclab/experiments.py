@@ -9,7 +9,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -41,8 +41,6 @@ from .spaces import (
     h_dilate,
     h_norm,
 )
-
-CSV_HEADER = ["stage", "n", "k", "frac_pred1_nonatomic", "error", "bayes", "delta", "stderr"]
 
 DEFAULT_EMPIRICAL_M = (1, 293, 2000)
 DEFAULT_EMPIRICAL_N = (128, 1_000_000)
@@ -97,24 +95,15 @@ class StageReport:
             raise ValueError("Monte Carlo rows must carry a positive stderr")
 
     def row(self) -> list:
-        return [
-            self.stage,
-            self.n,
-            self.k,
-            repr(self.frac_pred1_nonatomic),
-            repr(self.error),
-            repr(self.bayes),
-            repr(self.delta),
-            repr(self.stderr),
-        ]
+        return list(astuple(self))
 
 
 def reports_to_csv(reports: list[StageReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in reports:
-        writer.writerow(r.row())
+    # the field names are the header; csv writes a float as str(), which is its repr
+    writer.writerow(f.name for f in fields(StageReport))
+    writer.writerows(r.row() for r in reports)
     return buf.getvalue()
 
 
@@ -142,34 +131,29 @@ def _derive_schedule(config: ExperimentConfig, depth: Optional[int] = None) -> a
     ``DEFAULT_EMPIRICAL_M``/``N`` unless given."""
     if config.mode == "proof":
         override = {**DEFAULT_PROOF_N_OVERRIDE, **config.n_override}
-        return adv.derive_schedule(
-            depth=1 if depth is None else depth, k_rule=config.k_rule, mode="proof",
-            n_override=override,
-        )
-    return adv.derive_schedule(
-        k_rule=config.k_rule, mode="empirical", n_override=config.n_override,
-        m=config.m or DEFAULT_EMPIRICAL_M, n=config.n or DEFAULT_EMPIRICAL_N,
+        return adv.derive_schedule(1 if depth is None else depth, config.k_rule, override)
+    return adv.empirical_schedule(
+        config.m or DEFAULT_EMPIRICAL_M, config.n or DEFAULT_EMPIRICAL_N, config.k_rule,
+        config.n_override,
     )
 
 
 def build_schedule(config: ExperimentConfig) -> adv.DerivedSchedule:
-    """Schedule for the consistency run, covering the last stage.
-
-    Proof mode derives it up to the last stage, and also the branching
-    value one level past it, since simulating stage B needs the
-    stage-(B+1) ball layout. Empirical mode checks that n reaches the last
-    stage.
+    """Schedule for the consistency run, covering the last stage B and the
+    branching m[B+1] one level past it, since simulating stage B needs the
+    stage-(B+1) ball layout. Proof mode derives both; empirical mode checks
+    that n and m reach them.
     """
     hi = config.stages[1]
-    if config.mode != "proof":
-        derived = _derive_schedule(config)
-        if hi >= len(derived.schedule.n):
-            raise ValueError("stage range exceeds the schedule depth")
-        return derived
-    derived = _derive_schedule(config, hi)
-    sched = derived.schedule
-    tail = adv.minimal_branching(sched, hi)
-    return derived._replace(schedule=replace(sched, m=sched.m + (tail,)))
+    if config.mode == "proof":
+        sched = _derive_schedule(config, hi).schedule
+        return adv.DerivedSchedule(replace(sched, m=sched.m + (adv.minimal_branching(sched, hi),)))
+    derived = _derive_schedule(config)
+    if hi >= len(derived.schedule.n):
+        raise ValueError("stage range exceeds the schedule depth")
+    if hi + 1 >= len(derived.schedule.m):
+        raise ValueError(f"stage {hi} needs the branching m[{hi + 1}] one level past it")
+    return derived
 
 
 def run_consistency(config: ExperimentConfig) -> list[StageReport]:
@@ -197,7 +181,7 @@ def run_consistency(config: ExperimentConfig) -> list[StageReport]:
                 frac_pred1_nonatomic=fraction,
                 error=fraction / 2.0,
                 bayes=0.0,
-                delta=float(adv.delta_value(sched, stage)),
+                delta=float(adv.delta_value(stage)),
                 stderr=stderr,
             )
         )

@@ -189,7 +189,7 @@ def test_criterion_05_exact_measure_bookkeeping():
 
     for depth in range(4):
         total = sum(atom_mass(s, w) for w in words_at(depth))
-        assert total == adv.gamma_value(s, depth)
+        assert total == adv.gamma_value(depth)
         assert isinstance(total, Fraction)
     for depth in range(1, 4):
         total = sum(ball_mass(problem, w).mu0 for w in words_at(depth))

@@ -83,11 +83,11 @@ def test_derive_depth1_defaults():
     assert validate_schedule(d.schedule) == []
     # second stage obeys both bounds, recomputed independently
     s = d.schedule
-    thr = 2 * (154**2) / float(adv.gamma_value(s, 1)) ** 2 * (
+    thr = 2 * (154**2) / float(adv.gamma_value(1)) ** 2 * (
         math.log(154) - math.log(1 / 16)
     )
     assert s.n[1] > thr
-    assert Fraction(k_of(s.k_rule, s.n[1]), s.n[1]) < adv.gamma_value(s, 1) / (2 * 154)
+    assert Fraction(k_of(s.k_rule, s.n[1]), s.n[1]) < adv.gamma_value(1) / (2 * 154)
 
 
 def test_derive_override_gives_acceptance_pair():
@@ -102,19 +102,12 @@ def test_derive_override_below_bounds_rejected():
 
 
 def test_derive_empirical_passthrough():
-    d = derive_schedule(mode="empirical", m=(1, 293, 2000), n=(128, 10**6))
+    d = adv.empirical_schedule((1, 293, 2000), (128, 10**6))
     assert d.schedule.m == (1, 293, 2000)
     assert d.schedule.n == (128, 10**6)
     assert d.bounds[0].n_occupancy_bound is None
     with pytest.raises(ScheduleValidationError):
-        derive_schedule(mode="empirical", m=(1,), n=(8,), k_rule="const1")
-    with pytest.raises(ValueError, match="empirical mode takes its stages from n"):
-        derive_schedule(depth=1, mode="empirical", m=(1, 293, 2000), n=(128, 10**6))
-    with pytest.raises(ValueError, match="proof mode requires a depth"):
-        derive_schedule(mode="proof")
-    for given in (dict(m=(1, 5), n=(10,)), dict(m=(1, 5)), dict(n=(10,))):
-        with pytest.raises(ValueError, match="proof mode derives m and n from the depth"):
-            derive_schedule(depth=0, mode="proof", **given)
+        adv.empirical_schedule((1,), (8,), k_rule="const1")
 
 
 def test_derive_overflow_depth4():
@@ -166,6 +159,13 @@ def _reference_bounds(k_rule, mode, n_override, depth=None, m=None, n=None):
     return sched, bounds
 
 
+def _derive(mode, k_rule, n_override, depth=None, m=None, n=None):
+    """The derivation of the case's mode."""
+    if mode == "proof":
+        return derive_schedule(depth, k_rule, n_override)
+    return adv.empirical_schedule(m, n, k_rule, n_override)
+
+
 def _derivable(case):
     try:
         _reference_bounds(**case)
@@ -195,7 +195,7 @@ _BOUNDS_CASES = [
 )
 def test_derived_bounds_match_the_stagewise_reference(case):
     sched, expect = _reference_bounds(**case)
-    derived = derive_schedule(**case)
+    derived = _derive(**case)
     assert derived.schedule == sched
     assert len(derived.bounds) == len(expect)
     for got, want in zip(derived.bounds, expect):
@@ -227,10 +227,9 @@ def test_schedule_json_roundtrip_fields():
 
 
 def test_gamma_sums():
-    s = Schedule(m=(1,), n=(10,))
-    assert sum(adv.gamma_value(s, i) for i in range(40)) + adv.gamma_tail(s, 40) == Fraction(1, 2)
-    assert adv.gamma_value(s, 0) == Fraction(1, 4)
-    assert adv.delta_value(s, 0) == Fraction(1, 8)
+    assert sum(adv.gamma_value(i) for i in range(40)) + adv.gamma_tail(40) == Fraction(1, 2)
+    assert adv.gamma_value(0) == Fraction(1, 4)
+    assert adv.delta_value(0) == Fraction(1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +330,9 @@ def test_atom_mass_examples():
     assert atom_mass(s, ()) == Fraction(1, 4)
     for depth, words in ((1, 4), (2, 12), (3, 36)):
         total = words * atom_mass(s, (1,) * depth)
-        assert total == adv.gamma_value(s, depth)
+        assert total == adv.gamma_value(depth)
     # truncated depth sums stay below 1/2
-    total = sum(adv.gamma_value(s, i) for i in range(4))
+    total = sum(adv.gamma_value(i) for i in range(4))
     assert total < Fraction(1, 2)
 
 
@@ -347,7 +346,7 @@ def test_ball_mass_examples():
     # nesting strictly decreases the diffuse mass
     assert ball_mass(p, (1, 2)).mu0 < ball_mass(p, (1,)).mu0
     # subtree atoms: every depth contributes its share of the tail
-    assert ball_mass(p, (1,)).mu1 == adv.gamma_tail(p.schedule, 1) / 4
+    assert ball_mass(p, (1,)).mu1 == adv.gamma_tail(1) / 4
     with pytest.raises(ValueError):
         ball_mass(p, ())
 
@@ -459,7 +458,7 @@ def test_sampler_matches_masses():
     trace = adv.draw_trace(p, count, rng)
     # root atom frequency ~ gamma_0
     root_freq = (trace.is_atomic & (trace.atom_depth == 0)).mean()
-    g0 = float(adv.gamma_value(p.schedule, 0))
+    g0 = float(adv.gamma_value(0))
     assert abs(root_freq - g0) <= 4 * math.sqrt(g0 * (1 - g0) / count)
     # one depth-1 atom frequency ~ gamma_1 / 4
     mask = trace.is_atomic & (trace.atom_depth == 1) & (trace.letters[:, 0] == 2)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +130,30 @@ def test_print_schedule_applies_n_override():
     config = cfg(experiment="schedule", mode="empirical", n_override={1: 2_000_000})
     assert print_schedule(config)["schedule"]["n"] == [128, 2_000_000]
     assert build_schedule(config).schedule.n == (128, 2_000_000)
+
+
+@pytest.mark.parametrize("mode", ["proof", "empirical"])
+def test_build_schedule_bounds_are_those_of_its_schedule(mode):
+    derived = build_schedule(cfg(mode=mode, stages=(0, 0)))
+    s = derived.schedule
+    assert adv.validate_schedule(s) == []
+    assert derived.bounds == [adv.stage_bounds(s, i) for i in range(len(s.n))]
+    if mode == "proof":
+        # the tail branching past the last stage is reported with its bound
+        b = derived.bounds[0]
+        assert b.m_next == s.m[1] == 293
+        assert b.m_next_bound == Fraction(2048, 7)
+
+
+def test_empirical_consistency_needs_the_branching_past_its_last_stage(capsys):
+    # simulating stage 1 lays out the depth-2 balls, so m[2] must be given
+    argv = ["consistency", "--mode", "empirical", "--m", "1,293", "--n", "128,1000000",
+            "--test-count", "100"]
+    assert main([*argv, "--stages", "0..1"]) == 1
+    assert capsys.readouterr().err == (
+        "lab consistency: stage 1 needs the branching m[2] one level past it\n"
+    )
+    assert main([*argv, "--stages", "0..0"]) == 0
 
 
 @pytest.mark.parametrize("experiment", ["schedule", "consistency"])

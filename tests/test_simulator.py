@@ -124,7 +124,7 @@ def test_fresh_mode_proof_stage0_bound():
     sched = derived.schedule
     p = AdversarialProblem(sched, truncation_depth=2)
     res = structured_stage_sim(p, 0, 128, 7, 5000, seed=21, sample_mode="fresh")
-    delta0 = float(adv.delta_value(sched, 0))
+    delta0 = float(adv.delta_value(0))
     assert res.fraction >= 1 - 2 * delta0 - 3 * res.stderr
 
 

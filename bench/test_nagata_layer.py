@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import pytest
 
-from metriclab.nagata import is_disconnected, nagata_witness_sparse
+from metriclab.nagata import (
+    DimensionCertificate,
+    greedy_covering_subfamily,
+    is_disconnected,
+    nagata_witness_sparse,
+)
 from metriclab.spaces import (
     ORIGIN,
     DirectionIds,
     SparseL2,
     SparsePoint,
-    distance,
-    pairwise_distances,
+    contained_pairs,
     sparse_d2,
 )
 
@@ -34,17 +38,37 @@ def test_sparse_d2(benchmark):
     assert benchmark(sparse_d2, p, q) == sparse_d2(q, p) > 0
 
 
-def test_pairwise_distances_m256(benchmark):
-    centers = _witness_family(256).centers()
+@pytest.mark.parametrize("m", [256, 4096])
+def test_contained_pairs(benchmark, m):
+    # the certificate's point list: the witness, then every centre
+    family = _witness_family(m)
+    centers = family.centers()
     points = (ORIGIN,) + centers
-    d = benchmark(pairwise_distances, SparseL2(), centers, points)
-    assert d.shape == (256, 257)
-    assert d[17, 0] == distance(SparseL2(), centers[17], ORIGIN) == 0.9
+    radii = [b.radius for b in family.balls]
+    closed = [b.closed for b in family.balls]
+
+    def pairs():
+        return sum(len(b) for b, _ in contained_pairs(SparseL2(), centers, radii, closed, points))
+
+    # each ball holds the witness and its own centre
+    assert benchmark(pairs) == 2 * m
+
+
+@pytest.mark.parametrize("m", [256, 4096])
+def test_certificate(benchmark, m):
+    family = _witness_family(m)
+    assert benchmark(DimensionCertificate, family, ORIGIN, m).multiplicity == m
 
 
 @pytest.mark.parametrize("m", [64, 256])
 def test_is_disconnected(benchmark, m):
     assert benchmark(is_disconnected, _witness_family(m))
+
+
+def test_greedy_covering_subfamily_m32(benchmark):
+    # a disconnected family covers its own centres and comes back whole
+    family = _witness_family(32)
+    assert benchmark(greedy_covering_subfamily, family) == family
 
 
 def test_nagata_witness_sparse_m256(benchmark):

@@ -6,10 +6,38 @@ finite words under a longest-common-prefix ultrametric, and a sparse
 "fresh orthonormal direction" l2 space whose coordinates are keyed by
 opaque 64-bit direction ids.
 
-``distance`` evaluates one pair. ``pairwise_distances`` evaluates every
-pair of two point lists and returns the same floats, bit for bit: the
-sparse l2 space gets a vectorised merge, the other kinds a loop over
-``distance``.
+``distance`` evaluates one pair. ``contained_pairs`` lists, for balls
+with centres A and a list of points B, every (ball, point) pair with the
+point in the ball, exactly as ``distance`` and ``d <= r`` (closed) or
+``d < r`` (open) decide it.
+
+In the sparse l2 space it is a filtered exact predicate: a cheap bound
+settles most pairs, and the rest go to ``sparse_d2``'s merge, run over a
+list of pairs with the same float operations. A and B are packed once,
+without the directions that every point holds with one finite value:
+each adds an exact +0.0 to every merge. The candidates are
+
+* the pairs that still share a direction, found by a join on ranks, and
+* for each ball b with centre norm na, the points of norm nb at most
+  r_b^2 (1 + 2^-20) + 2^-1000 - na (1 - 2^-20): a prefix of the points
+  sorted by norm, found by one binary search.
+
+Every other pair has disjoint supports, so its merge adds exactly the
+floats fl(v^2) whose sums are the two norms. With N terms in all,
+u = 2^-53 and gamma = (N-1) u / (1 - (N-1) u), the merge's sum X and each
+float norm lie within a factor 1 +- gamma of the exact sums of their
+terms. A pair in the ball has fl(sqrt(X)) <= r, so
+X <= r^2 (1 + 2^-51) + 2^-1500. Chaining the three bounds gives
+nb <= (r^2 (1 + 2^-51) + 2^-1500)(1 + gamma)/(1 - gamma) - na, which is
+below r^2 (1 + 2^-30) + 2^-1499 - na for supports of fewer than 2^20 ids
+together. The slack from 2^-30 to 2^-20 outweighs the roundings of the
+bound's own float evaluation, and the floor 2^-1000 every error of
+underflow; a bound that comes out NaN prunes nothing. So each pruned pair
+has fl(sqrt(X)) > r and lies in neither the closed nor the open ball.
+
+The cost is linear in the total support size to pack, plus one merge step
+per id of the two supports for each candidate pair, in blocks of
+``PAIR_BLOCK`` pairs, with no len(A) x len(B) array.
 """
 
 from __future__ import annotations
@@ -19,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -248,102 +276,183 @@ def distance(space: MetricSpace, p: Point, q: Point) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched distances
+# ball containment over point lists
 
-PAIRWISE_BLOCK = 256  # rows of A per block of the sparse merge
+PAIR_BLOCK = 8192  # pairs per block of contained_pairs
 
-
-def _pack_sparse(
-    points: Sequence[SparsePoint], rank: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Padded (len(points), width) rank and value arrays: row r holds the
-    support of points[r] in id order, then at least one padding column with
-    rank ``len(rank)`` and value 0."""
-    sizes = np.fromiter((len(p.items) for p in points), np.intp, len(points))
-    width = int(sizes.max(initial=0)) + 1
-    ranks = np.full((len(points), width), len(rank), dtype=np.intp)
-    values = np.zeros((len(points), width))
-    rows = np.repeat(np.arange(len(points)), sizes)
-    cols = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    ranks[rows, cols] = [rank[i] for p in points for i, _ in p.items]
-    values[rows, cols] = [v for p in points for _, v in p.items]
-    return ranks, values
+# the norm bound's relative slack and absolute floor (see the module docstring)
+_SLACK = 2.0**-20
+_FLOOR = 2.0**-1000
 
 
-def _sparse_pairwise(space: SparseL2, A: Sequence[Point], B: Sequence[Point]) -> np.ndarray:
-    """``sparse_d2``'s merge run for every pair at once, rows of A in blocks
-    of ``PAIRWISE_BLOCK``.
+class _Packed(NamedTuple):
+    """Sparse points in one flat layout. Row r's items sit in id order at
+    ``start[r]:stop[r]``, followed at ``stop[r]`` by a sentinel item of rank
+    ``sentinel`` and value 0; ``item_rank``, ``item_row`` and ``item_value``
+    list the items alone, row by row."""
+
+    ranks: np.ndarray
+    values: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    item_rank: np.ndarray
+    item_row: np.ndarray
+    item_value: np.ndarray
+    sentinel: int
+
+
+def _pack_sparse(space: SparseL2, points: Sequence[Point]) -> _Packed:
+    """Pack ``points`` with direction ids replaced by their ranks in the
+    sorted union of ids, so ids of any size fit and the sentinel rank sorts
+    after all of them. Directions that every point holds with one finite
+    value are left out: each adds an exact +0.0 to every merge."""
+    other = next((p for p in points if not isinstance(p, SparsePoint)), None)
+    _require(other is None, space, other, other)
+    rows = [p.items for p in points]
+    sizes = np.fromiter(map(len, rows), np.intp, len(rows))
+    items = list(itertools.chain.from_iterable(rows))
+    ids, values = zip(*items) if items else ((), ())
+    union = sorted(set(ids))
+    rank = dict(zip(union, range(len(union))))
+    ranks = np.fromiter(map(rank.__getitem__, ids), np.intp, len(ids))
+    values = np.array(values, float)
+    row = np.repeat(np.arange(len(points)), sizes)
+    if ((row[1:] == row[:-1]) & (ranks[1:] <= ranks[:-1])).any() or (values == 0).any():
+        raise ValueError("sparse point items need strictly increasing ids and nonzero values")
+    if len(points) and sizes.all():
+        # a direction that every point holds is in the first point's support
+        first = np.full(len(union), np.nan)
+        first[ranks[: sizes[0]]] = values[: sizes[0]]
+        held = np.bincount(ranks, minlength=len(union))
+        differs = np.bincount(ranks, weights=values != first[ranks], minlength=len(union))
+        constant = (held == len(points)) & (differs == 0) & np.isfinite(first)
+        keep = ~constant[ranks]
+        ranks, values, row = ranks[keep], values[keep], row[keep]
+        sizes = np.bincount(row, minlength=len(points))
+    # row r's sentinel follows its items and the r sentinels before it
+    stop = np.cumsum(sizes) + np.arange(len(points))
+    slot = np.arange(len(ranks)) + row
+    flat_ranks = np.full(len(ranks) + len(points), len(union), np.intp)
+    flat_values = np.zeros(len(ranks) + len(points))
+    flat_ranks[slot] = ranks
+    flat_values[slot] = values
+    return _Packed(
+        flat_ranks, flat_values, stop - sizes, stop, ranks, row, values, len(union)
+    )
+
+
+def _merge_d2(packed: _Packed, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """``sparse_d2`` of the packed rows ``ia[t]`` and ``ib[t]`` for each t,
+    bit for bit, in blocks of ``PAIR_BLOCK`` pairs.
 
     Each step compares the current ranks of every pair and adds one term
     d * d to its sum, as ``sparse_d2`` does: d = va - vb on a shared id,
     va or -vb when only one side has the smaller id, and 0 once both sides
-    are exhausted. The terms come in the same order with the same float
-    operations, so every square root equals ``distance`` exactly. Direction
-    ids are replaced by their ranks in the sorted union of ids, so ids of
-    any size fit, and the padding rank sorts after all of them.
+    rest on their sentinels. The terms come in the same order with the same
+    float operations.
     """
-    for p in itertools.chain(A, B):
-        _require(isinstance(p, SparsePoint), space, p, p)
-    union = sorted({i for p in itertools.chain(A, B) for i, _ in p.items})
-    rank = {i: r for r, i in enumerate(union)}
-    a_ranks, a_values = _pack_sparse(A, rank)
-    b_ranks, b_values = _pack_sparse(B, rank)
-    a_width, b_width = a_ranks.shape[1], b_ranks.shape[1]
-    a_ranks, a_values = a_ranks.ravel(), a_values.ravel()
-    b_ranks, b_values = b_ranks.ravel(), b_values.ravel()
-    # each pair's read position in the flattened rows; it stops at the row's
-    # last (padding) column
-    b_start = np.arange(len(B)) * b_width
-    b_stop = b_start + b_width - 1
-    out = np.empty((len(A), len(B)))
-    for lo in range(0, len(A), PAIRWISE_BLOCK):
-        a_start = np.arange(lo, min(lo + PAIRWISE_BLOCK, len(A)))[:, None] * a_width
-        a_stop = a_start + a_width - 1
-        i = np.repeat(a_start, len(B), axis=1)
-        j = np.repeat(b_start[None, :], len(a_start), axis=0)
-        s = out[lo : lo + PAIRWISE_BLOCK]
-        s[...] = 0.0
-        # the steps write into arrays made once per block: a fresh array per
-        # operation would be mapped and faulted in anew whenever it is larger
-        # than the allocator's mmap threshold. Every index is in range, and
-        # mode="clip" lets ``take`` write into them without a buffer.
-        ia, ib, va, vb = np.empty_like(i), np.empty_like(j), np.empty(i.shape), np.empty(i.shape)
-        take_a, take_b = np.empty(i.shape, bool), np.empty(i.shape, bool)
-        for _ in range(a_width + b_width - 2):
-            a_ranks.take(i, out=ia, mode="clip")
-            b_ranks.take(j, out=ib, mode="clip")
-            np.less_equal(ia, ib, out=take_a)
-            np.less_equal(ib, ia, out=take_b)
-            a_values.take(i, out=va, mode="clip")
-            b_values.take(j, out=vb, mode="clip")
-            np.copyto(va, 0.0, where=~take_a)
-            np.copyto(vb, 0.0, where=~take_b)
-            va -= vb
-            va *= va
-            s += va
-            i += take_a
-            j += take_b
-            np.minimum(i, a_stop, out=i)
-            np.minimum(j, b_stop, out=j)
-        np.sqrt(s, out=s)
+    ranks, values = packed.ranks, packed.values
+    out = np.empty(len(ia))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in sparse_d2
+        for lo in range(0, len(ia), PAIR_BLOCK):
+            rows_a, rows_b = ia[lo : lo + PAIR_BLOCK], ib[lo : lo + PAIR_BLOCK]
+            i, j = packed.start[rows_a], packed.start[rows_b]
+            i_stop, j_stop = packed.stop[rows_a], packed.stop[rows_b]
+            s = out[lo : lo + PAIR_BLOCK]
+            s[...] = 0.0
+            for _ in range(int((i_stop - i + j_stop - j).max(initial=0))):
+                take_a = ranks[i] <= ranks[j]
+                take_b = ranks[j] <= ranks[i]
+                d = np.where(take_a, values[i], 0.0) - np.where(take_b, values[j], 0.0)
+                s += d * d
+                np.minimum(i + take_a, i_stop, out=i)
+                np.minimum(j + take_b, j_stop, out=j)
     return out
 
 
-def pairwise_distances(
-    space: MetricSpace, A: Sequence[Point], B: Sequence[Point]
-) -> np.ndarray:
-    """The (len(A), len(B)) matrix of ``distance(space, a, b)``, bit for bit.
+def _runs(rows: np.ndarray, starts: np.ndarray, counts: np.ndarray, table: np.ndarray):
+    """The pairs (rows[t], table[starts[t] + u]) for u < counts[t], each t."""
+    offset = (starts - (counts.cumsum() - counts)).repeat(counts)
+    return rows.repeat(counts), table[offset + np.arange(len(offset))]
 
-    The sparse l2 space runs a vectorised merge in
-    O(len(A)·len(B)·(s_A + s_B)) time for supports of at most s_A and s_B
-    ids, and O(PAIRWISE_BLOCK·len(B)) memory. The other kinds loop over
-    ``distance``: a numpy form of their formulas need not round as Python's
-    ``(a - b) ** 2`` does, and closed-ball tests ``d <= r`` are exact at
-    the boundary.
+
+def _sparse_contained(packed, radii, closed, n_centers, n_points):
+    """Blocks of ``contained_pairs`` for packed centres (rows below
+    ``n_centers``) and points (the rows after them)."""
+    ranks, rows, values = packed.item_rank, packed.item_row, packed.item_value
+    split = rows.searchsorted(n_centers)
+    a_rank, a_row = ranks[:split], rows[:split]
+    b_rank, b_row = ranks[split:], rows[split:] - n_centers
+    # the points holding each rank, listed rank by rank
+    b_by_rank = b_row[b_rank.argsort(kind="stable")]
+    held = np.bincount(b_rank, minlength=packed.sentinel)
+    start = held.cumsum() - held
+    # the norm bound: a point with disjoint support lies in ball b only if
+    # its norm is at most limit[b]; those points are a prefix by norm
+    with np.errstate(over="ignore", invalid="ignore"):  # squares overflow to inf
+        norms = np.bincount(rows, weights=values * values, minlength=n_centers + n_points)
+        na, nb = norms[:n_centers], norms[n_centers:]
+        limit = radii * radii * (1 + _SLACK) + _FLOOR - na * (1 - _SLACK)
+    limit[np.isnan(limit)] = np.inf
+    by_norm = nb.argsort(kind="stable")
+    cut = nb[by_norm].searchsorted(limit, side="right")
+    # balls in blocks of about PAIR_BLOCK candidates, at least one ball each
+    shared = np.bincount(a_row, weights=held[a_rank], minlength=n_centers)
+    total = np.concatenate(([0.0], (shared + cut).cumsum()))
+    lo = 0
+    while lo < n_centers:
+        hi = max(int(total.searchsorted(total[lo] + PAIR_BLOCK, side="right")) - 1, lo + 1)
+        a_lo, a_hi = a_row.searchsorted((lo, hi))
+        q = a_rank[a_lo:a_hi]
+        join_a, join_b = _runs(a_row[a_lo:a_hi], start[q], held[q], b_by_rank)
+        near_a, near_b = _runs(np.arange(lo, hi), np.zeros(hi - lo, np.intp), cut[lo:hi], by_norm)
+        keys = np.concatenate((join_a * n_points + join_b, near_a * n_points + near_b))
+        keys.sort()
+        once = np.ones(len(keys), bool)  # each pair once
+        once[1:] = keys[1:] != keys[:-1]
+        ia, ib = np.divmod(keys[once], n_points)
+        d, r = np.sqrt(_merge_d2(packed, ia, ib + n_centers)), radii[ia]
+        hit = np.where(closed[ia], d <= r, d < r)
+        yield ia[hit], ib[hit]
+        lo = hi
+
+
+def contained_pairs(
+    space: MetricSpace,
+    centers: Sequence[Point],
+    radii: Sequence[float],
+    closed: Sequence[bool],
+    points: Sequence[Point],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of (ball index, point index) arrays listing every pair where
+    ``distance(space, centers[b], points[p])`` is ``<= radii[b]`` for a
+    closed ball and ``< radii[b]`` for an open one, pairs in no fixed order.
+
+    The sparse l2 space decides only the candidate pairs, in blocks of about
+    ``PAIR_BLOCK``, and each by ``sparse_d2``'s exact merge (see the module
+    docstring). The other kinds loop over ``distance``: a numpy form of
+    their formulas need not round as Python's ``(a - b) ** 2`` does.
     """
     if isinstance(space, SparseL2):
-        return _sparse_pairwise(space, A, B)
-    out = np.empty((len(A), len(B)))
-    for r, a in enumerate(A):
-        out[r] = [distance(space, a, b) for b in B]
-    return out
+        packed = _pack_sparse(space, list(centers) + list(points))
+        return _sparse_contained(
+            packed,
+            np.asarray(radii, float),
+            np.asarray(closed, bool),
+            len(centers),
+            len(points),
+        )
+    return _scalar_contained(space, centers, radii, closed, points)
+
+
+def _scalar_contained(space, centers, radii, closed, points):
+    """Blocks of ``contained_pairs`` from one ``distance`` call per pair."""
+    pairs = []
+    for b, (c, r, is_closed) in enumerate(zip(centers, radii, closed)):
+        for p, q in enumerate(points):
+            d = distance(space, c, q)
+            if d <= r if is_closed else d < r:
+                pairs.append((b, p))
+        if len(pairs) >= PAIR_BLOCK or b == len(centers) - 1:
+            yield tuple(np.array(pairs, np.intp).reshape(-1, 2).T)
+            pairs = []

@@ -1,11 +1,15 @@
+import functools
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metriclab import spaces
 from metriclab.nagata import (
     Ball,
     BallFamily,
@@ -264,6 +268,26 @@ def test_sparse_witnesses():
         assert res.count == m and res.witness == ORIGIN if m > 1 else res.count == m
 
 
+@pytest.mark.parametrize("centred", ["origin", "two-ids"])
+def test_sparse_witness_decides_linearly_many_pairs(centred):
+    # every centre of a witness holds the two ids of a two-id centre, with
+    # one value each: the packing drops them, and the norm bound and the
+    # join leave about 2m pairs for the exact merge, not m^2
+    m = 4096
+    ids = DirectionIds()
+    centre = ORIGIN if centred == "origin" else SparsePoint(((ids.fresh(), 0.3), (ids.fresh(), -1.7)))
+    with mock.patch.object(spaces, "_merge_d2", wraps=spaces._merge_d2) as merge:
+        tracemalloc.start()
+        try:
+            cert = nagata_witness_sparse(m, centre, 1.0, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert cert.multiplicity == m
+    assert sum(len(call.args[1]) for call in merge.call_args_list) <= 3 * m
+    assert peak < 16 * 2**20
+
+
 def test_certificate_validation():
     ids = DirectionIds()
     cert = nagata_witness_sparse(3, ORIGIN, 2.0, ids)
@@ -304,9 +328,35 @@ def _lattice_point(space, rng):
     if isinstance(space, UltrametricWords):
         length = int(rng.integers(0, 4))
         return Word(tuple(int(v) for v in rng.integers(1, space.alphabet_size + 1, size=length)))
-    ids = rng.choice(5, size=int(rng.integers(0, 4)), replace=False)
-    return SparsePoint.from_dict({int(i): float(rng.choice([-1.0, 0.5, 1.0, 2.0])) for i in ids})
+    return _sparse_point(rng, 5, 1.0)
 
+
+def _sparse_point(rng, pool, scale, extra=()):
+    ids = rng.choice(pool, size=int(rng.integers(0, 4)), replace=False)
+    coords = {int(i): scale * float(rng.choice([-1.0, 0.5, 1.0, 2.0])) for i in ids}
+    return SparsePoint.from_dict({**coords, **dict(extra)})
+
+
+def _constant_block(rng):
+    # every point holds ids 100 and 101, with one value each except now and then
+    return _sparse_point(rng, 5, 1.0, [(100, 1.5), (101, -0.25 if rng.random() < 0.9 else 3.0)])
+
+
+def _with_inf(rng):
+    p = _sparse_point(rng, 5, 1.0)
+    return p.shift(50, math.copysign(math.inf, rng.random() - 0.5)) if rng.random() < 0.2 else p
+
+
+# SparseL2 point makers for supports that are shared (the lattice), mostly
+# disjoint, or hold a common block; for squares that underflow (1e-170,
+# 1e-162) or overflow (1e155); and for infinite coordinates
+SPARSE_CASES = {
+    "disjoint": lambda rng: _sparse_point(rng, 10**6, 1.0),
+    "constant-block": _constant_block,
+    "underflow": lambda rng: _sparse_point(rng, 5, float(rng.choice([1e-170, 1e-162]))),
+    "large": lambda rng: _sparse_point(rng, 5, float(rng.choice([1e150, 1e155]))),
+    "inf": _with_inf,
+}
 
 ALL_SPACES = [EuclideanLine(), EuclideanD(2), Heisenberg(), UltrametricWords(2), SparseL2()]
 
@@ -334,28 +384,51 @@ def test_center_on_the_sphere(space, p, q, r):
         assert res.count == (2 if closed else 1)
 
 
-@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: type(s).__name__)
-def test_matrix_routines_match_double_loops(space):
+MATRIX_CASES = [(space, functools.partial(_lattice_point, space)) for space in ALL_SPACES] + [
+    (SparseL2(), make) for make in SPARSE_CASES.values()
+]
+
+
+@pytest.mark.parametrize(
+    "space, make_point",
+    MATRIX_CASES,
+    ids=[type(space).__name__ for space in ALL_SPACES]
+    + [f"SparseL2-{name}" for name in SPARSE_CASES],
+)
+def test_matrix_routines_match_double_loops(space, make_point):
     rng = np.random.default_rng(11)
+    empty = BallFamily((), space)
+    probe = make_point(rng)
+    assert is_disconnected(empty)
+    assert multiplicity_over_probes(empty, [probe]) == (0, probe)
+    DimensionCertificate(empty, probe, 0)
     for _ in range(300):
-        centres = [_lattice_point(space, rng) for _ in range(int(rng.integers(1, 7)))]
+        centres = [make_point(rng) for _ in range(int(rng.integers(1, 7)))]
+        if rng.random() < 0.2:
+            centres.append(centres[0])  # a duplicate centre
         balls = []
         for c in centres:
-            # mostly the exact distance to another centre, so boundaries are hit
+            # mostly the exact distance to another centre or one float step
+            # off it, so that boundaries are hit
             d = distance(space, c, centres[int(rng.integers(len(centres)))])
-            r = d if d > 0 and rng.random() < 0.7 else float(rng.uniform(0.1, 4.0))
+            if 0 < d < math.inf and rng.random() < 0.7:
+                r = [d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)][rng.integers(3)]
+            else:
+                r = float(rng.uniform(0.1, 4.0))
             balls.append(Ball(c, r, closed=bool(rng.integers(2))))
         fam = BallFamily(tuple(balls), space)
-        probes = centres + [_lattice_point(space, rng) for _ in range(3)]
+        probes = centres + [make_point(rng) for _ in range(3)]
         disconnected = _is_disconnected_loop(fam)
-        assert is_disconnected(fam) is disconnected
         count, witness = _multiplicity_loop(fam, probes)
-        res = multiplicity_over_probes(fam, probes)
-        assert res.count == count and res.witness is witness  # the first maximum
-        if disconnected:
-            DimensionCertificate(fam, witness, count)
-        else:
-            with pytest.raises(ValueError, match="disconnected"):
+        # blocks of a few pairs, so that the pair blocks end inside the family
+        with mock.patch.object(spaces, "PAIR_BLOCK", int(rng.choice([1, 3, 8192]))):
+            assert is_disconnected(fam) is disconnected
+            res = multiplicity_over_probes(fam, probes)
+            assert res.count == count and res.witness is witness  # the first maximum
+            if disconnected:
                 DimensionCertificate(fam, witness, count)
-        with pytest.raises(ValueError, match="certificate claims"):
-            DimensionCertificate(fam, witness, count + 1)
+            else:
+                with pytest.raises(ValueError, match="disconnected"):
+                    DimensionCertificate(fam, witness, count)
+            with pytest.raises(ValueError, match="certificate claims"):
+                DimensionCertificate(fam, witness, count + 1)

@@ -20,12 +20,12 @@ from metriclab.spaces import (
     UltrametricWords,
     Vec,
     Word,
+    contained_pairs,
     distance,
     h_dilate,
     h_inv,
     h_mul,
     h_norm,
-    pairwise_distances,
 )
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -221,7 +221,10 @@ def test_strong_triangle_inequality_exact(data):
 
 # direction ids: a small shared pool, and ids above 2^63 that overflow int64
 sparse_ids = st.one_of(st.integers(1, 6), st.integers(2**63 - 2, 2**63 + 3))
-sparse_values = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v != 0.0)
+sparse_values = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v != 0.0),
+    st.sampled_from([math.inf, -math.inf]),
+)
 
 
 def sparse_points(max_support):
@@ -230,9 +233,14 @@ def sparse_points(max_support):
     )
 
 
+# a block of two directions that every point of some examples holds, with
+# one value each, so that the packing drops them
+CONSTANT_BLOCK = {2**40: 0.75, 2**40 + 1: -3.0}
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_sparse_pairwise_distances_equal_scalar_distance(data):
+def test_sparse_pair_list_merge_equals_scalar_distance(data):
     # supports of unequal width on the two sides; B's ids are shifted past
     # A's in some examples, so supports are shared or disjoint
     a_width, b_width = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 3))
@@ -242,15 +250,35 @@ def test_sparse_pairwise_distances_equal_scalar_distance(data):
         SparsePoint(tuple((i + shift, v) for i, v in p.items))
         for p in data.draw(st.lists(sparse_points(b_width), max_size=6))
     ] + [ORIGIN]
-    block = data.draw(st.integers(1, 4))  # row blocks end inside A
-    with mock.patch.object(spaces, "PAIRWISE_BLOCK", block):
-        got = pairwise_distances(SparseL2(), A, B)
-    space = SparseL2()
-    want = np.array([[distance(space, a, b) for b in B] for a in A]).reshape(len(A), len(B))
-    assert got.shape == want.shape
+    if data.draw(st.booleans()):
+        A, B = ([SparsePoint.from_dict({**dict(p.items), **CONSTANT_BLOCK}) for p in X] for X in (A, B))
+    packed = spaces._pack_sparse(SparseL2(), A + B)
+    # any pairs, repeats included, in blocks that end inside the list
+    pair = st.tuples(st.integers(0, max(len(A) - 1, 0)), st.integers(0, len(B) - 1))
+    pairs = data.draw(st.lists(pair, max_size=20)) if A else []
+    ia = np.array([a for a, _ in pairs], np.intp)
+    ib = np.array([b for _, b in pairs], np.intp)
+    with mock.patch.object(spaces, "PAIR_BLOCK", data.draw(st.integers(1, 4))):
+        got = np.sqrt(spaces._merge_d2(packed, ia, ib + len(A)))
+    want = np.array([distance(SparseL2(), A[a], B[b]) for a, b in pairs], float)
     assert got.tobytes() == want.tobytes()
 
 
-def test_sparse_pairwise_rejects_other_points():
+def test_contained_pairs_rejects_other_points():
     with pytest.raises(KindMismatchError):
-        pairwise_distances(SparseL2(), [ORIGIN], [Real(0.0)])
+        contained_pairs(SparseL2(), [ORIGIN], [1.0], [True], [Real(0.0)])
+
+
+@pytest.mark.parametrize(
+    "items",
+    [((2, 1.0), (1, 1.0)), ((1, 1.0), (1, 2.0)), ((1, 0.0),), ((1, 1.0), (3, -0.0))],
+    ids=["unsorted", "repeated", "zero", "negative-zero"],
+)
+def test_contained_pairs_rejects_points_off_the_sparse_invariant(items):
+    # sparse_d2 merges such items as if sorted and nonzero: it puts
+    # ((2, 1), (1, 1)) at squared distance 3 from ((1, 1),), not 1
+    bad = SparsePoint(items)
+    with pytest.raises(ValueError, match="strictly increasing ids and nonzero values"):
+        contained_pairs(SparseL2(), [ORIGIN], [1.2], [True], [ORIGIN, bad])
+    with pytest.raises(ValueError, match="strictly increasing ids and nonzero values"):
+        contained_pairs(SparseL2(), [bad], [1.2], [True], [ORIGIN])

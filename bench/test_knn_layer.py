@@ -31,16 +31,57 @@ def _dense_vote(train, labels, queries, k):
     return (2 * ones >= k).astype(np.int64)
 
 
-# the shapes of run_baseline's three stages and run_coverhart's first case,
-# and a d >= 3 shape, where the search window keeps its 2·isqrt(n) rows
+def _draws(layout, d, n, T, seed):
+    """Training rows and queries from one law: uniform on the unit cube,
+    three clusters of width 1e-3, or, in the plane, coordinate 1 equal to
+    coordinate 0 plus noise of 1e-4."""
+    rng = np.random.default_rng(seed)
+    centres = rng.random((3, d)) if layout == "clustered" else None
+
+    def draw(size):
+        if centres is None:
+            return rng.random((size, d))
+        return centres[rng.integers(0, 3, size)] + 1e-3 * rng.standard_normal((size, d))
+
+    train, labels, queries = draw(n), rng.integers(0, 2, n), draw(T)
+    if layout == "diagonal":
+        train[:, 1] = train[:, 0] + 1e-4 * rng.standard_normal(n)
+        queries[:, 1] = queries[:, 0] + 1e-4 * rng.standard_normal(T)
+    return train, labels, queries
+
+
+# the shapes of run_baseline's three stages and run_coverhart's two cases,
+# a d >= 3 shape, where the search window keeps its 2·isqrt(n) rows, the
+# plane at k = 100, clustered and diagonal rows, and a tiny sample
 @pytest.mark.parametrize(
-    "d, n, k",
-    [(1, 100, 10), (1, 1000, 32), (1, 10_000, 100), (2, 20_000, 1), (3, 5000, 5)],
-    ids=["baseline_stage0", "baseline_stage1", "baseline", "coverhart", "d3"],
+    "layout, d, n, k",
+    [
+        ("uniform", 1, 100, 10),
+        ("uniform", 1, 1000, 32),
+        ("uniform", 1, 10_000, 100),
+        ("uniform", 2, 20_000, 1),
+        ("uniform", 2, 10_000, 1),
+        ("uniform", 3, 5000, 5),
+        ("uniform", 2, 20_000, 100),
+        ("clustered", 2, 20_000, 1),
+        ("diagonal", 2, 20_000, 1),
+        ("uniform", 2, 50, 7),
+    ],
+    ids=[
+        "baseline_stage0",
+        "baseline_stage1",
+        "baseline",
+        "coverhart",
+        "coverhart_halfplane",
+        "d3",
+        "k100",
+        "clustered",
+        "diagonal",
+        "n50",
+    ],
 )
-def test_euclidean_vote(benchmark, d, n, k):
-    rng = np.random.default_rng(n)
-    train, labels, queries = rng.random((n, d)), rng.integers(0, 2, n), rng.random((10_000, d))
+def test_euclidean_vote(benchmark, layout, d, n, k):
+    train, labels, queries = _draws(layout, d, n, 10_000, n)
     pred = benchmark(euclidean_vote, train, labels, queries, k)
     assert np.array_equal(pred[:256], _dense_vote(train, labels, queries[:256], k))
 

@@ -114,7 +114,7 @@ def knn_predict(
     return int(2 * ones >= k)
 
 
-EUCLIDEAN_CHUNK = 256  # queries per distance block
+EUCLIDEAN_BLOCK = 1 << 14  # padded candidate entries (queries × width) per block
 
 
 def _gathered_d2(q: np.ndarray, columns: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -126,6 +126,89 @@ def _gathered_d2(q: np.ndarray, columns: np.ndarray, idx: np.ndarray) -> np.ndar
     for j in range(1, len(columns)):
         d2 += (q[:, j, None] - columns[j][idx]) ** 2
     return d2
+
+
+class _Cells(NamedTuple):
+    """The cell table of the d >= 2 search. Column c holds the rows
+    c·s .. c·s + s - 1 in coordinate-0 order, cut into s bands even over
+    the column's own coordinate-1 range; ``offsets[c·s + b]`` is the first
+    row of cell (c, b) in (column, band) order, and ``offsets[-1]`` is n."""
+
+    size: int  # s
+    firsts: np.ndarray  # each column's least coordinate 0
+    lasts: np.ndarray  # and its greatest
+    low: np.ndarray  # each column's least coordinate 1
+    inv: np.ndarray  # s over the column's coordinate-1 range, or 0 where not finite
+    offsets: np.ndarray
+
+    def cell(self, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """c·s + band(v, c), where band(v, c) = floor((v - low_c)·inv_c)
+        clipped to 0..s - 1 and NaN (from ±inf·0) is band 0: one float
+        function of v for rows and query bounds alike, defined on every
+        float and nondecreasing in v."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (values - self.low[cols]) * self.inv[cols]
+        return cols * self.size + np.fmin(np.fmax(x, 0), self.size - 1).astype(np.int64)
+
+
+def _cell_table(
+    train: np.ndarray, labels: np.ndarray, s: int
+) -> tuple[_Cells, np.ndarray, np.ndarray]:
+    """The cell table of the training rows, and the rows' coordinates, one
+    array per coordinate, and labels in cell order; the offsets are counted
+    with ``bincount`` and ``cumsum``."""
+    n = len(train)
+    # equal coordinates may come in any order, and the default sort is the faster
+    order = np.argsort(train[:, 0])
+    key0, row1 = train[order, 0], train[order, 1]
+    edges = np.arange(0, n, s)
+    low, high = np.minimum.reduceat(row1, edges), np.maximum.reduceat(row1, edges)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = s / (high - low)
+    inv[~np.isfinite(inv)] = 0
+    cells = _Cells(s, key0[edges], key0[np.minimum(edges + s, n) - 1], low, inv, None)
+    cell = cells.cell(np.arange(n) // s, row1)
+    offsets = np.zeros(len(edges) * s + 1, dtype=np.int32 if n < 2**31 else np.int64)
+    np.cumsum(np.bincount(cell, minlength=len(edges) * s), out=offsets[1:])
+    order = order[np.argsort(cell)]
+    return cells._replace(offsets=offsets), np.ascontiguousarray(train[order].T), labels[order]
+
+
+def _widened(q: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fl(q - h) and fl(q + h); a NaN bound, from an infinite or NaN
+    coordinate, opens its side to -inf or +inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fmax(q - h, -np.inf), np.fmin(q + h, np.inf)
+
+
+def _blocks(totals: np.ndarray):
+    """Consecutive slices (a, b) of queries with ``totals`` candidate rows
+    each, as long as (b - a) times the largest total in the slice stays
+    within EUCLIDEAN_BLOCK; a query alone may exceed it."""
+    a = 0
+    while a < len(totals):
+        ahead = totals[a : a + max(1, EUCLIDEAN_BLOCK // max(int(totals[a]), 1))]
+        padded = np.maximum.accumulate(ahead) * np.arange(1, len(ahead) + 1)
+        b = a + max(1, int(np.searchsorted(padded, EUCLIDEAN_BLOCK, "right")))
+        yield a, b
+        a = b
+
+
+def _run_vote(
+    q: np.ndarray,
+    columns: np.ndarray,
+    labels: np.ndarray,
+    start: np.ndarray,
+    stop: np.ndarray,
+    k: int,
+) -> np.ndarray:
+    """The k-NN vote of each query row q[i] over the sorted rows in the
+    ranges [start[i, j], stop[i, j])."""
+    idx, padding = _concatenated_ranges(start, stop)
+    d2 = _gathered_d2(q, columns, idx)
+    d2[padding] = np.inf
+    near = np.take_along_axis(idx, np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+    return 2 * labels[near].sum(axis=1) >= k
 
 
 def _concatenated_ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,26 +243,39 @@ def euclidean_vote(
     rounds, and prefix sums of the sorted labels count the run's ones.
     Time is O((n + T) log n + T log k) and memory O(n + T).
 
-    At d >= 2 the search is over sorted strips. The training rows are
-    sorted by coordinate 0 and cut into strips of s = isqrt(n·w)
-    consecutive rows, and each strip is sorted by coordinate 1; w is
-    min(n, max(2k, 8)) at d = 2 and min(n, max(2k, 2·isqrt(n))) at d >= 3.
-    For each query, the k-th smallest squared distance r² over the w rows
-    around its place in its own strip bounds its true k-th neighbour
-    distance from above, since k real rows reach it. Every row at squared
-    distance at most r² has |t₀ - q₀| <= r and |t₁ - q₁| <= r, so it lies
-    in a strip meeting [q₀ - r, q₀ + r], inside that strip's one contiguous
-    run with |t₁ - q₁| <= r. The runs are found by ``searchsorted`` with
-    bounds widened by a margin, on the exact integer key strip·(n + 1) +
-    rank(t₁), and their rows are the candidates. On uniform data in the
-    plane a query reads O(w) rows, where pruning by coordinate 0 alone
-    would leave O(sqrt(n)).
+    At d >= 2 the search reads a table of cells built by counting. The
+    training rows are sorted by coordinate 0 and cut into columns of
+    s = isqrt(n·w) consecutive rows; w is min(n, max(2k, 8)) at d = 2 and
+    min(n, max(2k, 2·isqrt(n))) at d >= 3. Column c is cut into s bands,
+    even over its own coordinate-1 range [low_c, high_c]:
+    band(v, c) = floor((v - low_c)·inv_c) clipped to 0..s - 1, with
+    inv_c = s/(high_c - low_c), or 0 where that quotient is not finite, and
+    NaN (from ±inf·0) sent to band 0. So band(·, c) is defined on every
+    float, ±inf included, and never decreases as v grows. Even bands keep a
+    column balanced when coordinate 1 follows coordinate 0. ``bincount``
+    and ``cumsum`` over the rows' (column, band) cells give an offsets
+    table of about n entries, and the rows are sorted by cell.
 
-    The k nearest candidates are picked with ``argpartition``. Queries are
-    visited in the order of their places, EUCLIDEAN_CHUNK at a time, so
-    neighbouring queries read neighbouring rows and memory is
-    O(EUCLIDEAN_CHUNK · n) whatever the input. Time is
-    O((n + T) log n + T·(w + R·L)) for R strips of L candidate rows per
+    Pass 1 visits every query. The k-th smallest squared distance r² over
+    the w rows around its place in its home cell bounds its true k-th
+    neighbour distance from above, since k real rows reach it. Every row at
+    squared distance at most r² has |t₀ - q₀| <= r and |t₁ - q₁| <= r, and
+    so lies within the bounds q ± h widened by a margin h >= r. Its column
+    meets [q₀ - h, q₀ + h], and a ``searchsorted`` over the n/s column
+    edges finds those columns. Rows and bounds go through the same band
+    function, so in column c the row's band lies between band(q₁ - h, c)
+    and band(q₁ + h, c), and the query's candidates there are the one run
+    from offsets[c·s + band(q₁ - h, c)] to offsets[c·s + band(q₁ + h, c) + 1]:
+    two table reads. On uniform data in the plane a query reads O(w) rows,
+    where pruning by coordinate 0 alone would leave O(sqrt(n)).
+
+    Pass 2 takes the queries grouped by their column count, in the order of
+    their places within a group, and picks each one's k nearest candidates
+    with ``argpartition``. Its blocks are cut so that queries times padded
+    width stays within EUCLIDEAN_BLOCK entries, unless one query alone
+    exceeds it, so memory is O(n + T + EUCLIDEAN_BLOCK) whatever the input.
+    Time is
+    O(n log n + T log T + T·(w + R·L)) for R columns of L candidate rows per
     query.
 
     Squared distances are summed one coordinate at a time, and each equals
@@ -192,10 +288,10 @@ def euclidean_vote(
     n, d = train.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    order = np.argsort(train[:, 0], kind="stable")
-    key0 = train[order, 0]
-    places = np.searchsorted(key0, queries[:, 0])
     if d == 1:
+        order = np.argsort(train[:, 0], kind="stable")
+        key0 = train[order, 0]
+        places = np.searchsorted(key0, queries[:, 0])
         q, cum = queries[:, 0], np.concatenate(([0], np.cumsum(labels[order])))
         lo, hi = np.maximum(places - k, 0), np.minimum(places, n - k)
         for _ in range(k.bit_length()):  # hi - lo <= k, halved each round
@@ -205,41 +301,45 @@ def euclidean_vote(
             lo, hi = np.where((lo < hi) & farther, mid + 1, lo), np.where(farther, hi, mid)
         return (2 * (cum[lo + k] - cum[lo]) >= k).astype(np.int64)
     w = min(n, max(2 * k, 8 if d == 2 else 2 * math.isqrt(n)))
-    s = math.isqrt(n * w)
-    values1 = np.sort(train[:, 1])
-    key = np.arange(n) // s * (n + 1) + np.searchsorted(values1, train[order, 1])
-    by_strip = np.argsort(key, kind="stable")
-    order, key = order[by_strip], key[by_strip]
-    strip = np.minimum(places, n - 1) // s
-    places = np.searchsorted(key, strip * (n + 1) + np.searchsorted(values1, queries[:, 1]))
-    columns = np.ascontiguousarray(train[order].T)
-    sorted_labels = labels[order]
-    visit = np.argsort(places, kind="stable")
-    out = np.empty(len(queries), dtype=np.int64)
-    for lo in range(0, len(queries), EUCLIDEAN_CHUNK):
-        these = visit[lo : lo + EUCLIDEAN_CHUNK]
-        q = queries[these]
-        # the window may run into a neighbouring strip: its rows are real rows
-        idx = np.clip(places[these] - w // 2, 0, n - w)[:, None] + np.arange(w)
+    cells, columns, sorted_labels = _cell_table(train, labels, math.isqrt(n * w))
+    T = len(queries)
+    places, h = np.empty(T, dtype=cells.offsets.dtype), np.empty(T)
+    first, count = np.empty(T, dtype=np.int32), np.empty(T, dtype=np.int32)
+    # pass 1: each query's place in its home cell, the window bound r2, the
+    # margin h and the columns that meet [q0 - h, q0 + h]
+    step = max(1, EUCLIDEAN_BLOCK // w)
+    for lo in range(0, T, step):
+        part, q = slice(lo, lo + step), queries[lo : lo + step]
+        home = np.maximum(np.searchsorted(cells.firsts, q[:, 0], "right") - 1, 0)
+        places[part] = cells.offsets[cells.cell(home, q[:, 1])]
+        # the window may run into a neighbouring column: its rows are real rows
+        idx = np.clip(places[part] - w // 2, 0, n - w)[:, None] + np.arange(w)
         r2 = np.partition(_gathered_d2(q, columns, idx), k - 1, axis=1)[:, k - 1]
         # fl((t - q)**2) <= r2 implies |t - q| <= sqrt(r2)·(1 + 5u) when the
         # square is a normal float, and |t - q| < 1.5e-154 when it
         # underflows, on coordinates 0 and 1 alike, since a sum of
         # nonnegative rounded terms is at least each term; so q - h <= t <=
         # q + h, and rounding to nearest is monotone, so fl(q -/+ h) keeps t
-        h = np.sqrt(r2) * (1 + 1e-12) + 1e-150
-        below, above = q[:, :2] - h[:, None], q[:, :2] + h[:, None]
-        first = np.searchsorted(key0, below[:, 0], "left") // s
-        last = (np.searchsorted(key0, above[:, 0], "right") - 1) // s
-        strips = first[:, None] + np.arange((last - first).max() + 1)
-        base = strips * (n + 1)
-        low = np.searchsorted(values1, below[:, 1], "left")[:, None]
-        high = np.searchsorted(values1, above[:, 1], "right")[:, None]
-        start, stop = np.searchsorted(key, base + low), np.searchsorted(key, base + high)
-        stop = np.where(strips <= last[:, None], stop, start)  # no rows past the last strip
-        idx, padding = _concatenated_ranges(start, stop)
-        d2 = _gathered_d2(q, columns, idx)
-        d2[padding] = np.inf
-        near = np.take_along_axis(idx, np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
-        out[these] = 2 * sorted_labels[near].sum(axis=1) >= k
+        h[part] = np.sqrt(r2) * (1 + 1e-12) + 1e-150
+        below, above = _widened(q[:, 0], h[part])
+        first[part] = np.searchsorted(cells.lasts, below, "left")
+        count[part] = np.searchsorted(cells.firsts, above, "right") - first[part]
+    # pass 2: queries grouped by their column count, in place order within a
+    # group; each (query, column) run is two reads from the offsets table
+    visit = np.argsort(count.astype(np.int64) * (n + 1) + places)
+    out = np.empty(T, dtype=np.int64)
+    group = 0
+    for width, size in enumerate(np.bincount(count).tolist()):
+        step = max(1, EUCLIDEAN_BLOCK // max(width, 1))
+        for lo in range(group, group + size, step):
+            these = visit[lo : min(lo + step, group + size)]
+            cols = first[these, None] + np.arange(width, dtype=np.int32)
+            below, above = _widened(queries[these, 1, None], h[these, None])
+            start = cells.offsets[cells.cell(cols, below)]
+            stop = cells.offsets[cells.cell(cols, above) + 1]
+            for a, b in _blocks((stop - start).sum(axis=1)):
+                out[these[a:b]] = _run_vote(
+                    queries[these[a:b]], columns, sorted_labels, start[a:b], stop[a:b], k
+                )
+        group += size
     return out

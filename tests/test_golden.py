@@ -6,8 +6,8 @@ Euclidean vote shows up here; such a change regenerates
 ``golden/run_all_seed7.sha256`` and says why. The ``baseline.csv`` and
 ``coverhart.json`` digests were written by a dense |T| x n line kernel and
 an argmin 1-NN kernel; the chunked all-pairs ``knn.euclidean_vote`` that
-replaced both, and the sorted-slab search that replaced it, reproduce
-them. The ``dimension.json`` digest pins the generic-metric outputs
+replaced both, the sorted-slab and sorted-strip searches that replaced it,
+and the counted cell table that replaced the strips reproduce them. The ``dimension.json`` digest pins the generic-metric outputs
 (certificates and sparse witnesses) that every ``spaces.distance`` path
 feeds.
 """

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -350,7 +351,7 @@ def _argmin_nn1_labels(train_xy, train_y, test_xy):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_euclidean_vote_matches_generic_oracle(d):
-    n, T = 60, 257  # T = 257 puts a chunk boundary inside the queries
+    n, T = 60, 257
     rng = np.random.default_rng(d)
     train, labels, queries = rng.random((n, d)), rng.integers(0, 2, n), rng.random((T, d))
     if d == 1:
@@ -451,7 +452,9 @@ LAYOUTS = (
     "offset",
     "duplicate_first_coordinate",
     "duplicate_second_coordinate",
-    "strip_edges",
+    "cell_edges",
+    "diagonal",
+    "constant_second_coordinate",
 )
 
 
@@ -462,18 +465,26 @@ def vote_inputs(draw):
     n = draw(st.integers(1, 400))
     # small k leaves the window narrower than n; large k covers it
     k = draw(st.one_of(st.integers(1, min(n, 8)), st.integers(1, n)))
-    T = draw(st.integers(1, 600).filter(lambda t: t % 256))
-    chunk = draw(st.sampled_from([1, 3, 256]))
+    T = draw(st.integers(1, 600))
+    # blocks of 1 or 3 entries hold one query or a few
+    block = draw(st.sampled_from([1, 3, 256, knn.EUCLIDEAN_BLOCK]))
     train, labels, queries = _vote_data(d, layout, n, k, T, draw(st.integers(0, 2**32 - 1)))
-    return train, labels, queries, k, chunk
+    return train, labels, queries, k, block
 
 
-def _strip_edges(train, k):
-    """The coordinate-0 values at which ``euclidean_vote`` cuts its strips:
-    those of every s-th row in coordinate-0 order."""
+def _cell_corners(train, k, count, rng):
+    """``count`` points on the corners of ``euclidean_vote``'s cells, from
+    its own cell table: coordinate 0 is the least or greatest coordinate 0
+    of a column, and coordinate 1 is low_c + b/inv_c for one of the
+    column's bands b, from the kernel's own low_c and inv_c."""
     n, d = train.shape
     w = min(n, max(2 * k, 8 if d == 2 else 2 * math.isqrt(n)))
-    return np.sort(train[:, 0])[:: math.isqrt(n * w)]
+    s = math.isqrt(n * w)
+    cells = knn._cell_table(train, np.zeros(n), s)[0]
+    c, b = rng.integers(0, len(cells.firsts), count), rng.integers(0, s + 1, count)
+    inv = cells.inv[c]
+    edge1 = cells.low[c] + np.divide(b, inv, out=np.zeros(count), where=inv > 0)
+    return np.where(rng.random(count) < 0.5, cells.firsts[c], cells.lasts[c]), edge1
 
 
 def _vote_data(d, layout, n, k, T, seed):
@@ -481,8 +492,12 @@ def _vote_data(d, layout, n, k, T, seed):
     queries sit near training rows; the rest range over [-1, 2]^d, a box
     three times wider than the training data's. The duplicate layouts put
     the training rows, and a quarter of the queries, on four values of one
-    coordinate; ``strip_edges`` puts a quarter of the queries' coordinate 0
-    exactly on the kernel's strip edges."""
+    coordinate. ``cell_edges`` puts a quarter of the queries exactly on the
+    corners of the kernel's cells. ``diagonal`` sets coordinate 1 to
+    coordinate 0 plus noise of 1e-4, so each column has a narrow
+    coordinate-1 range, and ``constant_second_coordinate`` gives every row,
+    and a quarter of the queries, one coordinate 1, so each column has one
+    band in use."""
     rng = np.random.default_rng(seed)
     if layout == "clustered":
         centres = rng.random((3, d))
@@ -492,14 +507,19 @@ def _vote_data(d, layout, n, k, T, seed):
     duplicated = {"duplicate_first_coordinate": 0, "duplicate_second_coordinate": 1}.get(layout)
     if duplicated is not None:
         train[:, duplicated] = rng.integers(0, 4, n) / 4
+    if layout == "diagonal":
+        train[:, 1] = train[:, 0] + 1e-4 * rng.standard_normal(n)
+    if layout == "constant_second_coordinate":
+        train[:, 1] = rng.random()
     queries = 3 * rng.random((T, d)) - 1
     near = T // 2
     queries[:near] = train[rng.integers(0, n, near)] + 1e-3 * rng.standard_normal((near, d))
     if duplicated is not None:
         queries[: near // 2, duplicated] = rng.integers(0, 4, near // 2) / 4
-    if layout == "strip_edges":
-        edges = _strip_edges(train, k)
-        queries[: near // 2, 0] = edges[rng.integers(0, len(edges), near // 2)]
+    if layout == "cell_edges":
+        queries[: near // 2, 0], queries[: near // 2, 1] = _cell_corners(train, k, near // 2, rng)
+    if layout == "constant_second_coordinate":
+        queries[: near // 2, 1] = train[0, 1]
     if layout == "offset":
         train, queries = train + 1e6, queries + 1e6
     return train, rng.integers(0, 2, n), queries
@@ -509,24 +529,78 @@ def _rounded_bound(axis):
     """d = 2, k = 1: a label-1 row 0.75 + 2^-60 from the query along
     coordinate ``axis``, whose squared distance rounds to 0.5625, and far
     label-0 rows. The row lies 2^-60 beyond q ± sqrt(0.5625), so only the
-    margin of the search bounds keeps it. At axis 0 it is the last row of
-    strip 0 (s = 11), so the strip index would drop it as well."""
-    far = [[-100.0 - i] * 2 for i in range(10)] + [[100.0 + i] * 2 for i in range(5)]
-    train, queries = np.array([[0.5, -(2.0**-60)], *far]), np.array([[0.5, 0.75]])
+    margin of the search bounds keeps it. n = 16 gives columns of s = 11
+    rows. At axis 0 the row is the last row of column 0, so the column
+    search would skip that column. At axis 1 the far rows of column 0 span
+    coordinate 1 over [-2^-59, 10·2^-59], so inv = 2^59 puts a band edge
+    exactly at q₁ - sqrt(0.5625) = 0, and the run would start in band 1,
+    above the row's band 0."""
+    right = [[100.0 + i] * 2 for i in range(5)]
     if axis == 0:
-        train, queries = train[:, ::-1].copy(), queries[:, ::-1].copy()
-    return train, np.array([1] + [0] * 15), queries, 1, 256
+        near, far = [-(2.0**-60), 0.5], [[-100.0 - i] * 2 for i in range(10)]
+        query = [0.75, 0.5]
+    else:
+        near, far = [0.5, -(2.0**-60)], [[-100.0, -(2.0**-59)]] + [
+            [-101.0 - i, 10 * 2.0**-59] for i in range(9)
+        ]
+        query = [0.5, 0.75]
+    train = np.array([near, *far, *right])
+    return train, np.array([1] + [0] * 15), np.array([query]), 1, 256
 
 
 @given(vote_inputs())
 @example(_rounded_bound(0))
 @example(_rounded_bound(1))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_euclidean_vote_matches_dense_kernel(inputs):
-    train, labels, queries, k, chunk = inputs
-    with mock.patch.object(knn, "EUCLIDEAN_CHUNK", chunk):
+    train, labels, queries, k, block = inputs
+    with mock.patch.object(knn, "EUCLIDEAN_BLOCK", block):
         got = euclidean_vote(train, labels, queries, k)
     assert np.array_equal(got, _dense_vote(train, labels, queries, k))
+
+
+@pytest.mark.parametrize("block", [1, knn.EUCLIDEAN_BLOCK])
+def test_euclidean_vote_with_infinite_query_coordinates(block):
+    # such a query is at distance inf from every row, so any k rows are
+    # nearest; its bounds fl(±inf ∓ inf) are NaN, which opens them to the
+    # whole table, and the finite queries keep their exact votes. A block of
+    # one entry gives each query a block of its own.
+    rng = np.random.default_rng(5)
+    train, labels, queries = rng.random((300, 2)), rng.integers(0, 2, 300), rng.random((40, 2))
+    queries[:4] = [[np.inf, 0.5], [-np.inf, 0.5], [0.5, np.inf], [0.5, -np.inf]]
+    for k in (1, 7, 300):
+        with mock.patch.object(knn, "EUCLIDEAN_BLOCK", block):
+            got = euclidean_vote(train, labels, queries, k)
+        assert set(got[:4].tolist()) <= {0, 1}
+        assert np.array_equal(got[4:], _dense_vote(train, labels, queries[4:], k))
+
+
+def _plane_draws(layout, n, T, seed):
+    """Training rows and queries from one law in the plane: uniform on the
+    unit square, or three clusters of width 1e-3."""
+    rng = np.random.default_rng(seed)
+    if layout == "uniform":
+        return rng.random((n, 2)), rng.integers(0, 2, n), rng.random((T, 2))
+    centres = rng.random((3, 2))
+    train = centres[rng.integers(0, 3, n)] + 1e-3 * rng.standard_normal((n, 2))
+    queries = centres[rng.integers(0, 3, T)] + 1e-3 * rng.standard_normal((T, 2))
+    return train, rng.integers(0, 2, n), queries
+
+
+@pytest.mark.parametrize("layout", ["uniform", "clustered"])
+def test_euclidean_vote_peak_memory(layout):
+    # (n, d, k, T) = (20000, 2, 1, 10^4): blocks of EUCLIDEAN_BLOCK entries
+    # and O(n + T) arrays set the peak (2.0 MiB on both layouts), far from
+    # the 1.6 GB of an n x T matrix of squared distances
+    train, labels, queries = _plane_draws(layout, 20_000, 10_000, 1)
+    tracemalloc.start()
+    try:
+        got = euclidean_vote(train, labels, queries, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    assert np.array_equal(got[:256], _dense_vote(train, labels, queries[:256], 1))
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -25,9 +25,13 @@ def _problem(mode: str, depth: int) -> adv.AdversarialProblem:
 
 
 def test_distance_classes(benchmark):
-    problem = _problem("empirical", 1)
-    classes = benchmark(adv.distance_classes, problem)
-    D = problem.truncation_depth
+    # a fresh problem each round: a problem computes its classes once, and
+    # a round on the same problem would time that memo
+    def fresh_problem():
+        return (_problem("empirical", 1),), {}
+
+    classes = benchmark.pedantic(adv.distance_classes, setup=fresh_problem, rounds=200)
+    D = _problem("empirical", 1).truncation_depth
     # one atom class per (depth j, split h <= j), one diffuse class per split
     assert len(classes) == (D + 1) * (D + 2) // 2 + D + 1
     assert sum(c.prob for c in classes) == 1

@@ -1,6 +1,6 @@
 """Microbenchmarks of the neighbour-selection layer, and of what the
 criterion-07 oracle runs beneath it: materialising a trace sample and the
-scalar sparse ``distance`` dispatch.
+scalar ``distance`` kernel of each space kind.
 
 Outside ``testpaths``, so the test suite does not run them:
 
@@ -19,7 +19,22 @@ import pytest
 from metriclab import adversarial as adv
 from metriclab.adversarial import AdversarialProblem, Schedule
 from metriclab.knn import TieStrategy, euclidean_vote, select_neighbours
-from metriclab.spaces import SparseL2, distance, sparse_d2
+from metriclab.spaces import (
+    EuclideanD,
+    EuclideanLine,
+    Heisenberg,
+    HPoint,
+    Real,
+    SparseL2,
+    UltrametricWords,
+    Vec,
+    Word,
+    distance,
+    h_inv,
+    h_mul,
+    h_norm,
+    sparse_d2,
+)
 
 
 def _dense_vote(train, labels, queries, k):
@@ -104,12 +119,29 @@ def test_labelled_sample_from_trace_n2000(benchmark):
     assert sample.points[row] is prob.geometry(tuple(trace.letters[row].tolist())).center
 
 
-def test_sparse_distance_dispatch(benchmark):
+def _dispatch_case(kind):
+    """A space, two of its points as its callers pass them, and their distance."""
+    if kind == "line":
+        return EuclideanLine(), Real(0.25), Real(-1.5), 1.75
+    if kind == "euclidean":
+        return EuclideanD(2), Vec((3.0, 0.0)), Vec((0.0, 4.0)), 5.0
+    if kind == "heisenberg":
+        # two points of the dimension suite's grid
+        p, q = HPoint(0.25, -0.5, 0.75), HPoint(-0.5, 0.25, -0.25)
+        return Heisenberg(), p, q, h_norm(h_mul(h_inv(p), q))
+    if kind == "words":
+        # words of the ultrametric covers, splitting after two letters
+        return UltrametricWords(3), Word((1, 2, 3, 1)), Word((1, 2, 1)), 0.25
     # a diffuse sample point and an atom one branch away, as the oracle sees them
     prob, _, x = _criterion07_sample()
     atom = prob.geometry((2,)).atom
-    d = benchmark(distance, SparseL2(), x, atom)
-    assert d == math.sqrt(sparse_d2(x, atom)) > 0
+    return SparseL2(), x, atom, math.sqrt(sparse_d2(x, atom))
+
+
+@pytest.mark.parametrize("kind", ["line", "euclidean", "heisenberg", "words", "sparse"])
+def test_distance_dispatch(benchmark, kind):
+    space, p, q, expected = _dispatch_case(kind)
+    assert benchmark(distance, space, p, q) == expected > 0
 
 
 def test_select_neighbours_criterion07(benchmark):

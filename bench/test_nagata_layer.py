@@ -1,4 +1,5 @@
-"""Microbenchmarks of the ball-family layer and the sparse distances under it.
+"""Microbenchmarks of the ball-family layer, the sparse distances under it,
+and the Heisenberg separated-set count.
 
 Outside ``testpaths``, so the test suite does not run them:
 
@@ -11,8 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from metriclab.experiments import heisenberg_unit_grid
 from metriclab.nagata import (
     DimensionCertificate,
+    doubling_cover_greedy,
     greedy_covering_subfamily,
     is_disconnected,
     nagata_witness_sparse,
@@ -20,9 +23,12 @@ from metriclab.nagata import (
 from metriclab.spaces import (
     ORIGIN,
     DirectionIds,
+    Heisenberg,
+    HPoint,
     SparseL2,
     SparsePoint,
     contained_pairs,
+    h_dilate,
     sparse_d2,
 )
 
@@ -75,3 +81,12 @@ def test_nagata_witness_sparse_m256(benchmark):
     ids = DirectionIds()
     cert = benchmark(nagata_witness_sparse, 256, ORIGIN, 1.0, ids)
     assert cert.multiplicity == len(cert.family) == 256
+
+
+def test_doubling_cover_greedy(benchmark):
+    # the dimension suite's Heisenberg row at r = 0.5: the 305 grid points
+    # of the unit gauge ball dilated by 0.5, which the suite finds 74 of
+    # pairwise more than r/2 apart
+    points = [h_dilate(0.5, p) for p in heisenberg_unit_grid()]
+    assert len(points) == 305
+    assert benchmark(doubling_cover_greedy, points, HPoint(0.0, 0.0, 0.0), 0.5, Heisenberg()) == 74

@@ -357,6 +357,7 @@ class AdversarialProblem:
         )
         self._geometry: dict[TreeWord, NodeGeometry] = {}
         self._ids = DirectionIds()
+        self._classes: Optional[tuple[DistanceClass, ...]] = None  # memo of distance_classes
 
     def branching_at(self, depth: int) -> int:
         return self._branching[depth]
@@ -559,8 +560,9 @@ class DistanceClass(NamedTuple):
     split: int  # common-prefix depth with the test branch
 
 
-def distance_classes(problem: AdversarialProblem) -> list[DistanceClass]:
-    """All sample-point categories as seen from a diffuse test point.
+def distance_classes(problem: AdversarialProblem) -> tuple[DistanceClass, ...]:
+    """All sample-point categories as seen from a diffuse test point, in
+    distance order.
 
     By symmetry of the fresh-direction geometry, the distance from a
     diffuse test point to a sample point depends only on the sample point's
@@ -568,7 +570,12 @@ def distance_classes(problem: AdversarialProblem) -> list[DistanceClass]:
     branch, so the whole sample collapses into O(D^2) exact-mass classes.
     Raises if two classes with different labels sit at the same distance
     (the constants are chosen so they never do).
+
+    The classes depend only on the truncation depth and the branching, which
+    a problem never changes, so each problem computes them once.
     """
+    if problem._classes is not None:
+        return problem._classes
     D = problem.truncation_depth
     r2 = [child_radius2_frac(level) for level in range(D)]
     below = [Fraction(0)] * (D + 1)  # below[h] = sum of r2[h:]
@@ -608,10 +615,11 @@ def distance_classes(problem: AdversarialProblem) -> list[DistanceClass]:
                 "distance tie between classes of different labels; "
                 "the tie-free geometry assumption is broken"
             )
-    return classes
+    problem._classes = tuple(classes)
+    return problem._classes
 
 
-def _vote(classes: list[DistanceClass], counts: Iterable[np.ndarray], k: int) -> np.ndarray:
+def _vote(classes: tuple[DistanceClass, ...], counts: Iterable[np.ndarray], k: int) -> np.ndarray:
     """k-NN vote from per-class sample counts, one length-T int64 vector
     per class in distance order; label 1 wins with half the votes. Each
     count is cut in place to the votes its class casts and dropped before

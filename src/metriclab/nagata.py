@@ -39,7 +39,7 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ball:
     center: Point
     radius: float

@@ -6,10 +6,16 @@ finite words under a longest-common-prefix ultrametric, and a sparse
 "fresh orthonormal direction" l2 space whose coordinates are keyed by
 opaque 64-bit direction ids.
 
-``distance`` evaluates one pair. ``contained_pairs`` lists, for balls
-with centres A and a list of points B, every (ball, point) pair with the
-point in the ball, exactly as ``distance`` and ``d <= r`` (closed) or
-``d < r`` (open) decide it.
+``distance`` evaluates one pair. It looks the space's type up in a table
+of five kernels, one per kind, and calls that kind's kernel, which raises
+``KindMismatchError`` unless both points are of the kind; a space of any
+other type, a subclass too, raises it as unknown. The Heisenberg kernel
+computes ``h_norm(h_mul(h_inv(p), q))`` inline, with the same float
+operations in the same order, without building the two points between.
+
+``contained_pairs`` lists, for balls with centres A and a list of points
+B, every (ball, point) pair with the point in the ball, exactly as
+``distance`` and ``d <= r`` (closed) or ``d < r`` (open) decide it.
 
 In the sparse l2 space it is a filtered exact predicate: a cheap bound
 settles most pairs, and the rest go to ``sparse_d2``'s merge, run over a
@@ -60,37 +66,49 @@ class KindMismatchError(TypeError):
 # points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Real:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vec:
     coords: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HPoint:
     x: float
     y: float
     z: float  # carries squared-length units under dilation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     letters: tuple[int, ...]  # letters are >= 1; 0 is the reserved blank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SparsePoint:
     """Finitely supported vector over implicit orthonormal directions.
 
     ``items`` is sorted by direction id and holds no zero coordinates, so
-    structural equality coincides with zero distance.
+    structural equality coincides with zero distance. The constructor
+    rejects items off that order or with a zero value: ``sparse_d2``
+    merges them as if they were on it, and would put ((2, 1), (1, 1)) at
+    squared distance 3 from ((1, 1),), not 1.
     """
 
     items: tuple[tuple[int, float], ...]
+
+    def __post_init__(self):
+        prev = None
+        for i, v in self.items:
+            if v == 0.0 or (prev is not None and i <= prev):
+                raise ValueError(
+                    "sparse point items need strictly increasing ids and nonzero values"
+                )
+            prev = i
 
     @staticmethod
     def from_dict(coords: dict[int, float]) -> "SparsePoint":
@@ -198,11 +216,8 @@ def h_dilate(t: float, p: HPoint) -> HPoint:
 
 def _word_prefix_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     # both words are padded with the blank letter 0 to equal length
-    n = max(len(a), len(b))
     lcp = 0
-    for i in range(n):
-        va = a[i] if i < len(a) else 0
-        vb = b[i] if i < len(b) else 0
+    for va, vb in itertools.zip_longest(a, b, fillvalue=0):
         if va != vb:
             break
         lcp += 1
@@ -212,9 +227,10 @@ def _word_prefix_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 def sparse_d2(p: SparsePoint, q: SparsePoint) -> float:
     """Squared l2 distance over the union of the two supports."""
     a, b = p.items, q.items
+    na, nb = len(a), len(b)
     i = j = 0
     s = 0.0
-    while i < len(a) and j < len(b):
+    while i < na and j < nb:
         ia, va = a[i]
         ib, vb = b[j]
         if ia == ib:
@@ -228,51 +244,83 @@ def sparse_d2(p: SparsePoint, q: SparsePoint) -> float:
         else:
             s += vb * vb
             j += 1
-    while i < len(a):
+    while i < na:
         s += a[i][1] * a[i][1]
         i += 1
-    while j < len(b):
+    while j < nb:
         s += b[j][1] * b[j][1]
         j += 1
     return s
 
 
-def _require(cond: bool, space, p, q):
-    if not cond:
-        raise KindMismatchError(
-            f"points {type(p).__name__}/{type(q).__name__} do not match space "
-            f"{type(space).__name__}"
-        )
+def _mismatch(space, p, q) -> KindMismatchError:
+    return KindMismatchError(
+        f"points {type(p).__name__}/{type(q).__name__} do not match space "
+        f"{type(space).__name__}"
+    )
+
+
+def _line_distance(space: EuclideanLine, p: Point, q: Point) -> float:
+    if not (isinstance(p, Real) and isinstance(q, Real)):
+        raise _mismatch(space, p, q)
+    return abs(p.value - q.value)
+
+
+def _euclidean_distance(space: EuclideanD, p: Point, q: Point) -> float:
+    if not (
+        isinstance(p, Vec)
+        and isinstance(q, Vec)
+        and len(p.coords) == space.dim
+        and len(q.coords) == space.dim
+    ):
+        raise _mismatch(space, p, q)
+    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p.coords, q.coords)))
+
+
+def _heisenberg_distance(space: Heisenberg, p: Point, q: Point) -> float:
+    """``h_norm(h_mul(h_inv(p), q))`` with the same float operations in the
+    same order, so the same bits, without building the two points between.
+    (CPython leaves the sign of a NaN sum open, so a NaN may differ in it.)"""
+    if not (isinstance(p, HPoint) and isinstance(q, HPoint)):
+        raise _mismatch(space, p, q)
+    ax, ay, az = -p.x, -p.y, -p.z  # h_inv(p)
+    bx, by = q.x, q.y
+    x, y = ax + bx, ay + by  # h_mul(h_inv(p), q)
+    z = az + q.z + 2.0 * (ay * bx - ax * by)
+    s = x * x + y * y  # h_norm
+    return (s * s + z * z) ** 0.25
+
+
+def _word_distance(space: UltrametricWords, p: Point, q: Point) -> float:
+    if not (isinstance(p, Word) and isinstance(q, Word)):
+        raise _mismatch(space, p, q)
+    if p.letters == q.letters:
+        return 0.0
+    return 2.0 ** (-_word_prefix_len(p.letters, q.letters))
+
+
+def _sparse_distance(space: SparseL2, p: Point, q: Point) -> float:
+    if not (isinstance(p, SparsePoint) and isinstance(q, SparsePoint)):
+        raise _mismatch(space, p, q)
+    return math.sqrt(sparse_d2(p, q))
+
+
+# one kernel per space kind; each checks its two points
+_KERNELS = {
+    EuclideanLine: _line_distance,
+    EuclideanD: _euclidean_distance,
+    Heisenberg: _heisenberg_distance,
+    UltrametricWords: _word_distance,
+    SparseL2: _sparse_distance,
+}
 
 
 def distance(space: MetricSpace, p: Point, q: Point) -> float:
     """Metric of ``space`` evaluated at a pair of its points."""
-    if isinstance(space, EuclideanLine):
-        _require(isinstance(p, Real) and isinstance(q, Real), space, p, q)
-        return abs(p.value - q.value)
-    if isinstance(space, EuclideanD):
-        _require(
-            isinstance(p, Vec)
-            and isinstance(q, Vec)
-            and len(p.coords) == space.dim
-            and len(q.coords) == space.dim,
-            space,
-            p,
-            q,
-        )
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(p.coords, q.coords)))
-    if isinstance(space, Heisenberg):
-        _require(isinstance(p, HPoint) and isinstance(q, HPoint), space, p, q)
-        return h_norm(h_mul(h_inv(p), q))
-    if isinstance(space, UltrametricWords):
-        _require(isinstance(p, Word) and isinstance(q, Word), space, p, q)
-        if p.letters == q.letters:
-            return 0.0
-        return 2.0 ** (-_word_prefix_len(p.letters, q.letters))
-    if isinstance(space, SparseL2):
-        _require(isinstance(p, SparsePoint) and isinstance(q, SparsePoint), space, p, q)
-        return math.sqrt(sparse_d2(p, q))
-    raise KindMismatchError(f"unknown space {space!r}")
+    kernel = _KERNELS.get(type(space))
+    if kernel is None:
+        raise KindMismatchError(f"unknown space {space!r}")
+    return kernel(space, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +355,8 @@ def _pack_sparse(space: SparseL2, points: Sequence[Point]) -> _Packed:
     after all of them. Directions that every point holds with one finite
     value are left out: each adds an exact +0.0 to every merge."""
     other = next((p for p in points if not isinstance(p, SparsePoint)), None)
-    _require(other is None, space, other, other)
+    if other is not None:
+        raise _mismatch(space, other, other)
     rows = [p.items for p in points]
     sizes = np.fromiter(map(len, rows), np.intp, len(rows))
     items = list(itertools.chain.from_iterable(rows))
@@ -317,8 +366,6 @@ def _pack_sparse(space: SparseL2, points: Sequence[Point]) -> _Packed:
     ranks = np.fromiter(map(rank.__getitem__, ids), np.intp, len(ids))
     values = np.array(values, float)
     row = np.repeat(np.arange(len(points)), sizes)
-    if ((row[1:] == row[:-1]) & (ranks[1:] <= ranks[:-1])).any() or (values == 0).any():
-        raise ValueError("sparse point items need strictly increasing ids and nonzero values")
     if len(points) and sizes.all():
         # a direction that every point holds is in the first point's support
         first = np.full(len(union), np.nan)

@@ -32,6 +32,18 @@ def test_class_probabilities_sum_to_one():
     assert all(c.prob > 0 for c in classes)
 
 
+def test_distance_classes_are_computed_once_per_problem():
+    p = problem()
+    first = distance_classes(p)
+    with mock.patch.object(adv, "child_radius2_frac", side_effect=AssertionError("recomputed")):
+        assert distance_classes(p) is first
+    # another branching gets its own classes, equal to a fresh problem's
+    other = problem(m=(1, 2, 5))
+    assert distance_classes(other) != first
+    assert distance_classes(other) == distance_classes(problem(m=(1, 2, 5)))
+    assert distance_classes(p) is first
+
+
 def test_class_distances_match_materialized_points():
     # the class table's exact squared distances equal coordinate arithmetic
     p = problem(m=(1, 3, 2), truncation=3)

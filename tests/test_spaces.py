@@ -1,4 +1,5 @@
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -171,11 +172,25 @@ def test_sparse_shift_equals_from_dict(coords, direction, amount):
     assert all(type(v) is float for _, v in moved.items)
 
 
+# one point of each kind, in the order of ALL_SPACES
+ONE_POINT_EACH = [Real(0.5), Vec((0.5, 1.0, -2.0)), HPoint(0.5, 1.0, -2.0), Word((1, 2)), ORIGIN]
+
+
 def test_kind_mismatch():
     with pytest.raises(KindMismatchError):
-        distance(EuclideanLine(), Real(0.0), HPoint(0, 0, 0))
-    with pytest.raises(KindMismatchError):
         distance(EuclideanD(3), Vec((1.0, 2.0)), Vec((1.0, 2.0, 3.0)))
+    # every space rejects every other kind of point, on either side
+    for space, own in zip(ALL_SPACES, ONE_POINT_EACH):
+        assert distance(space, own, own) == 0.0
+        for other in ONE_POINT_EACH:
+            if other is own:
+                continue
+            for p, q in ((own, other), (other, own), (other, other)):
+                with pytest.raises(KindMismatchError, match="do not match space"):
+                    distance(space, p, q)
+    for unknown in (object(), None, type("SparseL2Like", (SparseL2,), {})()):
+        with pytest.raises(KindMismatchError, match="unknown space"):
+            distance(unknown, ORIGIN, ORIGIN)
 
 
 def _random_point(space, rng):
@@ -206,6 +221,84 @@ def test_metric_axioms(space):
         if p != q:
             assert distance(space, p, q) > 0.0
         assert distance(space, p, r) <= distance(space, p, q) + distance(space, q, r) + 1e-9
+
+
+def _padded_prefix_distance(p, q):
+    """The word metric written with the padded index loop it was first
+    written with: 2^-lcp, with both words padded by the blank letter 0."""
+    if p.letters == q.letters:
+        return 0.0
+    a, b = p.letters, q.letters
+    lcp = 0
+    for i in range(max(len(a), len(b))):
+        if (a[i] if i < len(a) else 0) != (b[i] if i < len(b) else 0):
+            break
+        lcp += 1
+    return 2.0 ** -lcp
+
+
+# moderate values with full 53-bit mantissas, where operations done in
+# another order round to other bits, and every other float class a kernel
+# can meet: signed zeros, subnormals, infinities, NaNs of either sign and
+# values whose squares overflow
+moderate = st.integers(-(2**55), 2**55).map(lambda i: i * 2.0**-52)
+any_float = st.one_of(
+    moderate,
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan, -math.nan]),
+)
+
+
+def _floats(n):
+    """n floats, all moderate in some examples so that no huge or special
+    value absorbs the rounding of the others."""
+    return st.one_of(st.tuples(*[moderate] * n), st.tuples(*[any_float] * n))
+
+
+def _sparse_point(ids):
+    return _floats(len(ids)).map(lambda v: SparsePoint.from_dict(dict(zip(ids, v))))
+
+
+# each kind's points and the formula its distance kernel must reproduce
+KERNEL_CASES = [
+    (st.builds(Real, any_float), lambda p, q: abs(p.value - q.value)),
+    (
+        st.builds(Vec, _floats(3)),
+        lambda p, q: math.sqrt(sum((a - b) ** 2 for a, b in zip(p.coords, q.coords))),
+    ),
+    (_floats(3).map(lambda c: HPoint(*c)), lambda p, q: h_norm(h_mul(h_inv(p), q))),
+    (st.builds(Word, st.lists(st.integers(0, 3), max_size=6).map(tuple)), _padded_prefix_distance),
+    (
+        st.lists(st.integers(1, 6), unique=True, max_size=4).flatmap(_sparse_point),
+        lambda p, q: math.sqrt(spaces.sparse_d2(p, q)),
+    ),
+]
+
+
+def _bits(f, *args):
+    """The bytes of ``f(*args)``, or the type of the error it raises: a
+    squared difference beyond the float range raises OverflowError.
+
+    Every NaN counts as one value. The sign of a NaN result is not a property
+    of the formula: CPython 3.11 adds two NaNs of opposite signs to a NaN of
+    either sign, depending on whether its adaptive interpreter has
+    specialized that addition yet, so one call site returns both."""
+    try:
+        value = f(*args)
+    except OverflowError as exc:
+        return type(exc)
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+@pytest.mark.parametrize(
+    "space, case", zip(ALL_SPACES, KERNEL_CASES), ids=[type(s).__name__ for s in ALL_SPACES]
+)
+@given(data=st.data())
+@settings(max_examples=300)
+def test_distance_kernels_keep_every_bit(space, case, data):
+    points, formula = case
+    p, q = data.draw(points), data.draw(points)
+    assert _bits(distance, space, p, q) == _bits(formula, p, q)
 
 
 @given(st.data())
@@ -274,11 +367,8 @@ def test_contained_pairs_rejects_other_points():
     [((2, 1.0), (1, 1.0)), ((1, 1.0), (1, 2.0)), ((1, 0.0),), ((1, 1.0), (3, -0.0))],
     ids=["unsorted", "repeated", "zero", "negative-zero"],
 )
-def test_contained_pairs_rejects_points_off_the_sparse_invariant(items):
-    # sparse_d2 merges such items as if sorted and nonzero: it puts
+def test_sparse_point_rejects_items_off_the_invariant(items):
+    # sparse_d2 merges such items as if sorted and nonzero: it would put
     # ((2, 1), (1, 1)) at squared distance 3 from ((1, 1),), not 1
-    bad = SparsePoint(items)
     with pytest.raises(ValueError, match="strictly increasing ids and nonzero values"):
-        contained_pairs(SparseL2(), [ORIGIN], [1.2], [True], [ORIGIN, bad])
-    with pytest.raises(ValueError, match="strictly increasing ids and nonzero values"):
-        contained_pairs(SparseL2(), [bad], [1.2], [True], [ORIGIN])
+        SparsePoint(items)

@@ -10,6 +10,7 @@ Each case also checks its result, so a fast wrong answer fails.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,23 @@ def test_structured_stage_sim_trace(benchmark):
     assert (n, k) == (10**6, 20)
     res = benchmark(adv.structured_stage_sim, problem, 1, n, k, 20, 7, "trace")
     assert len(res.predictions) == 20
+    assert res.fraction >= 0.9
+
+
+def test_structured_stage_sim_fresh_empirical(benchmark):
+    # the fresh-mode stage 1 of the empirical table: n = 10^6, k = 20 and
+    # 10^6 test points; one untimed run records the tracemalloc peak
+    problem = _problem("empirical", 1)
+    args = (problem, 1, 10**6, 20, 10**6, 7, "fresh")
+    tracemalloc.start()
+    try:
+        adv.structured_stage_sim(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mib"] = round(peak / 2**20, 1)
+    res = benchmark(adv.structured_stage_sim, *args)
+    assert len(res.predictions) == 10**6
     assert res.fraction >= 0.9
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Generator, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -332,7 +332,7 @@ class NodeGeometry:
     atom: SparsePoint  # hub atom, offset along its own fresh direction
     eps: float
     child_radius: float
-    child_ids: tuple[int, ...]
+    child_ids: range  # consecutive direction ids, one per child
 
 
 class AdversarialProblem:
@@ -379,7 +379,7 @@ class AdversarialProblem:
                 raise ValueError(f"letter {j} out of range at depth {depth}")
             center = parent.center.shift(parent.child_ids[j - 1], parent.child_radius)
         n_children = self.branching_at(depth + 1) if depth < self.truncation_depth else 0
-        child_ids = tuple(self._ids.fresh() for _ in range(n_children))
+        child_ids = self._ids.block(n_children)
         atom_id = self._ids.fresh()
         atom = center.shift(atom_id, atom_offset(depth))
         g = NodeGeometry(center, atom, node_eps(depth), child_radius(depth), child_ids)
@@ -619,26 +619,42 @@ def distance_classes(problem: AdversarialProblem) -> tuple[DistanceClass, ...]:
     return problem._classes
 
 
-def _vote(classes: tuple[DistanceClass, ...], counts: Iterable[np.ndarray], k: int) -> np.ndarray:
+def _vote_dtype(k: int) -> type:
+    """The narrowest signed integer type that holds 2k. Signed, so that
+    every operation mixing it with int64 counts stays in int64 (numpy takes
+    uint64 with int64 to float64)."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if 2 * k <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _vote(classes: tuple[DistanceClass, ...], counts: Generator[np.ndarray, None, None],
+          k: int) -> np.ndarray:
     """k-NN vote from per-class sample counts, one length-T int64 vector
-    per class in distance order; label 1 wins with half the votes. Each
-    count is cut in place to the votes its class casts and dropped before
-    the next is read, so the vote holds need, ones and one count, 3·8·T
-    bytes. Stops reading ``counts`` once every point has its k neighbours."""
-    counts = iter(counts)  # read by next(): zip would keep the last count alive
-    need = ones = None  # need = max(k - before, 0), before = points met so far
+    per class in distance order; label 1 wins with half the votes. need,
+    ones and one reused votes buffer take ``_vote_dtype(k)``: a class's
+    votes are min(count, need), taken in int64 and at most need <= k, so
+    the cast into votes is exact. Each count is dropped before the next is
+    read, and ``counts`` is closed, with whatever it still holds, before
+    the predictions are allocated; so beside the counts the vote holds
+    3·b·T bytes for b-byte integers. Stops reading ``counts`` once every
+    point has its k neighbours."""
+    need = ones = votes = None  # need = max(k - before, 0), before = points met so far
     for c in classes:
         count = next(counts)
         if need is None:
-            need, ones = np.full_like(count, k), np.zeros_like(count)
-        np.minimum(need, count, out=count)  # the votes of this class
-        need -= count
-        if c.label:
-            ones += count
+            need = np.full(count.shape, k, dtype=_vote_dtype(k))
+            ones, votes = np.zeros_like(need), np.empty_like(need)
+        np.minimum(count, need, out=votes, casting="unsafe")  # the votes of this class
         del count
+        need -= votes
+        if c.label:
+            ones += votes
         if not need.any():
             break
-    del need
+    counts.close()
+    del need, votes
     ones *= 2
     return (ones >= k).astype(np.int64)
 
@@ -648,7 +664,8 @@ def _fresh_predictions(
 ) -> np.ndarray:
     """Per test point, draw class occupancies of an independent n-sample via
     a conditional binomial chain, voting on each class as it is drawn. The
-    chain holds rem_n, so with the vote 4·8·T bytes are live."""
+    chain holds rem_n and the current draw, so with the vote 2·8·T + 3·b·T
+    bytes are live (``_vote``)."""
     classes = distance_classes(problem)
 
     def draws():

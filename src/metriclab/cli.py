@@ -1,8 +1,9 @@
 """``lab`` command line front-end: ``lab <experiment>`` runs one experiment,
 ``lab all`` runs every job of ``ALL_JOBS`` with one seed.
 
-Exit codes: 0 on success, 1 when a config value or input is invalid or
-the output cannot be written (one line on stderr), 2 for a usage error
+Exit codes: 0 on success, 1 when a config value or input is invalid,
+a point reaches a space of another kind (``KindMismatchError``) or the
+output cannot be written (one line on stderr), 2 for a usage error
 such as a flag the experiment does not take (argparse's message, starting
 with the experiment's ``usage: lab <experiment>`` line), 3 when the
 schedule recursion overflows the 64-bit range, 4 when schedule
@@ -32,6 +33,7 @@ from .experiments import (
     run_coverhart,
     run_dimension_suite,
 )
+from .spaces import KindMismatchError
 
 
 def _stage_lines(reports) -> list[str]:
@@ -209,7 +211,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScheduleOverflowError as exc:
         print(exc, file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, KindMismatchError) as exc:
         print(f"lab {args.experiment}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -141,6 +141,13 @@ class DirectionIds:
     def fresh(self) -> int:
         return next(self._counter)
 
+    def block(self, count: int) -> range:
+        """The ids that ``count`` calls of ``fresh`` would return, as a
+        range, without materializing them."""
+        start = next(self._counter)
+        self._counter = itertools.count(start + count)
+        return range(start, start + count)
+
 
 # ---------------------------------------------------------------------------
 # spaces

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from metriclab.adversarial import (
     validate_schedule,
     verify_node,
 )
-from metriclab.spaces import SparseL2, distance
+from metriclab.spaces import DirectionIds, SparseL2, distance
 
 SPACE = SparseL2()
 
@@ -284,6 +285,30 @@ def test_node_geometry_fields():
         assert distance(SPACE, g.center, g.atom) == adv.atom_offset(depth)
         ids.extend(g.child_ids)
     assert len(set(ids)) == len(ids)
+
+
+def test_geometry_ids_are_those_of_per_child_fresh_calls():
+    # the ids each node drew when its child ids were a tuple of fresh()
+    # calls, followed by its atom's id, nodes built parent first: no id moved
+    p, old = small_problem(), DirectionIds()
+    for word in [(), (2,), (2, 3), (1,), (2, 3, 1), (2, 3, 1, 2), (4,), (4, 1)]:
+        g = p.geometry(word)
+        assert tuple(g.child_ids) == tuple(old.fresh() for _ in range(len(g.child_ids)))
+        assert g.atom.items[-1][0] == old.fresh()
+
+
+def test_children_of_a_depth_2_node_take_no_id_tuples():
+    # the five-stage ladder: each of the 4000 children of (1, 1) has 12,500
+    # children, whose ids as tuples took 1.7 GiB
+    p = AdversarialProblem(Schedule(m=(1, 293, 2000, 4000, 12500, 60000), n=(60,)), 6)
+    tracemalloc.start()
+    try:
+        children = [p.geometry((1, 1, j)) for j in range(1, 4001)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert len(children[-1].child_ids) == 12500
 
 
 def test_geometry_memoized():

@@ -20,7 +20,7 @@ from metriclab.experiments import (
 from metriclab import adversarial as adv
 from metriclab.experiments import _vote_error
 from metriclab.knn import LabelledSample, TieStrategy, euclidean_vote, knn_predict
-from metriclab.spaces import EuclideanD, Vec
+from metriclab.spaces import ORIGIN, EuclideanD, KindMismatchError, Real, SparseL2, Vec, distance
 
 
 def cfg(**kw):
@@ -348,6 +348,21 @@ def test_lab_all_checks_the_bench_file_before_the_first_job(tmp_path, capsys, mo
     assert main(["all", "--out-dir", str(tmp_path / "out"), "--bench", str(bench)]) == 1
     assert capsys.readouterr().err == (
         f"lab all: cannot write bench file {str(bench)!r}: No such file or directory\n"
+    )
+
+
+def test_kind_mismatch_exits_1_with_one_line(capsys, monkeypatch):
+    # a runner whose points reach a space of another kind
+    def mismatch(config):
+        return distance(SparseL2(), Real(0.5), ORIGIN)
+
+    _, lines, flags = cli.EXPERIMENTS["dimension"]
+    monkeypatch.setitem(cli.EXPERIMENTS, "dimension", (mismatch, lines, flags))
+    with pytest.raises(KindMismatchError):
+        mismatch(None)
+    assert main(["dimension"]) == 1
+    assert capsys.readouterr().err == (
+        "lab dimension: points Real/SparsePoint do not match space SparseL2\n"
     )
 
 

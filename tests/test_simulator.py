@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -245,11 +246,11 @@ def test_trace_stage_at_n_10_6_holds_under_40_mb():
     assert peak < 40
 
 
-def test_fresh_stages_at_t_10_6_hold_under_45_mb():
-    # the chain's rem_n and the vote's need, ones and one draw: four
-    # length-T int64 vectors, 32 MB
+def test_fresh_stages_at_t_10_6_hold_under_24_mb():
+    # the chain's rem_n and current draw, two length-T int64 vectors (16
+    # MB), and the vote's need, ones and votes, three int8 vectors (3 MB)
     config = ex.ExperimentConfig("consistency", seed=7, stages=(0, 1), test_count=10**6)
-    assert _traced_peak_mb(lambda: ex.run_consistency(config)) < 45
+    assert _traced_peak_mb(lambda: ex.run_consistency(config)) < 24
 
 
 def _lexsort_reference(prob, trace, words, k):
@@ -430,5 +431,59 @@ def test_streaming_fresh_vote_equals_dense_vote(n, k):
     prob = problem()
     got = adv._fresh_predictions(prob, n, k, 20_000, np.random.default_rng(11))
     want = _dense_fresh_reference(prob, n, k, 20_000, np.random.default_rng(11))
+    assert 0 < want.mean() < 1  # both labels occur, so the check has teeth
+    assert (got == want).all()
+
+
+def test_vote_dtype_is_the_narrowest_signed_type_holding_2k():
+    got = [adv._vote_dtype(k) for k in (1, 63, 64, 16383, 16384, 2**30 - 1, 2**30)]
+    assert got == [np.int8, np.int8, np.int16, np.int16, np.int32, np.int32, np.int64]
+
+
+@pytest.mark.parametrize("k", [63, 64, 16383, 16384])
+def test_vote_at_the_narrow_type_edges_on_hand_built_counts(k):
+    # half the counts are 0 and the rest run to 3k, past the type's maximum,
+    # so points see every vote from 0 to k ones, k included: 2k must not wrap
+    rng = np.random.default_rng(k)
+    labels = np.array([0, 1, 1, 0, 1, 0])
+    shape = (len(labels), 4000)
+    counts = rng.integers(0, 3 * k, size=shape) * (rng.random(shape) < 0.5)
+    classes = [SimpleNamespace(label=label) for label in labels]
+    got = adv._vote(classes, (row.copy() for row in counts), k)
+    before = counts.cumsum(axis=0) - counts
+    ones = (np.minimum(np.maximum(k - before, 0), counts) * labels[:, None]).sum(axis=0)
+    assert {0, k} <= set(ones.tolist())
+    assert (got == (2 * ones >= k)).all()
+
+
+# the k at which 2k crosses the int8 and int16 maxima, each with an n near
+# the vote's midpoint on problem(), so that both labels occur
+NARROW_EDGES = [(640, 63), (640, 64), (157_000, 16383), (157_000, 16384)]
+
+
+@pytest.mark.parametrize(
+    "m,n,k",
+    [((1, 4, 3, 3), n, k) for n, k in NARROW_EDGES]
+    # k = 7 votes in int8, and the depth-2 hub atom class draws about 156
+    # points per test point, some of them more than int8's 127, while the
+    # nearer label-0 class (3.6 on average) leaves need > 0
+    + [((1, 4, 100, 350), 10**6, 7)],
+)
+def test_fresh_vote_at_the_narrow_type_edges(m, n, k):
+    prob = problem(m=m)
+    got = adv._fresh_predictions(prob, n, k, 20_000, np.random.default_rng(11))
+    want = _dense_fresh_reference(prob, n, k, 20_000, np.random.default_rng(11))
+    assert 0 < want.mean() < 1  # both labels occur, so the check has teeth
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("n,k", NARROW_EDGES)
+def test_trace_vote_at_the_narrow_type_edges(n, k):
+    prob = problem()
+    rng = np.random.default_rng(5)
+    trace = adv.draw_trace(prob, n, rng)
+    words = adv.draw_test_words(prob, 16, rng)
+    got = adv._trace_predictions(prob, trace, words, k)
+    want = _lexsort_reference(prob, trace, words, k)
     assert 0 < want.mean() < 1  # both labels occur, so the check has teeth
     assert (got == want).all()

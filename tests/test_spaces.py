@@ -176,6 +176,12 @@ def test_sparse_shift_equals_from_dict(coords, direction, amount):
 ONE_POINT_EACH = [Real(0.5), Vec((0.5, 1.0, -2.0)), HPoint(0.5, 1.0, -2.0), Word((1, 2)), ORIGIN]
 
 
+def test_id_blocks_continue_the_fresh_sequence():
+    ids, old = spaces.DirectionIds(), spaces.DirectionIds()
+    got = [ids.fresh(), *ids.block(3), *ids.block(0), ids.fresh(), *ids.block(2), ids.fresh()]
+    assert got == [old.fresh() for _ in got] == list(range(1, 9))
+
+
 def test_kind_mismatch():
     with pytest.raises(KindMismatchError):
         distance(EuclideanD(3), Vec((1.0, 2.0)), Vec((1.0, 2.0, 3.0)))

@@ -76,6 +76,31 @@ def test_structured_stage_sim_fresh_empirical(benchmark):
     assert res.fraction >= 0.9
 
 
+def test_structured_stage_sim_fresh_large_k(benchmark):
+    # k = 16384 at n = 157000 on m = (1, 4, 3, 3), near the vote's midpoint:
+    # the states spread until each holds a point, so most classes draw per
+    # point; p is about 0.4346 (two 10^6-point runs read 0.4346 and 0.4347)
+    schedule = adv.Schedule(m=(1, 4, 3, 3), n=(157_000,), mode="empirical")
+    problem = adv.AdversarialProblem(schedule, truncation_depth=3)
+    res = benchmark(adv.structured_stage_sim, problem, 0, 157_000, 16384, 20_000, 7, "fresh")
+    assert len(res.predictions) == 20_000
+    assert abs(res.fraction - 0.4346) <= 5 * res.stderr
+
+
+def test_structured_stage_sim_fresh_sqrtceil_ladder(benchmark):
+    # stage 1 of the sqrtceil ladder m = (1, 293, 2000, 4000), n = (128,
+    # 10^8, 4·10^14): n = 10^8, k = 10^4, 10^4 test points
+    config = ex.ExperimentConfig(
+        "consistency", stages=(0, 1), k_rule="sqrtceil", m=(1, 293, 2000, 4000),
+        n=(128, 10**8, 4 * 10**14),
+    )
+    problem = adv.AdversarialProblem(ex.build_schedule(config).schedule, truncation_depth=3)
+    assert adv.k_of("sqrtceil", 10**8) == 10**4
+    res = benchmark(adv.structured_stage_sim, problem, 1, 10**8, 10**4, 10**4, 7, "fresh")
+    assert len(res.predictions) == 10**4
+    assert res.fraction >= 0.99
+
+
 def test_structured_stage_sim_trace_many_words(benchmark):
     # the same stage with 10^4 test words: they hold every first letter, so
     # few sample rows drop out of the prefix filter early

@@ -631,15 +631,15 @@ def _vote_dtype(k: int) -> type:
 
 def _vote(classes: tuple[DistanceClass, ...], counts: Generator[np.ndarray, None, None],
           k: int) -> np.ndarray:
-    """k-NN vote from per-class sample counts, one length-T int64 vector
-    per class in distance order; label 1 wins with half the votes. need,
-    ones and one reused votes buffer take ``_vote_dtype(k)``: a class's
-    votes are min(count, need), taken in int64 and at most need <= k, so
-    the cast into votes is exact. Each count is dropped before the next is
-    read, and ``counts`` is closed, with whatever it still holds, before
-    the predictions are allocated; so beside the counts the vote holds
-    3·b·T bytes for b-byte integers. Stops reading ``counts`` once every
-    point has its k neighbours."""
+    """Trace mode's k-NN vote from per-class sample counts, one length-T
+    int64 vector per class in distance order; label 1 wins with half the
+    votes. need, ones and one reused votes buffer take ``_vote_dtype(k)``:
+    a class's votes are min(count, need), taken in int64 and at most need
+    <= k, so the cast into votes is exact. Each count is dropped before the
+    next is read, and ``counts`` is closed, with whatever it still holds,
+    before the predictions are allocated; so beside the counts the vote
+    holds 3·b·T bytes for b-byte integers. Stops reading ``counts`` once
+    every point has its k neighbours."""
     need = ones = votes = None  # need = max(k - before, 0), before = points met so far
     for c in classes:
         count = next(counts)
@@ -659,26 +659,194 @@ def _vote(classes: tuple[DistanceClass, ...], counts: Generator[np.ndarray, None
     return (ones >= k).astype(np.int64)
 
 
-def _fresh_predictions(
-    problem: AdversarialProblem, n: int, k: int, test_count: int, rng: np.random.Generator
+TAIL_LOG = 40.0  # a capped row leaves out at most e**-TAIL_LOG of mass on each side
+ROW_CELLS = 1 << 16  # capped-row cells per multinomial call of the counted chain
+
+
+def _windows(N: np.ndarray, need: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, the outcomes [lo, hi] of Binomial(N, q) beyond which lies
+    at most e**-TAIL_LOG of its mass on each side, lo clipped to need (so
+    lo == need means the capped outcome is need up to that mass). With
+    mu = N q, the multiplicative Chernoff bounds P(Y >= mu + t) <=
+    exp(-t²/(2 mu + t)) and P(Y <= mu - t) <= exp(-t²/(2 mu)) are at most
+    e**-TAIL_LOG at t = (c + sqrt(c² + 8 c mu)) / 2, c = TAIL_LOG."""
+    mu = N * q
+    t = 0.5 * (TAIL_LOG + np.sqrt(TAIL_LOG * (TAIL_LOG + 8 * mu)))
+    lo = np.minimum(np.maximum(np.floor(mu - t), 0), need).astype(np.int64)
+    hi = np.minimum(np.ceil(mu + t), N).astype(np.int64)  # >= lo, as N >= need
+    return lo, hi
+
+
+def _capped_rows(
+    N: np.ndarray, need: np.ndarray, q: float, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Per test point, draw class occupancies of an independent n-sample via
-    a conditional binomial chain, voting on each class as it is drawn. The
-    chain holds rem_n and the current draw, so with the vote 2·8·T + 3·b·T
-    bytes are live (``_vote``)."""
-    classes = distance_classes(problem)
+    """One row per state of the capped law min(Binomial(N, q), need) on the
+    outcomes lo..min(hi, need), right-aligned in a zero-padded (S, W)
+    array, W = max(hi - lo) + 1: column W - 1 holds each row's largest
+    outcome, so ``rng.multinomial``, which gives what is left to the last
+    column, never puts a point on a padding column.
 
-    def draws():
-        rem_n, rem_p = np.full(test_count, n, dtype=np.int64), Fraction(1)
-        for c in classes[:-1]:
-            drawn = rng.binomial(rem_n, float(c.prob / rem_p))
-            rem_n -= drawn
-            rem_p -= c.prob
-            yield drawn
-            del drawn  # the vote is done with it before the next draw
-        yield rem_n  # the last class takes the rest
+    Log space, relative to the window start: log p(y + 1) - log p(y) =
+    log((N - y)/(y + 1)) + log q - log1p(-q), summed from lo; that is the
+    sum of log((N - j)/(j + 1)) + y log q + (N - y) log1p(-q) from j = lo
+    on, and the constant log p(lo) is never formed, so no log-factorial of
+    N (whose float has no digits left at N = 10**13) enters. Each row is
+    exponentiated from its maximum, the outcomes past need are folded into
+    need, and the row is renormalised: it holds all but at most
+    2·e**-TAIL_LOG of the mass, and the raw sums drift from 1 by rounding.
+    """
+    width = int((hi - lo).max()) + 1
+    y = lo[:, None] + np.arange(width)  # outcome per column, before alignment
+    inside = y <= hi[:, None]
+    step = np.log(np.where(y < hi[:, None], N[:, None] - y, 1) / (y + 1.0))
+    step += math.log(q) - math.log1p(-q)  # log p(y + 1) - log p(y) on y < hi
+    logp = np.zeros(y.shape)
+    np.cumsum(step[:, :-1], axis=1, out=logp[:, 1:])
+    logp[~inside] = -np.inf
+    logp -= logp.max(axis=1, keepdims=True)
+    rows = np.exp(logp)
+    past = y >= need[:, None]
+    folded = np.where(past, rows, 0).sum(axis=1)
+    rows[past] = 0
+    # column need - lo when some outcome is past need, else one that gets 0
+    rows[np.arange(len(rows)), np.minimum(need - lo, width - 1)] += folded
+    rows /= rows.sum(axis=1, keepdims=True)
+    # right-align: the last outcome min(hi, need) moves to column width - 1
+    shift = width - 1 - (np.minimum(hi, need) - lo)
+    cols = np.arange(width) - shift[:, None]
+    return np.where(cols >= 0, np.take_along_axis(rows, np.maximum(cols, 0), axis=1), 0.0)
 
-    return _vote(classes, draws(), k)
+
+def _multinomial_rows(width: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """States whose g points are drawn as one multinomial over their row:
+    those whose row is no wider than g, so a class costs at most T draws."""
+    return width <= g
+
+
+def _counted_draw(
+    rng: np.random.Generator, N: np.ndarray, need: np.ndarray, g: np.ndarray, q: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One class's capped outcomes min(Binomial(N, q), need) for the g
+    points of each state, as (state index, outcome y, points) arrays:
+
+    - no draw where the window of ``_windows`` lies past need: y = need;
+    - one ``rng.multinomial(g, row)`` over the capped row of
+      ``_capped_rows`` where ``_multinomial_rows`` says so; rows of widths
+      in [2**(b-1), 2**b) share a call, up to ROW_CELLS cells a call;
+    - else g plain ``rng.binomial(N, q)`` draws, capped at need.
+    """
+    lo, hi = _windows(N, need, q)
+    fixed, width = lo == need, hi - lo + 1
+    multi = ~fixed & _multinomial_rows(width, g)
+    parts = [(np.flatnonzero(fixed), need[fixed], g[fixed])]
+    rows = np.flatnonzero(multi)
+    bucket = np.frexp(width[rows])[1]
+    for b in np.unique(bucket):
+        these, per_call = rows[bucket == b], max(1, ROW_CELLS >> int(b))
+        for start in range(0, len(these), per_call):
+            sel = these[start : start + per_call]
+            counts = rng.multinomial(g[sel], _capped_rows(N[sel], need[sel], q, lo[sel], hi[sel]))
+            row, col = np.nonzero(counts)
+            # column col holds outcome min(hi, need) - (width - 1 - col)
+            top = np.minimum(hi[sel], need[sel])[row]
+            parts.append((sel[row], top - (counts.shape[1] - 1 - col), counts[row, col]))
+    single = np.flatnonzero(~fixed & ~multi)
+    point = np.repeat(single, g[single])
+    drawn = rng.binomial(N[point], q)
+    parts.append((point, np.minimum(drawn, need[point], out=drawn), np.ones_like(point)))
+    parts = [part for part in parts if len(part[0])]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _merged(need: np.ndarray, ones: np.ndarray, g: np.ndarray, points: int):
+    """The states with equal (need, ones) merged, when their box of keys
+    has no more cells than the states have points; in a wider box they
+    hold a point or two each, too few for a multinomial row, and are left
+    as they are."""
+    need0, ones0 = need.min(), ones.min()
+    span = int(ones.max() - ones0) + 1
+    size = (int(need.max() - need0) + 1) * span
+    if size > points:
+        return need, ones, g
+    tally = np.bincount((need - need0) * span + (ones - ones0), weights=g, minlength=size)
+    keys = np.flatnonzero(tally)
+    return keys // span + need0, keys % span + ones0, tally[keys].astype(np.int64)
+
+
+def _fresh_ones(
+    problem: AdversarialProblem, n: int, k: int, test_count: int, rng: np.random.Generator
+) -> int:
+    """How many of test_count test points, each with its own independent
+    n-sample, the k-NN vote predicts 1: a counted state chain.
+
+    A point's vote state before a class is (need, ones): it still needs
+    need neighbours and holds ones label-1 votes. Until the vote is full
+    each class's count was below its need, so k - need sample points are
+    drawn and N = n - (k - need) are left; the class takes min(Binomial(N,
+    q), need) of them, q = P(class | not an earlier class). The T points
+    are exchangeable, so the chain keeps a table of occupied states (need,
+    ones, g), g points each, starting from (k, 0, T), and per class draws
+    how many of a state's g points take each outcome (``_counted_draw``);
+    once every state holds one point, it draws one plain binomial per
+    point. The last class takes the rest, y = min(N, need) = need. A point
+    whose need reaches 0 leaves the table and counts as 1 if 2·ones >= k,
+    and the chain stops when the table is empty. States with equal (need,
+    ones) are merged (``_merged``).
+
+    Law: every state's points draw independently from the same row, so the
+    T predictions are iid Bernoulli(p') for the p' that the chain's rows
+    give. Against the exact p of the chain with float q (the per-point
+    chain's law), |p' - p| is at most the sum over classes of the largest
+    row error: the 2·e**-TAIL_LOG of mass outside the window (below 1e-17),
+    plus the rounding of a row's log sums, about W·(TAIL_LOG + log N)·2**-53
+    relative per entry for a row of width W (below 1e-10 at W = 10**4).
+    Memory: the table (at most T states, three int64 each), one class's
+    outcomes (O(T)) and capped rows of at most ROW_CELLS cells a call.
+    """
+    need = np.array([k], dtype=np.int64)
+    ones, g = np.zeros(1, dtype=np.int64), np.array([test_count], dtype=np.int64)
+    points, predicted, rem_p = test_count, 0, Fraction(1)  # points: sum of g
+    for c in distance_classes(problem):
+        q = float(c.prob / rem_p)
+        rem_p -= c.prob
+        if q == 0:
+            continue
+        least, most = int(need.min()), int(need.max())
+        # the class takes the rest, or its window lies past every need (the
+        # window's lower end grows with N once it is past need >= 1)
+        if rem_p == 0 or q >= 1 or _windows(n - k + least, most, q)[0] >= most:
+            return predicted + int(g[2 * (ones + c.label * need) >= k].sum())
+        # every state holds one point, and so draws per point (rows are at
+        # least 2 wide) without reading its window
+        single = len(g) == points and not _multinomial_rows(2, g).any()
+        if single:
+            if most - least < 2**16:
+                # equal N side by side, so the binomial sampler keeps its
+                # set-up from draw to draw (a stable 16-bit sort is a radix sort)
+                order = np.argsort((need - least).astype(np.uint16), kind="stable")
+                need, ones = need[order], ones[order]
+            y = np.minimum(rng.binomial(n - k + need, q), need)
+        else:
+            idx, y, g = _counted_draw(rng, n - k + need, need, g, q)
+            need, ones = need[idx], ones[idx]
+            del idx
+        need -= y
+        if c.label:
+            ones += y
+        del y
+        live = need > 0
+        if not live.all():
+            filled = g[~live]
+            predicted += int(filled[2 * ones[~live] >= k].sum())
+            points -= int(filled.sum())
+            if not points:
+                break
+            need, ones, g = need[live], ones[live], g[live]
+        if not single:
+            need, ones, g = _merged(need, ones, g, points)
+    return predicted
 
 
 CHUNK = 1 << 16  # trace rows per block of the trace kernel
@@ -759,6 +927,18 @@ def _trace_predictions(
     return _vote(classes, counts(), k)
 
 
+def _arranged(ones: int, test_count: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random arrangement of ones 1s among test_count int8
+    predictions: the fewer label goes to a uniform subset of positions,
+    which ``rng.choice`` draws in O(subset) while the subset is at most a
+    twentieth of the positions (Floyd's algorithm)."""
+    majority = int(2 * ones > test_count)
+    preds = np.full(test_count, majority, dtype=np.int8)
+    fewer = min(ones, test_count - ones)
+    preds[rng.choice(test_count, fewer, replace=False, shuffle=False)] = 1 - majority
+    return preds
+
+
 def binomial_stderr(p: float, count: int) -> float:
     """Standard error of a fraction p of count independent draws, floored at
     sqrt(1e-12 / count) so that a Monte Carlo row always carries a positive
@@ -784,10 +964,17 @@ def structured_stage_sim(
     """Simulate k-NN predictions on diffuse test points at one stage without
     materializing the n sample points.
 
-    ``fresh`` draws an independent class-occupancy sample per test point
-    (the estimator used by the experiment runners); ``trace`` draws one
+    ``fresh`` gives each test point an independent n-sample (the estimator
+    used by the experiment runners). It draws how many points end in each
+    vote state (need, ones) as a counted state chain over the distance
+    classes, with one multinomial per state where its capped binomial row
+    is no wider than its point count and plain binomials per point
+    elsewhere (``_fresh_ones``), and returns that many 1s in a uniformly
+    random int8 arrangement (``_arranged``): T iid Bernoulli(p') values,
+    p' within the row errors that ``_fresh_ones`` bounds of the per-point
+    chain's p. ``trace`` draws one
     shared provenance trace with tie keys, reproducing exactly what the
-    brute-force classifier sees for the same seed.
+    brute-force classifier sees for the same seed (int64 predictions).
     """
     if stage < 0 or stage + 1 > problem.truncation_depth:
         raise ValueError("stage must satisfy stage + 1 <= truncation depth")
@@ -797,7 +984,7 @@ def structured_stage_sim(
         raise ValueError("test count must be positive")
     rng = np.random.default_rng(seed)
     if sample_mode == "fresh":
-        preds = _fresh_predictions(problem, n, k, test_count, rng)
+        preds = _arranged(_fresh_ones(problem, n, k, test_count, rng), test_count, rng)
     elif sample_mode == "trace":
         trace = draw_trace(problem, n, rng)
         words = draw_test_words(problem, test_count, rng)

@@ -52,7 +52,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -281,7 +281,9 @@ def _euclidean_distance(space: EuclideanD, p: Point, q: Point) -> float:
         and len(q.coords) == space.dim
     ):
         raise _mismatch(space, p, q)
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p.coords, q.coords)))
+    # d * d, not d ** 2: a float power raises OverflowError where the
+    # product gives inf, and both round the square correctly
+    return math.sqrt(sum(d * d for d in map(sub, p.coords, q.coords)))
 
 
 def _heisenberg_distance(space: Heisenberg, p: Point, q: Point) -> float:
@@ -485,7 +487,7 @@ def contained_pairs(
     The sparse l2 space decides only the candidate pairs, in blocks of about
     ``PAIR_BLOCK``, and each by ``sparse_d2``'s exact merge (see the module
     docstring). The other kinds loop over ``distance``: a numpy form of
-    their formulas need not round as Python's ``(a - b) ** 2`` does.
+    their formulas need not round as Python's ``d * d`` on floats does.
     """
     if isinstance(space, SparseL2):
         packed = _pack_sparse(space, list(centers) + list(points))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from metriclab import adversarial as adv
@@ -57,6 +58,26 @@ def test_structured_stage_sim_trace(benchmark):
     res = benchmark(adv.structured_stage_sim, problem, 1, n, k, 20, 7, "trace")
     assert len(res.predictions) == 20
     assert res.fraction >= 0.9
+
+
+def test_draw_trace(benchmark):
+    # the shared sample of the empirical table's stage 1: n = 10^6 rows
+    problem = _problem("empirical", 1)
+    trace = benchmark(adv.draw_trace, problem, 10**6, np.random.default_rng(7))
+    assert len(trace) == 10**6
+    assert abs(trace.is_atomic.mean() - 0.5) <= 5 * 0.5 / 10**3
+    assert len(np.unique(trace.tie_keys)) == 10**6
+
+
+def test_trace_predictions(benchmark):
+    # the kernel alone on one fixed n = 10^6 trace with 20 test words
+    problem = _problem("empirical", 1)
+    rng = np.random.default_rng(7)
+    trace = adv.draw_trace(problem, 10**6, rng)
+    words = adv.draw_test_words(problem, 20, rng)
+    preds = benchmark(adv._trace_predictions, problem, trace, words, 20)
+    assert len(preds) == 20
+    assert preds.mean() >= 0.9
 
 
 def test_structured_stage_sim_fresh_empirical(benchmark):

@@ -486,20 +486,28 @@ class SampleTrace:
 def draw_trace(problem: AdversarialProblem, count: int, rng: np.random.Generator) -> SampleTrace:
     """Draw sample provenance: a fair atomic/diffuse coin, a geometric atom
     depth clamped at the truncation depth, and uniform branch letters.
-    Every column is drawn as int64, as ``draw_test_words`` draws it, and
-    then narrowed, so the random stream does not depend on the type."""
+
+    The coin and the depth share one uniform u: a row is atomic iff u <
+    1/2, and u in [2**-(j+2), 2**-(j+1)), of probability gamma_j =
+    2**-(j+2), has biased binary exponent 1021 - j, so 1021 minus the
+    exponent, clamped at D, is the depth (-1 on the diffuse rows, whose
+    exponent is 1022; u = 0 clamps to D). u lives on the 2**-53 grid, so
+    the law is exact for depths up to 51; past that the whole error is at
+    most 2**-53 of mass. The letters are drawn as int64, as
+    ``draw_test_words`` draws them, and then narrowed, so the random
+    stream does not depend on the type."""
     if count < 1:
         raise ValueError("count must be positive")
     D = problem.truncation_depth
     dtype = np.min_scalar_type(-1 - max(D, *map(problem.branching_at, range(1, D + 1))))
-    is_atomic = rng.random(count) < 0.5
-    # P(depth j) = 2**-(j+1): gamma_j = 2**-(j+2) over the atomic half
-    depths = rng.geometric(0.5, size=count)
-    depths -= 1
+    u = rng.random(count)
+    is_atomic = u < 0.5
+    depths = u.view(np.int64)  # u's own buffer: u >= 0, so the top bits are the exponent
+    depths >>= 52
+    np.subtract(1021, depths, out=depths)
     np.minimum(depths, D, out=depths)
-    depths[~is_atomic] = -1
     atom_depth = depths.astype(dtype)
-    del depths  # freed before the letters are drawn
+    del u, depths  # freed before the letters are drawn
     letters = _draw_words(problem, count, rng, dtype)
     tie_keys = rng.random(count)
     # n draws repeat a key with probability about n**2 / 2**54 (5.6e-5 at
@@ -723,18 +731,42 @@ def _multinomial_rows(width: np.ndarray, g: np.ndarray) -> np.ndarray:
     return width <= g
 
 
+def _per_point_draw(
+    rng: np.random.Generator, n_k: int, need: np.ndarray, ones: np.ndarray, q: float, label: int
+) -> None:
+    """One point per entry takes y = min(Binomial(n_k + need, q), need) of
+    a class of the given label, by one plain binomial draw each; need and
+    ones are updated in place."""
+    N = need.astype(np.int64)
+    N += n_k
+    y = rng.binomial(N, q)
+    del N
+    np.minimum(y, need, out=y)
+    need -= y
+    if label:
+        ones += y
+
+
 def _counted_draw(
-    rng: np.random.Generator, N: np.ndarray, need: np.ndarray, g: np.ndarray, q: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One class's capped outcomes min(Binomial(N, q), need) for the g
-    points of each state, as (state index, outcome y, points) arrays:
+    rng: np.random.Generator, n_k: int, need: np.ndarray, ones: np.ndarray, g: np.ndarray,
+    q: float, label: int,
+) -> list:
+    """One class of a given label on a (need, ones, g) table: the capped
+    outcomes min(Binomial(N, q), need), N = n_k + need, for the g points
+    of each state,
 
     - no draw where the window of ``_windows`` lies past need: y = need;
     - one ``rng.multinomial(g, row)`` over the capped row of
       ``_capped_rows`` where ``_multinomial_rows`` says so; rows of widths
       in [2**(b-1), 2**b) share a call, up to ROW_CELLS cells a call;
-    - else g plain ``rng.binomial(N, q)`` draws, capped at need.
+    - else, after those draws, g plain binomials (``_per_point_draw``),
+
+    as the parts of the next table: the states that took at most one draw
+    as (need, ones, g), then the points drawn one by one, in state order,
+    as (need, ones, None).
     """
+    N = need.astype(np.int64)
+    N += n_k
     lo, hi = _windows(N, need, q)
     fixed, width = lo == need, hi - lo + 1
     multi = ~fixed & _multinomial_rows(width, g)
@@ -751,28 +783,77 @@ def _counted_draw(
             top = np.minimum(hi[sel], need[sel])[row]
             parts.append((sel[row], top - (counts.shape[1] - 1 - col), counts[row, col]))
     single = np.flatnonzero(~fixed & ~multi)
-    point = np.repeat(single, g[single])
-    drawn = rng.binomial(N[point], q)
-    parts.append((point, np.minimum(drawn, need[point], out=drawn), np.ones_like(point)))
-    parts = [part for part in parts if len(part[0])]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(a) for a in zip(*parts))
+    del N, lo, hi, fixed, width, multi  # freed before the per-point draws
+    idx, y, counted_g = (np.concatenate(a) for a in zip(*parts))
+    need_c, ones_c = need[idx], ones[idx]
+    need_c -= y
+    if label:
+        ones_c += y
+    del parts, idx, y
+    reps = g[single]
+    need_p, ones_p = np.repeat(need[single], reps), np.repeat(ones[single], reps)
+    del single, reps
+    if len(need_p):  # at small k most classes draw no point on its own
+        _per_point_draw(rng, n_k, need_p, ones_p, q, label)
+    return [(need_c, ones_c, counted_g), (need_p, ones_p, None)]
 
 
-def _merged(need: np.ndarray, ones: np.ndarray, g: np.ndarray, points: int):
-    """The states with equal (need, ones) merged, when their box of keys
-    has no more cells than the states have points; in a wider box they
-    hold a point or two each, too few for a multinomial row, and are left
-    as they are."""
-    need0, ones0 = need.min(), ones.min()
-    span = int(ones.max() - ones0) + 1
-    size = (int(need.max() - need0) + 1) * span
+def _held(g: Optional[np.ndarray], mask: np.ndarray) -> int:
+    """The points of the states in mask; g None means one point each."""
+    return int(np.count_nonzero(mask)) if g is None else int(g[mask].sum())
+
+
+def _filled(parts: list, k: int) -> tuple[list, int, int]:
+    """The states whose vote is full (need 0) taken out of the table parts,
+    (need, ones, g) triples with g None for one point a state: the parts
+    left, the points taken out and how many of them vote 1."""
+    left, out, voted = [], 0, 0
+    for need, ones, g in parts:
+        done = need == 0
+        if done.any():
+            out += _held(g, done)
+            voted += _held(g, done & (2 * ones >= k))
+            need, ones, g = need[~done], ones[~done], None if g is None else g[~done]
+        left.append((need, ones, g))
+    return left, out, voted
+
+
+def _bounds(*arrays: np.ndarray) -> tuple[int, int]:
+    """The least and the largest value over arrays, not all empty."""
+    full = [a for a in arrays if len(a)]
+    return min(int(a.min()) for a in full), max(int(a.max()) for a in full)
+
+
+def _merged(counted: tuple, per_point: tuple, points: int) -> tuple:
+    """One (need, ones, g) table of a class's states, ``counted`` as
+    (need, ones, g) and ``per_point`` as (need, ones, None), one point a
+    state. States with equal (need, ones) are merged when their box of
+    keys has no more cells than the states have points, the per-point
+    keys counted without weights; in a wider box they hold a point or two
+    each, too few for a multinomial row, and are joined in order."""
+    (need_c, ones_c, g_c), (need_p, ones_p, _) = counted, per_point
+    need0, need1 = _bounds(need_c, need_p)
+    ones0, ones1 = _bounds(ones_c, ones_p)
+    span = ones1 - ones0 + 1
+    size = (need1 - need0 + 1) * span
     if size > points:
-        return need, ones, g
-    tally = np.bincount((need - need0) * span + (ones - ones0), weights=g, minlength=size)
+        g = np.ones(len(need_c) + len(need_p), dtype=np.int64)
+        g[: len(g_c)] = g_c
+        return np.concatenate((need_c, need_p)), np.concatenate((ones_c, ones_p)), g
+
+    def key(need, ones):
+        key = need.astype(np.int64)
+        key -= need0
+        key *= span
+        key += ones
+        key -= ones0
+        return key
+
+    tally = np.bincount(key(need_p, ones_p), minlength=size)
+    np.add.at(tally, key(need_c, ones_c), g_c)
     keys = np.flatnonzero(tally)
-    return keys // span + need0, keys % span + ones0, tally[keys].astype(np.int64)
+    dtype = need_c.dtype
+    return (keys // span + need0).astype(dtype), (keys % span + ones0).astype(dtype), tally[keys]
 
 
 def _fresh_ones(
@@ -788,12 +869,13 @@ def _fresh_ones(
     q), need) of them, q = P(class | not an earlier class). The T points
     are exchangeable, so the chain keeps a table of occupied states (need,
     ones, g), g points each, starting from (k, 0, T), and per class draws
-    how many of a state's g points take each outcome (``_counted_draw``);
-    once every state holds one point, it draws one plain binomial per
-    point. The last class takes the rest, y = min(N, need) = need. A point
-    whose need reaches 0 leaves the table and counts as 1 if 2·ones >= k,
-    and the chain stops when the table is empty. States with equal (need,
-    ones) are merged (``_merged``).
+    how many of a state's g points take each outcome (``_counted_draw``).
+    Once every state holds one point, the chain drops g and draws one
+    plain binomial per point (``_per_point_draw``). The last class takes
+    the rest, y = min(N, need) = need. A point whose need reaches 0 leaves
+    the table and counts as 1 if 2·ones >= k, and the chain stops when the
+    table is empty. States with equal (need, ones) are merged
+    (``_merged``).
 
     Law: every state's points draw independently from the same row, so the
     T predictions are iid Bernoulli(p') for the p' that the chain's rows
@@ -802,11 +884,15 @@ def _fresh_ones(
     row error: the 2·e**-TAIL_LOG of mass outside the window (below 1e-17),
     plus the rounding of a row's log sums, about W·(TAIL_LOG + log N)·2**-53
     relative per entry for a row of width W (below 1e-10 at W = 10**4).
-    Memory: the table (at most T states, three int64 each), one class's
-    outcomes (O(T)) and capped rows of at most ROW_CELLS cells a call.
+    Memory: need and ones take ``_vote_dtype(k)`` and g int64 a state,
+    and g is dropped once each state holds one point; a class's per-point
+    draws add two int64 a point, and its capped rows at most ROW_CELLS
+    cells a call. So at (n, k) = (157000, 16384) on m = (1, 4, 3, 3) and
+    T = 10**6, where a class draws about T binomials, the peak is 27 MiB.
     """
-    need = np.array([k], dtype=np.int64)
-    ones, g = np.zeros(1, dtype=np.int64), np.array([test_count], dtype=np.int64)
+    vote = _vote_dtype(k)
+    need, ones = np.array([k], dtype=vote), np.zeros(1, dtype=vote)
+    g = np.array([test_count], dtype=np.int64)  # None once each state holds one point
     points, predicted, rem_p = test_count, 0, Fraction(1)  # points: sum of g
     for c in distance_classes(problem):
         q = float(c.prob / rem_p)
@@ -817,35 +903,30 @@ def _fresh_ones(
         # the class takes the rest, or its window lies past every need (the
         # window's lower end grows with N once it is past need >= 1)
         if rem_p == 0 or q >= 1 or _windows(n - k + least, most, q)[0] >= most:
-            return predicted + int(g[2 * (ones + c.label * need) >= k].sum())
+            return predicted + _held(g, 2 * (ones + c.label * need) >= k)
         # every state holds one point, and so draws per point (rows are at
         # least 2 wide) without reading its window
-        single = len(g) == points and not _multinomial_rows(2, g).any()
-        if single:
+        if g is not None and len(g) == points and not _multinomial_rows(2, g).any():
+            g = None
+        if g is None:
             if most - least < 2**16:
                 # equal N side by side, so the binomial sampler keeps its
                 # set-up from draw to draw (a stable 16-bit sort is a radix sort)
                 order = np.argsort((need - least).astype(np.uint16), kind="stable")
                 need, ones = need[order], ones[order]
-            y = np.minimum(rng.binomial(n - k + need, q), need)
+                del order
+            _per_point_draw(rng, n - k, need, ones, q, c.label)
+            parts = [(need, ones, None)]
         else:
-            idx, y, g = _counted_draw(rng, n - k + need, need, g, q)
-            need, ones = need[idx], ones[idx]
-            del idx
-        need -= y
-        if c.label:
-            ones += y
-        del y
-        live = need > 0
-        if not live.all():
-            filled = g[~live]
-            predicted += int(filled[2 * ones[~live] >= k].sum())
-            points -= int(filled.sum())
-            if not points:
-                break
-            need, ones, g = need[live], ones[live], g[live]
-        if not single:
-            need, ones, g = _merged(need, ones, g, points)
+            parts = _counted_draw(rng, n - k, need, ones, g, q, c.label)
+        del need, ones, g
+        parts, out, voted = _filled(parts, k)
+        points -= out
+        predicted += voted
+        if not points:
+            break
+        need, ones, g = parts[0] if len(parts) == 1 else _merged(*parts, points)
+        del parts
     return predicted
 
 
@@ -866,16 +947,22 @@ def _trace_predictions(
     at each level are found once. Then one pass, CHUNK rows at a time,
     filters the rows down the prefix trie of the test words without
     sorting the sample: at level h only the rows that match some word's
-    h-prefix remain, their next letter is found among the words' distinct
-    letters at that level, and the pair (prefix id, letter index) is
-    looked up among the words' (h+1)-prefixes; at h = 0 there is one empty
-    prefix, so the letter index is already the 1-prefix id and the lookup
-    is skipped. Each block's bincount per level is added to ge[h + 1], the
-    rows of each group agreeing with each word on h + 1 letters; ge[h] -
-    ge[h+1] rows split at h. Lookup keys stay below T**2, so no letter is
-    ever packed into an integer. O(n D log T + T D log T) time; beyond the
-    trace, O(CHUNK + D T + D**2 P) memory for at most P distinct prefixes
-    per level (P <= T).
+    h-prefix remain; of them, ``np.isin`` keeps those whose next letter is
+    among the words' distinct letters at that level (by a lookup table
+    when the letters' span is at most 6·(rows + letters), else by sorting
+    or, for fewer than 10·rows**0.145 letters, one comparison per letter;
+    so its memory is O(CHUNK + T) for any letters), only those rows find
+    their letter index by binary search, and the pair (prefix id, letter
+    index) is looked up among the words' (h+1)-prefixes; at h = 0 there is
+    one empty prefix, so the letter index is already the 1-prefix id and
+    the lookup is skipped. Each block's bincount per level is added to
+    ge[h + 1], the rows of each group agreeing with each word on h + 1
+    letters; ge[h] - ge[h+1] rows split at h. Lookup keys stay below T**2,
+    so no letter is ever packed into an integer. Time: O(T D log T) for
+    the words, and per block and level O(CHUNK + T) for the filter plus
+    O(log T) for each row that passes it (O((CHUNK + T) log(CHUNK + T))
+    where the filter sorts); beyond the trace, O(CHUNK + D T + D**2 P)
+    memory for at most P distinct prefixes per level (P <= T).
     """
     D, T = problem.truncation_depth, len(test_words)
     groups = D + 2
@@ -901,9 +988,9 @@ def _trace_predictions(
         block_letters = trace.letters[block]
         for h, (letters, prefixes) in enumerate(levels):
             row_letter = block_letters[rows, h]
-            idx = np.minimum(np.searchsorted(letters, row_letter), len(letters) - 1)
-            hit = letters[idx] == row_letter
-            rows, row_pid = rows[hit], row_pid[hit] * len(letters) + idx[hit]
+            hit = np.isin(row_letter, letters)
+            rows, row_letter = rows[hit], row_letter[hit]
+            row_pid = row_pid[hit] * len(letters) + np.searchsorted(letters, row_letter)
             if h > 0:
                 pos = np.minimum(np.searchsorted(prefixes, row_pid), len(prefixes) - 1)
                 hit = prefixes[pos] == row_pid  # prefix and letter may each occur, the pair not

@@ -428,8 +428,8 @@ def test_labelled_sample_matches_rows_read_one_at_a_time(name):
 @pytest.mark.parametrize(
     "seed, digest",
     [
-        (5, "203f8ba761fdb6f8a827aee4e8b3eb8f66c6e4cbf7621d27cb99a2cbbf60b4b0"),
-        (11, "66ba40b60c1093a5d7fdab91f00e59456b68c2244a38244f8771a5bdcff29ee7"),
+        (5, "dbe891d7d92b693830d8b1ffb28f8f7ee3bb35cfb22c41fe53c7cfe42a0038c2"),
+        (11, "2878a000afec1f9169c1ba9280aa60313fb9895e5bd14dfb0206d5ab9eb9aae6"),
     ],
     ids=["seed5", "seed11"],
 )
@@ -523,6 +523,67 @@ def test_draw_trace_redraws_repeated_tie_keys():
     # the first copy of each value stays, every later copy is redrawn
     assert (trace.tie_keys[::3] == rng.repeated[::3]).all()
     assert not np.isin(trace.tie_keys[1::3], rng.repeated).any()
+
+
+class _ChosenFirstDraw:
+    """A generator whose first ``random`` call, the coin and depth draw of
+    ``draw_trace``, returns chosen values."""
+
+    def __init__(self, values):
+        self._rng = np.random.default_rng(0)
+        self._values = np.array(values, dtype=np.float64)
+        self._calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size):
+        self._calls += 1
+        if self._calls == 1:
+            assert size == len(self._values)
+            return self._values.copy()
+        return self._rng.random(size)
+
+
+@pytest.mark.parametrize("D", [3, 60])
+def test_draw_trace_depth_at_the_exponent_boundaries(D):
+    # u in [2**-(j+2), 2**-(j+1)) is an atom at depth j, clamped at D; u >= 1/2
+    # is diffuse; u = 0 is the deepest atom
+    cases = [(0.0, D), (2.0**-53, 51), (0.5 - 2.0**-53, 0), (0.5, -1)]
+    for j in range(53):
+        cases.append((2.0 ** -(j + 1), j - 1))
+        cases.append((math.nextafter(2.0 ** -(j + 1), 0), j))
+    values, want = zip(*cases)
+    want = np.array([min(d, D) for d in want])
+    p = small_problem(truncation=D)
+    trace = adv.draw_trace(p, len(values), _ChosenFirstDraw(values))
+    assert (trace.is_atomic == (want >= 0)).all()
+    assert (trace.atom_depth == want).all()
+    assert trace.atom_depth.dtype == np.int8
+
+
+@pytest.mark.parametrize("D", [3, 8])
+def test_draw_trace_depth_frequencies_match_gamma(D):
+    # P(atom at depth j) = gamma_j = 2**-(j+2) below D, the tail 2**-(D+1) at D
+    count = 10**6
+    trace = adv.draw_trace(small_problem(truncation=D), count, np.random.default_rng(12))
+    got = np.bincount(trace.atom_depth + 1, minlength=D + 2) / count
+    want = [0.5] + [float(adv.gamma_value(j)) for j in range(D)] + [float(adv.gamma_tail(D))]
+    for freq, p in zip(got, want):
+        assert abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / count)
+
+
+def test_draw_trace_at_n_10_6_holds_under_26_mib():
+    # the 16.2 MiB trace, the 7.6 MiB sorted tie-key copy and its 1 MB
+    # comparison: the coin and depth uniform is gone before the letters
+    p = small_problem(m=(1, 293, 2000), n=(128, 10**6), truncation=3)
+    tracemalloc.start()
+    try:
+        adv.draw_trace(p, 10**6, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * 2**20
 
 
 def test_atoms_disjoint_from_diffuse_support():

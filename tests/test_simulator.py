@@ -270,6 +270,17 @@ def test_fresh_stages_at_t_10_6_hold_under_4_mb():
     assert _traced_peak_mb(lambda: ex.run_consistency(config)) < 4
 
 
+def test_fresh_stage_with_spread_states_holds_under_30_mib():
+    # k = 16384 at n = 157000 spreads the states until each class draws
+    # about T binomials, one per point: need and ones in int32, and no
+    # index or point count per drawn point (28.3 MB measured)
+    prob = problem()
+    peak = _traced_peak_mb(
+        lambda: structured_stage_sim(prob, 0, 157_000, 16384, 10**6, 7, sample_mode="fresh")
+    )
+    assert peak < 30 * 2**20 / 1e6
+
+
 def _lexsort_reference(prob, trace, words, k):
     """The per-word rule the count vote replaced: rank every row by its
     distance class, break ties by the smaller tie key, vote over the first k."""
@@ -428,6 +439,9 @@ def test_trace_counts_with_letters_near_2_pow_62():
         ((1, 293, 2000), 20_000, 20, 15),  # few words: most rows leave at level 0
         ((1, 293, 2000), 20_000, 3000, 15),  # many words: every first letter occurs
         ((1, 3, 2), 50, 400, 7),  # more words than rows, many duplicates
+        # first letters spread over 1..50000, more than 6·(rows + letters),
+        # so np.isin looks them up by sorting, not by a table
+        ((1, 50_000, 2), 2000, 400, 1),
     ],
 )
 def test_trace_kernel_equals_group_lexsort_on_drawn_traces(m, n, test_count, k):

@@ -471,13 +471,15 @@ class SampleTrace:
     ``atom_depth`` and ``letters`` share the narrowest integer type that
     holds -1..D and the largest branching, so a row takes 9 + (D + 1)·b
     bytes for b-byte integers: 17 MB at n = 10**6, D = 3 and branching
-    2000 (int16), against 41 MB with int64 arrays.
+    2000 (int16), against 41 MB with int64 arrays. ``draw_trace`` stores
+    the letters column-major, one contiguous column per level; a trace
+    built by hand may hold them in either order.
     """
 
     is_atomic: np.ndarray  # bool (count,)
-    atom_depth: np.ndarray  # int (count,), -1 on diffuse rows
+    atom_depth: np.ndarray  # int (count,), -1 exactly on the diffuse rows
     letters: np.ndarray  # int (count, truncation_depth), 1-based
-    tie_keys: np.ndarray  # float64 (count,), pairwise distinct
+    tie_keys: Optional[np.ndarray]  # float64 (count,), pairwise distinct; None if never read
 
     def __len__(self) -> int:
         return len(self.is_atomic)
@@ -485,7 +487,8 @@ class SampleTrace:
 
 def draw_trace(problem: AdversarialProblem, count: int, rng: np.random.Generator) -> SampleTrace:
     """Draw sample provenance: a fair atomic/diffuse coin, a geometric atom
-    depth clamped at the truncation depth, and uniform branch letters.
+    depth clamped at the truncation depth, uniform branch letters and
+    pairwise distinct uniform tie keys.
 
     The coin and the depth share one uniform u: a row is atomic iff u <
     1/2, and u in [2**-(j+2), 2**-(j+1)), of probability gamma_j =
@@ -494,8 +497,33 @@ def draw_trace(problem: AdversarialProblem, count: int, rng: np.random.Generator
     exponent is 1022; u = 0 clamps to D). u lives on the 2**-53 grid, so
     the law is exact for depths up to 51; past that the whole error is at
     most 2**-53 of mass. The letters are drawn as int64, as
-    ``draw_test_words`` draws them, and then narrowed, so the random
-    stream does not depend on the type."""
+    ``draw_test_words`` draws them, and then narrowed into column-major
+    storage, so the random stream does not depend on the type.
+
+    ``rng`` then gives exactly count tie-key uniforms. count draws repeat a
+    key with probability about count**2 / 2**54 (5.6e-5 at 10**6); a
+    repeated key is redrawn from a side generator on a jumped copy of
+    ``rng``'s bit generator, which never advances ``rng``. So what ``rng``
+    draws next does not depend on whether a key repeated, and the trace
+    mode of ``structured_stage_sim`` can discard the keys unsorted."""
+    trace = _draw_rows(problem, count, rng)
+    keys = rng.random(count)
+    side = None
+    ordered = np.sort(keys)
+    while (ordered[1:] == ordered[:-1]).any():
+        if side is None:
+            side = np.random.Generator(rng.bit_generator.jumped())
+        _, idx = np.unique(keys, return_index=True)
+        dup = np.setdiff1d(np.arange(count), idx)
+        keys[dup] = side.random(len(dup))
+        ordered = np.sort(keys)
+    trace.tie_keys = keys
+    return trace
+
+
+def _draw_rows(problem: AdversarialProblem, count: int, rng: np.random.Generator) -> SampleTrace:
+    """``draw_trace`` up to its tie keys: the coin, the depth and the
+    letters, with ``tie_keys`` None."""
     if count < 1:
         raise ValueError("count must be positive")
     D = problem.truncation_depth
@@ -508,24 +536,16 @@ def draw_trace(problem: AdversarialProblem, count: int, rng: np.random.Generator
     np.minimum(depths, D, out=depths)
     atom_depth = depths.astype(dtype)
     del u, depths  # freed before the letters are drawn
-    letters = _draw_words(problem, count, rng, dtype)
-    tie_keys = rng.random(count)
-    # n draws repeat a key with probability about n**2 / 2**54 (5.6e-5 at
-    # n = 10**6); a repeat is redrawn
-    ordered = np.sort(tie_keys)
-    while (ordered[1:] == ordered[:-1]).any():
-        _, idx = np.unique(tie_keys, return_index=True)
-        dup = np.setdiff1d(np.arange(count), idx)
-        tie_keys[dup] = rng.random(len(dup))
-        ordered = np.sort(tie_keys)
-    return SampleTrace(is_atomic, atom_depth, letters, tie_keys)
+    return SampleTrace(is_atomic, atom_depth, _draw_words(problem, count, rng, dtype), None)
 
 
 def _draw_words(
     problem: AdversarialProblem, count: int, rng: np.random.Generator, dtype
 ) -> np.ndarray:
-    """Uniform letters at each level, drawn as int64 and stored as dtype."""
-    words = np.empty((count, problem.truncation_depth), dtype=dtype)
+    """Uniform letters at each level, drawn as int64 and stored as dtype in
+    column-major order, so that each level narrows into, and is later read
+    from, one contiguous column."""
+    words = np.empty((count, problem.truncation_depth), dtype=dtype, order="F")
     for level in range(1, problem.truncation_depth + 1):
         words[:, level - 1] = rng.integers(1, problem.branching_at(level) + 1, size=count)
     return words
@@ -942,19 +962,25 @@ def _trace_predictions(
     share it (``distance_classes`` raises otherwise), so the label sum of
     the k nearest does not depend on which tied rows the keys pick.
 
-    Rows fall into groups: atom depth j for atomic rows, D + 1 for diffuse
-    rows (which have D letters). The words' distinct letters and prefixes
-    at each level are found once. Then one pass, CHUNK rows at a time,
-    filters the rows down the prefix trie of the test words without
-    sorting the sample: at level h only the rows that match some word's
-    h-prefix remain; of them, ``np.isin`` keeps those whose next letter is
-    among the words' distinct letters at that level (by a lookup table
-    when the letters' span is at most 6·(rows + letters), else by sorting
-    or, for fewer than 10·rows**0.145 letters, one comparison per letter;
-    so its memory is O(CHUNK + T) for any letters), only those rows find
-    their letter index by binary search, and the pair (prefix id, letter
-    index) is looked up among the words' (h+1)-prefixes; at h = 0 there is
-    one empty prefix, so the letter index is already the 1-prefix id and
+    Rows fall into groups keyed by ``atom_depth + 1``: j + 1 for atoms at
+    depth j, 0 for diffuse rows (which have D letters; ``SampleTrace``
+    keeps their depth at -1), so ``is_atomic`` is never read. The words'
+    distinct letters and prefixes at each level are found once. Then one
+    pass, CHUNK rows at a time, filters the rows down the prefix trie of
+    the test words without sorting the sample. Level 0 is taken over whole
+    columns: the block's groups are counted in one bincount, and
+    ``np.isin`` on the block's level-0 column, with depth != 0 (root atoms
+    have no letter), picks the rows before any is gathered; so the letters
+    are best column-major, as ``draw_trace`` stores them. At a level h > 0
+    only the rows that match some word's h-prefix remain; of them,
+    ``np.isin`` keeps those whose next letter is among the words' distinct
+    letters at that level. ``np.isin`` works by a lookup table when the
+    letters' span is at most 6·(rows + letters), else by sorting or, for
+    fewer than 10·rows**0.145 letters, one comparison per letter; so its
+    memory is O(CHUNK + T) for any letters. Only the rows kept find their
+    letter index by binary search, and the pair (prefix id, letter index)
+    is looked up among the words' (h+1)-prefixes; at h = 0 there is one
+    empty prefix, so the letter index is already the 1-prefix id and
     the lookup is skipped. Each block's bincount per level is added to
     ge[h + 1], the rows of each group agreeing with each word on h + 1
     letters; ge[h] - ge[h+1] rows split at h. Lookup keys stay below T**2,
@@ -980,31 +1006,33 @@ def _trace_predictions(
     tables += [np.zeros((groups, len(prefixes)), dtype=np.int64) for _, prefixes in levels]
     for lo in range(0, len(trace), CHUNK):
         block = slice(lo, lo + CHUNK)
-        # int64, so that the bincount keys group * P + pid cannot wrap
-        group = np.where(trace.is_atomic[block], trace.atom_depth[block], D + 1).astype(np.int64)
-        tables[0][:, 0] += np.bincount(group, minlength=groups)
-        rows = np.flatnonzero(group > 0)  # rows with a letter at level 0
-        row_pid = np.zeros(len(rows), dtype=np.int64)
-        block_letters = trace.letters[block]
+        depth, block_letters = trace.atom_depth[block], trace.letters[block]
+        tables[0][:, 0] += np.bincount(depth + 1, minlength=groups)
+        # rows with a letter at level 0 (not root atoms) that some word has
+        rows = np.flatnonzero(np.isin(block_letters[:, 0], levels[0][0]) & (depth != 0))
         for h, (letters, prefixes) in enumerate(levels):
             row_letter = block_letters[rows, h]
-            hit = np.isin(row_letter, letters)
-            rows, row_letter = rows[hit], row_letter[hit]
-            row_pid = row_pid[hit] * len(letters) + np.searchsorted(letters, row_letter)
-            if h > 0:
+            if h == 0:
+                row_pid = np.searchsorted(letters, row_letter)
+            else:
+                hit = np.isin(row_letter, letters)
+                rows, row_letter = rows[hit], row_letter[hit]
+                row_pid = row_pid[hit] * len(letters) + np.searchsorted(letters, row_letter)
                 pos = np.minimum(np.searchsorted(prefixes, row_pid), len(prefixes) - 1)
                 hit = prefixes[pos] == row_pid  # prefix and letter may each occur, the pair not
                 rows, row_pid = rows[hit], pos[hit]
-            row_group = group[rows]
+            # int64, so that the bincount keys group * P + pid cannot wrap
+            row_group = depth[rows].astype(np.int64) + 1
             P = len(prefixes)
             keys = row_group * P + row_pid
             tables[h + 1] += np.bincount(keys, minlength=groups * P).reshape(groups, P)
-            deeper = row_group > h + 1  # atoms at depth h + 1 have no further letter
+            # diffuse rows go on; atoms at depth h + 1 have no further letter
+            deeper = (row_group == 0) | (row_group > h + 2)
             rows, row_pid = rows[deeper], row_pid[deeper]
 
     def counts():
         for c in classes:
-            g, h = (c.depth if c.kind == "atom" else D + 1), c.split
+            g, h = (c.depth + 1 if c.kind == "atom" else 0), c.split
             ge = tables[h][g, pids[h]]
             if h < c.depth:
                 ge -= tables[h + 1][g, pids[h + 1]]
@@ -1059,9 +1087,12 @@ def structured_stage_sim(
     elsewhere (``_fresh_ones``), and returns that many 1s in a uniformly
     random int8 arrangement (``_arranged``): T iid Bernoulli(p') values,
     p' within the row errors that ``_fresh_ones`` bounds of the per-point
-    chain's p. ``trace`` draws one
-    shared provenance trace with tie keys, reproducing exactly what the
-    brute-force classifier sees for the same seed (int64 predictions).
+    chain's p. ``trace`` draws the rows of one shared provenance trace,
+    discards its tie keys unsorted (``draw_trace`` redraws a repeated key
+    off the main stream, and the count kernel never reads them), then
+    draws the test words; so for the same seed it reproduces exactly what
+    the brute-force classifier sees on ``draw_trace`` followed by
+    ``draw_test_words`` (int64 predictions).
     """
     if stage < 0 or stage + 1 > problem.truncation_depth:
         raise ValueError("stage must satisfy stage + 1 <= truncation depth")
@@ -1073,7 +1104,8 @@ def structured_stage_sim(
     if sample_mode == "fresh":
         preds = _arranged(_fresh_ones(problem, n, k, test_count, rng), test_count, rng)
     elif sample_mode == "trace":
-        trace = draw_trace(problem, n, rng)
+        trace = _draw_rows(problem, n, rng)
+        rng.random(n)  # draw_trace's tie keys, which the count kernel never reads
         words = draw_test_words(problem, test_count, rng)
         preds = _trace_predictions(problem, trace, words, k)
     else:

@@ -516,13 +516,18 @@ class _RepeatedTieKeys:
 
 
 def test_draw_trace_redraws_repeated_tie_keys():
+    # repeats are redrawn off the main stream: rng sees only the coin and
+    # depth draw and the key draw, and ends where an unspied generator ends
     rng = _RepeatedTieKeys(3)
     trace = adv.draw_trace(small_problem(), 100, rng)
-    assert rng._calls == 3
+    assert rng._calls == 2
     assert len(np.unique(trace.tie_keys)) == 100
     # the first copy of each value stays, every later copy is redrawn
     assert (trace.tie_keys[::3] == rng.repeated[::3]).all()
     assert not np.isin(trace.tie_keys[1::3], rng.repeated).any()
+    plain = np.random.default_rng(3)
+    adv.draw_trace(small_problem(), 100, plain)
+    assert rng.bit_generator.state == plain.bit_generator.state
 
 
 class _ChosenFirstDraw:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -200,6 +201,11 @@ def _brute_force_predictions(prob, trace, words, k):
         ((1, 2, 5), 2, 0, 500, 12),
         ((1, 6, 2), 2, 0, 2000, 11),
         ((1, 3, 3), 3, 1, 40, 40),
+        # odd n·D: the letter draws leave a buffered 32-bit half in the
+        # generator, which the stream of the test words goes on from
+        ((1, 4, 3, 3), 3, 0, 61, 7),
+        ((1, 4, 3, 3), 3, 1, 121, 9),
+        ((1, 4, 3, 3), 3, 1, 1001, 20),
     ],
 )
 def test_trace_mode_equals_brute_force(m, truncation, stage, n, k):
@@ -208,7 +214,10 @@ def test_trace_mode_equals_brute_force(m, truncation, stage, n, k):
         rng = np.random.default_rng(seed)
         trace = adv.draw_trace(prob, n, rng)
         words = adv.draw_test_words(prob, 8, rng)
-        sim = structured_stage_sim(prob, stage, n, k, 8, seed, sample_mode="trace")
+        with mock.patch.object(adv, "_trace_predictions", wraps=adv._trace_predictions) as kernel:
+            sim = structured_stage_sim(prob, stage, n, k, 8, seed, sample_mode="trace")
+        # the simulator discards the tie keys, and goes on with the same words
+        assert (kernel.call_args.args[2] == words).all()
         brute = _brute_force_predictions(prob, trace, words, k)
         assert (sim.predictions == brute).all()
 
@@ -230,16 +239,21 @@ CRITERION_07_CONFIGS = [
 
 @pytest.mark.parametrize("m,truncation,stage,n,k", CRITERION_07_CONFIGS)
 def test_trace_kernel_does_not_depend_on_the_row_chunk(m, truncation, stage, n, k):
-    # every n here is below CHUNK, so the unpatched kernel reads one block
+    # every n here is below CHUNK, so the unpatched kernel reads one block;
+    # the letters are read as drawn (column-major) and C-ordered, as a
+    # hand-built trace holds them
     prob = problem(m=m, truncation=truncation)
     rng = np.random.default_rng(n)
     trace = adv.draw_trace(prob, n, rng)
     words = adv.draw_test_words(prob, 10, rng)
     want = adv._trace_predictions(prob, trace, words, k)
     assert (want == _brute_force_predictions(prob, trace, words, k)).all()
-    for chunk in (1, 7, 64):
-        with mock.patch.object(adv, "CHUNK", chunk):
-            assert (adv._trace_predictions(prob, trace, words, k) == want).all()
+    c_ordered = replace(trace, letters=np.ascontiguousarray(trace.letters))
+    assert trace.letters.flags.f_contiguous and not c_ordered.letters.flags.f_contiguous
+    for layout in (trace, c_ordered):
+        for chunk in (adv.CHUNK, 1, 7, 64):
+            with mock.patch.object(adv, "CHUNK", chunk):
+                assert (adv._trace_predictions(prob, layout, words, k) == want).all()
 
 
 def _traced_peak_mb(run):
@@ -253,14 +267,15 @@ def _traced_peak_mb(run):
         tracemalloc.stop()
 
 
-def test_trace_stage_at_n_10_6_holds_under_40_mb():
-    # the shared-sample stage of the empirical table: the trace takes 17 MB
-    # (int16 depths and letters), and the kernel O(CHUNK) rows beyond it
+def test_trace_stage_at_n_10_6_holds_under_21_mb():
+    # the shared-sample stage of the empirical table: the trace without tie
+    # keys takes 9 MB (int16 depths and letters), the discarded keys 8 MB,
+    # and the kernel O(CHUNK) rows beyond the trace
     prob = problem(m=ex.DEFAULT_EMPIRICAL_M, truncation=3)
     peak = _traced_peak_mb(
         lambda: structured_stage_sim(prob, 1, 10**6, 20, 20, 7, sample_mode="trace")
     )
-    assert peak < 40
+    assert peak < 21
 
 
 def test_fresh_stages_at_t_10_6_hold_under_4_mb():

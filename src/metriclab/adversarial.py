@@ -687,267 +687,75 @@ def _vote(classes: tuple[DistanceClass, ...], counts: Generator[np.ndarray, None
     return (ones >= k).astype(np.int64)
 
 
-TAIL_LOG = 40.0  # a capped row leaves out at most e**-TAIL_LOG of mass on each side
-ROW_CELLS = 1 << 16  # capped-row cells per multinomial call of the counted chain
+def _binomial_logpmf(N: int, q: float, count: int) -> np.ndarray:
+    """log P(Binomial(N, q) = y) for y = 0..count-1, 0 < q < 1: log P(0) =
+    N log1p(-q), then each term adds the ratio log((N - y)/(y + 1)) + log q
+    - log1p(-q), so no log-factorial of N (lgamma(N) has no digits left at
+    N = 10**13) enters."""
+    y = np.arange(count - 1, dtype=np.float64)
+    steps = np.log((N - y) / (y + 1)) + (math.log(q) - math.log1p(-q))
+    return np.concatenate(([N * math.log1p(-q)], steps)).cumsum()
 
 
-def _windows(N: np.ndarray, need: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per state, the outcomes [lo, hi] of Binomial(N, q) beyond which lies
-    at most e**-TAIL_LOG of its mass on each side, lo clipped to need (so
-    lo == need means the capped outcome is need up to that mass). With
-    mu = N q, the multiplicative Chernoff bounds P(Y >= mu + t) <=
-    exp(-t²/(2 mu + t)) and P(Y <= mu - t) <= exp(-t²/(2 mu)) are at most
-    e**-TAIL_LOG at t = (c + sqrt(c² + 8 c mu)) / 2, c = TAIL_LOG."""
-    mu = N * q
-    t = 0.5 * (TAIL_LOG + np.sqrt(TAIL_LOG * (TAIL_LOG + 8 * mu)))
-    lo = np.minimum(np.maximum(np.floor(mu - t), 0), need).astype(np.int64)
-    hi = np.minimum(np.ceil(mu + t), N).astype(np.int64)  # >= lo, as N >= need
-    return lo, hi
+def _race(n: int, a: int, b: int, A: Fraction, B: Fraction) -> float:
+    """G(A, B) = P(X <= b, Y >= a) for the counts X, Y of two disjoint cells
+    of masses A > 0 and B > 0 in a multinomial(n) sample: the sum over u <=
+    b of P(X = u) P(Binomial(n - u, q) >= a), q = B / (1 - A). The lower
+    tail F_u = P(Binomial(n - u, q) <= a - 1) takes a terms at u = 0, then
+    follows the recurrence F_u = F_(u-1) + q P(Binomial(n - u, q) = a - 1)
+    in n - u, whose point masses step by log1p(-(a - 1)/N) - log1p(-q) from
+    N to N - 1; so the race costs O(a + b) terms."""
+    x = np.exp(_binomial_logpmf(n, float(A), b + 1))
+    q = float(B / (1 - A))
+    if q == 1:
+        return float(x.sum())
+    tail = _binomial_logpmf(n, q, a)
+    N = n - np.arange(b, dtype=np.float64)  # each step goes from N to N - 1
+    at_n_minus_u = tail[-1] + np.cumsum(np.log1p(-(a - 1) / N) - math.log1p(-q))
+    below = np.concatenate(([np.exp(tail).sum()], q * np.exp(at_n_minus_u))).cumsum()
+    return float(x @ (1 - below))
 
 
-def _capped_rows(
-    N: np.ndarray, need: np.ndarray, q: float, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """One row per state of the capped law min(Binomial(N, q), need) on the
-    outcomes lo..min(hi, need), right-aligned in a zero-padded (S, W)
-    array, W = max(hi - lo) + 1: column W - 1 holds each row's largest
-    outcome, so ``rng.multinomial``, which gives what is left to the last
-    column, never puts a point on a padding column.
+def stage_probability(problem: AdversarialProblem, n: int, k: int) -> float:
+    """p = P(the k-NN vote of a diffuse test point on an iid n-sample is 1),
+    from the order statistics of the vote (Biau and Devroye, *Lectures on
+    the Nearest Neighbor Method*, 2015).
 
-    Log space, relative to the window start: log p(y + 1) - log p(y) =
-    log((N - y)/(y + 1)) + log q - log1p(-q), summed from lo; that is the
-    sum of log((N - j)/(j + 1)) + y log q + (N - y) log1p(-q) from j = lo
-    on, and the constant log p(lo) is never formed, so no log-factorial of
-    N (whose float has no digits left at N = 10**13) enters. Each row is
-    exponentiated from its maximum, the outcomes past need are folded into
-    need, and the row is renormalised: it holds all but at most
-    2·e**-TAIL_LOG of the mass, and the raw sums drift from 1 by rounding.
+    With b = k // 2 and a = k - b, the vote is 1 iff at most b label-0
+    points are among the k nearest: iff the sample holds at most b label-0
+    points, or the (b+1)-th nearest label-0 point has at least a label-1
+    points strictly closer. No label-1 class shares a distance with a
+    label-0 class (``distance_classes`` raises otherwise), so, summing over
+    the label-0 class c that holds that point,
+
+        p = P(N0 <= b) + sum over c of G(P0_<c, P1_<c) - G(P0_<=c, P1_<c),
+
+    with P0, P1 the label-0 and label-1 mass of the classes before (or up
+    to) c, and G the race of ``_race``. The masses are summed exactly and
+    each pmf is built in log space from successive ratios, so the work is
+    O(D k) terms, and no sum runs over the bulk of a binomial.
+
+    Float error: the tests pin |p - exact| <= 1e-12 against a ``Fraction``
+    DP at k <= 10, and against the k = 1 closed form at n = 10**13 and
+    10**18. The log pmfs are running sums of up to k ratios, so the error
+    grows with k: 2.9e-11 at (n, k) = (157000, 16384) on m = (1, 4, 3, 3),
+    against the same sum at 40 digits. p is clipped to [0, 1], since the
+    rounded sum may pass 1 (by 1.6e-13 at n = 10**8, k = 10**4 on the
+    sqrtceil ladder) and ``rng.binomial`` rejects p > 1.
     """
-    width = int((hi - lo).max()) + 1
-    y = lo[:, None] + np.arange(width)  # outcome per column, before alignment
-    inside = y <= hi[:, None]
-    step = np.log(np.where(y < hi[:, None], N[:, None] - y, 1) / (y + 1.0))
-    step += math.log(q) - math.log1p(-q)  # log p(y + 1) - log p(y) on y < hi
-    logp = np.zeros(y.shape)
-    np.cumsum(step[:, :-1], axis=1, out=logp[:, 1:])
-    logp[~inside] = -np.inf
-    logp -= logp.max(axis=1, keepdims=True)
-    rows = np.exp(logp)
-    past = y >= need[:, None]
-    folded = np.where(past, rows, 0).sum(axis=1)
-    rows[past] = 0
-    # column need - lo when some outcome is past need, else one that gets 0
-    rows[np.arange(len(rows)), np.minimum(need - lo, width - 1)] += folded
-    rows /= rows.sum(axis=1, keepdims=True)
-    # right-align: the last outcome min(hi, need) moves to column width - 1
-    shift = width - 1 - (np.minimum(hi, need) - lo)
-    cols = np.arange(width) - shift[:, None]
-    return np.where(cols >= 0, np.take_along_axis(rows, np.maximum(cols, 0), axis=1), 0.0)
-
-
-def _multinomial_rows(width: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """States whose g points are drawn as one multinomial over their row:
-    those whose row is no wider than g, so a class costs at most T draws."""
-    return width <= g
-
-
-def _per_point_draw(
-    rng: np.random.Generator, n_k: int, need: np.ndarray, ones: np.ndarray, q: float, label: int
-) -> None:
-    """One point per entry takes y = min(Binomial(n_k + need, q), need) of
-    a class of the given label, by one plain binomial draw each; need and
-    ones are updated in place."""
-    N = need.astype(np.int64)
-    N += n_k
-    y = rng.binomial(N, q)
-    del N
-    np.minimum(y, need, out=y)
-    need -= y
-    if label:
-        ones += y
-
-
-def _counted_draw(
-    rng: np.random.Generator, n_k: int, need: np.ndarray, ones: np.ndarray, g: np.ndarray,
-    q: float, label: int,
-) -> list:
-    """One class of a given label on a (need, ones, g) table: the capped
-    outcomes min(Binomial(N, q), need), N = n_k + need, for the g points
-    of each state,
-
-    - no draw where the window of ``_windows`` lies past need: y = need;
-    - one ``rng.multinomial(g, row)`` over the capped row of
-      ``_capped_rows`` where ``_multinomial_rows`` says so; rows of widths
-      in [2**(b-1), 2**b) share a call, up to ROW_CELLS cells a call;
-    - else, after those draws, g plain binomials (``_per_point_draw``),
-
-    as the parts of the next table: the states that took at most one draw
-    as (need, ones, g), then the points drawn one by one, in state order,
-    as (need, ones, None).
-    """
-    N = need.astype(np.int64)
-    N += n_k
-    lo, hi = _windows(N, need, q)
-    fixed, width = lo == need, hi - lo + 1
-    multi = ~fixed & _multinomial_rows(width, g)
-    parts = [(np.flatnonzero(fixed), need[fixed], g[fixed])]
-    rows = np.flatnonzero(multi)
-    bucket = np.frexp(width[rows])[1]
-    for b in np.unique(bucket):
-        these, per_call = rows[bucket == b], max(1, ROW_CELLS >> int(b))
-        for start in range(0, len(these), per_call):
-            sel = these[start : start + per_call]
-            counts = rng.multinomial(g[sel], _capped_rows(N[sel], need[sel], q, lo[sel], hi[sel]))
-            row, col = np.nonzero(counts)
-            # column col holds outcome min(hi, need) - (width - 1 - col)
-            top = np.minimum(hi[sel], need[sel])[row]
-            parts.append((sel[row], top - (counts.shape[1] - 1 - col), counts[row, col]))
-    single = np.flatnonzero(~fixed & ~multi)
-    del N, lo, hi, fixed, width, multi  # freed before the per-point draws
-    idx, y, counted_g = (np.concatenate(a) for a in zip(*parts))
-    need_c, ones_c = need[idx], ones[idx]
-    need_c -= y
-    if label:
-        ones_c += y
-    del parts, idx, y
-    reps = g[single]
-    need_p, ones_p = np.repeat(need[single], reps), np.repeat(ones[single], reps)
-    del single, reps
-    if len(need_p):  # at small k most classes draw no point on its own
-        _per_point_draw(rng, n_k, need_p, ones_p, q, label)
-    return [(need_c, ones_c, counted_g), (need_p, ones_p, None)]
-
-
-def _held(g: Optional[np.ndarray], mask: np.ndarray) -> int:
-    """The points of the states in mask; g None means one point each."""
-    return int(np.count_nonzero(mask)) if g is None else int(g[mask].sum())
-
-
-def _filled(parts: list, k: int) -> tuple[list, int, int]:
-    """The states whose vote is full (need 0) taken out of the table parts,
-    (need, ones, g) triples with g None for one point a state: the parts
-    left, the points taken out and how many of them vote 1."""
-    left, out, voted = [], 0, 0
-    for need, ones, g in parts:
-        done = need == 0
-        if done.any():
-            out += _held(g, done)
-            voted += _held(g, done & (2 * ones >= k))
-            need, ones, g = need[~done], ones[~done], None if g is None else g[~done]
-        left.append((need, ones, g))
-    return left, out, voted
-
-
-def _bounds(*arrays: np.ndarray) -> tuple[int, int]:
-    """The least and the largest value over arrays, not all empty."""
-    full = [a for a in arrays if len(a)]
-    return min(int(a.min()) for a in full), max(int(a.max()) for a in full)
-
-
-def _merged(counted: tuple, per_point: tuple, points: int) -> tuple:
-    """One (need, ones, g) table of a class's states, ``counted`` as
-    (need, ones, g) and ``per_point`` as (need, ones, None), one point a
-    state. States with equal (need, ones) are merged when their box of
-    keys has no more cells than the states have points, the per-point
-    keys counted without weights; in a wider box they hold a point or two
-    each, too few for a multinomial row, and are joined in order."""
-    (need_c, ones_c, g_c), (need_p, ones_p, _) = counted, per_point
-    need0, need1 = _bounds(need_c, need_p)
-    ones0, ones1 = _bounds(ones_c, ones_p)
-    span = ones1 - ones0 + 1
-    size = (need1 - need0 + 1) * span
-    if size > points:
-        g = np.ones(len(need_c) + len(need_p), dtype=np.int64)
-        g[: len(g_c)] = g_c
-        return np.concatenate((need_c, need_p)), np.concatenate((ones_c, ones_p)), g
-
-    def key(need, ones):
-        key = need.astype(np.int64)
-        key -= need0
-        key *= span
-        key += ones
-        key -= ones0
-        return key
-
-    tally = np.bincount(key(need_p, ones_p), minlength=size)
-    np.add.at(tally, key(need_c, ones_c), g_c)
-    keys = np.flatnonzero(tally)
-    dtype = need_c.dtype
-    return (keys // span + need0).astype(dtype), (keys % span + ones0).astype(dtype), tally[keys]
-
-
-def _fresh_ones(
-    problem: AdversarialProblem, n: int, k: int, test_count: int, rng: np.random.Generator
-) -> int:
-    """How many of test_count test points, each with its own independent
-    n-sample, the k-NN vote predicts 1: a counted state chain.
-
-    A point's vote state before a class is (need, ones): it still needs
-    need neighbours and holds ones label-1 votes. Until the vote is full
-    each class's count was below its need, so k - need sample points are
-    drawn and N = n - (k - need) are left; the class takes min(Binomial(N,
-    q), need) of them, q = P(class | not an earlier class). The T points
-    are exchangeable, so the chain keeps a table of occupied states (need,
-    ones, g), g points each, starting from (k, 0, T), and per class draws
-    how many of a state's g points take each outcome (``_counted_draw``).
-    Once every state holds one point, the chain drops g and draws one
-    plain binomial per point (``_per_point_draw``). The last class takes
-    the rest, y = min(N, need) = need. A point whose need reaches 0 leaves
-    the table and counts as 1 if 2·ones >= k, and the chain stops when the
-    table is empty. States with equal (need, ones) are merged
-    (``_merged``).
-
-    Law: every state's points draw independently from the same row, so the
-    T predictions are iid Bernoulli(p') for the p' that the chain's rows
-    give. Against the exact p of the chain with float q (the per-point
-    chain's law), |p' - p| is at most the sum over classes of the largest
-    row error: the 2·e**-TAIL_LOG of mass outside the window (below 1e-17),
-    plus the rounding of a row's log sums, about W·(TAIL_LOG + log N)·2**-53
-    relative per entry for a row of width W (below 1e-10 at W = 10**4).
-    Memory: need and ones take ``_vote_dtype(k)`` and g int64 a state,
-    and g is dropped once each state holds one point; a class's per-point
-    draws add two int64 a point, and its capped rows at most ROW_CELLS
-    cells a call. So at (n, k) = (157000, 16384) on m = (1, 4, 3, 3) and
-    T = 10**6, where a class draws about T binomials, the peak is 27 MiB.
-    """
-    vote = _vote_dtype(k)
-    need, ones = np.array([k], dtype=vote), np.zeros(1, dtype=vote)
-    g = np.array([test_count], dtype=np.int64)  # None once each state holds one point
-    points, predicted, rem_p = test_count, 0, Fraction(1)  # points: sum of g
+    b = k // 2
+    a = k - b
+    p0 = p1 = Fraction(0)
+    p = 0.0
     for c in distance_classes(problem):
-        q = float(c.prob / rem_p)
-        rem_p -= c.prob
-        if q == 0:
+        if c.label:
+            p1 += c.prob
             continue
-        least, most = int(need.min()), int(need.max())
-        # the class takes the rest, or its window lies past every need (the
-        # window's lower end grows with N once it is past need >= 1)
-        if rem_p == 0 or q >= 1 or _windows(n - k + least, most, q)[0] >= most:
-            return predicted + _held(g, 2 * (ones + c.label * need) >= k)
-        # every state holds one point, and so draws per point (rows are at
-        # least 2 wide) without reading its window
-        if g is not None and len(g) == points and not _multinomial_rows(2, g).any():
-            g = None
-        if g is None:
-            if most - least < 2**16:
-                # equal N side by side, so the binomial sampler keeps its
-                # set-up from draw to draw (a stable 16-bit sort is a radix sort)
-                order = np.argsort((need - least).astype(np.uint16), kind="stable")
-                need, ones = need[order], ones[order]
-                del order
-            _per_point_draw(rng, n - k, need, ones, q, c.label)
-            parts = [(need, ones, None)]
-        else:
-            parts = _counted_draw(rng, n - k, need, ones, g, q, c.label)
-        del need, ones, g
-        parts, out, voted = _filled(parts, k)
-        points -= out
-        predicted += voted
-        if not points:
-            break
-        need, ones, g = parts[0] if len(parts) == 1 else _merged(*parts, points)
-        del parts
-    return predicted
+        if p1:
+            p += _race(n, a, b, p0, p1) - _race(n, a, b, p0 + c.prob, p1)
+        p0 += c.prob
+    p += float(np.exp(_binomial_logpmf(n, float(p0), b + 1)).sum())  # P(N0 <= b)
+    return min(max(p, 0.0), 1.0)
 
 
 CHUNK = 1 << 16  # trace rows per block of the trace kernel
@@ -1044,12 +852,18 @@ def _trace_predictions(
 
 def _arranged(ones: int, test_count: int, rng: np.random.Generator) -> np.ndarray:
     """A uniformly random arrangement of ones 1s among test_count int8
-    predictions: the fewer label goes to a uniform subset of positions,
-    which ``rng.choice`` draws in O(subset) while the subset is at most a
-    twentieth of the positions (Floyd's algorithm)."""
+    predictions. While the fewer label takes at most a twentieth of the
+    positions, ``rng.choice`` draws its positions in O(subset) (Floyd's
+    algorithm); past that, choice would shuffle an int64 index of every
+    position (8 MB at 10**6), so the int8 predictions are shuffled in place."""
     majority = int(2 * ones > test_count)
-    preds = np.full(test_count, majority, dtype=np.int8)
     fewer = min(ones, test_count - ones)
+    if 20 * fewer > test_count:
+        preds = np.zeros(test_count, dtype=np.int8)
+        preds[:ones] = 1
+        rng.shuffle(preds)
+        return preds
+    preds = np.full(test_count, majority, dtype=np.int8)
     preds[rng.choice(test_count, fewer, replace=False, shuffle=False)] = 1 - majority
     return preds
 
@@ -1080,19 +894,16 @@ def structured_stage_sim(
     materializing the n sample points.
 
     ``fresh`` gives each test point an independent n-sample (the estimator
-    used by the experiment runners). It draws how many points end in each
-    vote state (need, ones) as a counted state chain over the distance
-    classes, with one multinomial per state where its capped binomial row
-    is no wider than its point count and plain binomials per point
-    elsewhere (``_fresh_ones``), and returns that many 1s in a uniformly
-    random int8 arrangement (``_arranged``): T iid Bernoulli(p') values,
-    p' within the row errors that ``_fresh_ones`` bounds of the per-point
-    chain's p. ``trace`` draws the rows of one shared provenance trace,
-    discards its tie keys unsorted (``draw_trace`` redraws a repeated key
-    off the main stream, and the count kernel never reads them), then
-    draws the test words; so for the same seed it reproduces exactly what
-    the brute-force classifier sees on ``draw_trace`` followed by
-    ``draw_test_words`` (int64 predictions).
+    used by the experiment runners). The T predictions are then iid
+    Bernoulli(p) for the exact stage probability p of
+    ``stage_probability``, so it draws their number of 1s as one
+    Binomial(T, p) and returns that many 1s in a uniformly random int8
+    arrangement (``_arranged``). ``trace`` draws the rows of one shared
+    provenance trace, discards its tie keys unsorted (``draw_trace``
+    redraws a repeated key off the main stream, and the count kernel never
+    reads them), then draws the test words; so for the same seed it
+    reproduces exactly what the brute-force classifier sees on
+    ``draw_trace`` followed by ``draw_test_words`` (int64 predictions).
     """
     if stage < 0 or stage + 1 > problem.truncation_depth:
         raise ValueError("stage must satisfy stage + 1 <= truncation depth")
@@ -1102,7 +913,8 @@ def structured_stage_sim(
         raise ValueError("test count must be positive")
     rng = np.random.default_rng(seed)
     if sample_mode == "fresh":
-        preds = _arranged(_fresh_ones(problem, n, k, test_count, rng), test_count, rng)
+        ones = int(rng.binomial(test_count, stage_probability(problem, n, k)))
+        preds = _arranged(ones, test_count, rng)
     elif sample_mode == "trace":
         trace = _draw_rows(problem, n, rng)
         rng.random(n)  # draw_trace's tie keys, which the count kernel never reads

@@ -9,10 +9,13 @@ an argmin 1-NN kernel; the chunked all-pairs ``knn.euclidean_vote`` that
 replaced both, the sorted-slab and sorted-strip searches that replaced it,
 and the counted cell table that replaced the strips reproduce them. The ``dimension.json`` digest pins the generic-metric outputs
 (certificates and sparse witnesses) that every ``spaces.distance`` path
-feeds. The two ``consistency_*.csv`` digests are those of the counted
-fresh-mode state chain: at stage 0 (p = 0.999924, T = 10^4) it predicts 0
-for one test point in the proof table and two in the empirical one, where
-the per-point binomial chain before it drew none.
+feeds. The two ``consistency_*.csv`` digests are those of fresh mode
+drawing its count of 1s as one Binomial(T, p) with the exact p of
+``adversarial.stage_probability``: at stage 0 (p = 0.999924, T = 10^4) it
+predicts 0 for one test point in each table (frac_pred1 0.9999), and at
+the empirical stage 1 (p = 1 - 2.0e-9, T = 10^6) for none. The proof
+table's bytes equal those of the counted state chain before it, which
+also drew one 0 there; in the empirical table the chain drew two.
 """
 
 import hashlib

@@ -144,16 +144,14 @@ def test_fresh_mode_proof_stage0_bound():
 
 
 @pytest.mark.parametrize("ones", [0, 1, 2, 3, 20, 37, 38, 40])
-def test_fresh_predictions_arrange_the_chain_count_uniformly(ones):
-    # rng.choice draws up to 40 // 20 = 2 positions of the fewer label by
-    # Floyd's algorithm, more by a partial shuffle
+def test_fresh_predictions_arrange_the_count_uniformly(ones):
+    # rng.choice draws up to 40 // 20 = 2 positions of the fewer label,
+    # and more are placed by an in-place shuffle
     hits = np.zeros(40)
-    with mock.patch.object(adv, "_fresh_ones", lambda *args: ones):
-        for seed in range(2000):
-            res = structured_stage_sim(problem(), 0, 300, 5, 40, seed, sample_mode="fresh")
-            assert res.predictions.dtype == np.int8 and res.predictions.sum() == ones
-            assert res.fraction == ones / 40
-            hits += res.predictions
+    for seed in range(2000):
+        preds = adv._arranged(ones, 40, np.random.default_rng(seed))
+        assert preds.dtype == np.int8 and preds.shape == (40,) and preds.sum() == ones
+        hits += preds
     # every position is 1 in a fraction ones/40 of the runs
     p = ones / 40
     assert (np.abs(hits / 2000 - p) <= 5 * math.sqrt(p * (1 - p) / 2000)).all()
@@ -161,7 +159,7 @@ def test_fresh_predictions_arrange_the_chain_count_uniformly(ones):
 
 def test_fresh_and_trace_modes_agree_statistically():
     # trace mode conditions all test points on one shared sample, so compare
-    # its across-sample mean with the fresh estimate
+    # its across-sample mean with the fresh estimate and the exact p
     p = problem()
     fresh = structured_stage_sim(p, 0, 300, 5, 20_000, seed=3, sample_mode="fresh")
     trace_mean = np.mean(
@@ -171,6 +169,7 @@ def test_fresh_and_trace_modes_agree_statistically():
         ]
     )
     assert abs(fresh.fraction - trace_mean) <= 0.03
+    assert abs(adv.stage_probability(p, 300, 5) - trace_mean) <= 0.03
 
 
 def test_invalid_arguments():
@@ -279,21 +278,21 @@ def test_trace_stage_at_n_10_6_holds_under_21_mb():
 
 
 def test_fresh_stages_at_t_10_6_hold_under_4_mb():
-    # the T-byte int8 predictions (1 MB) and the counted chain's state
-    # table and capped rows, a few hundred states of k + 1 cells at most
+    # the T-byte int8 predictions (1 MB) and the O(k) arrays of
+    # stage_probability
     config = ex.ExperimentConfig("consistency", seed=7, stages=(0, 1), test_count=10**6)
     assert _traced_peak_mb(lambda: ex.run_consistency(config)) < 4
 
 
-def test_fresh_stage_with_spread_states_holds_under_30_mib():
-    # k = 16384 at n = 157000 spreads the states until each class draws
-    # about T binomials, one per point: need and ones in int32, and no
-    # index or point count per drawn point (28.3 MB measured)
+def test_fresh_stage_near_the_vote_midpoint_holds_under_4_mb():
+    # k = 16384 at n = 157000, p = 0.434: the races of stage_probability
+    # hold O(k) floats, and the arrangement shuffles the T-byte predictions
+    # in place rather than drawing 434,000 int64 positions (1.7 MB measured)
     prob = problem()
     peak = _traced_peak_mb(
         lambda: structured_stage_sim(prob, 0, 157_000, 16384, 10**6, 7, sample_mode="fresh")
     )
-    assert peak < 30 * 2**20 / 1e6
+    assert peak < 4
 
 
 def _lexsort_reference(prob, trace, words, k):
@@ -502,103 +501,64 @@ def _within_5_sigma(ones, count, p):
     return abs(ones / count - p) <= 5 * math.sqrt(p * (1 - p) / count)
 
 
-EXACT_CASES = [(300, 5), (40, 9), (10, 10)]
+EXACT_CASES = [(300, 5), (40, 9), (10, 10), (60, 7), (25, 1), (33, 4)]
 
 
+@pytest.mark.parametrize("m", [(1, 4, 3, 3), (1, 4, 100, 350)])
 @pytest.mark.parametrize("n,k", EXACT_CASES)
-def test_fresh_fraction_matches_the_exact_stage_probability(n, k):
+def test_stage_probability_equals_the_exact_dp(m, n, k):
+    prob = problem(m=m)
+    exact = _exact_stage_probability(prob, n, k)
+    assert abs(Fraction(adv.stage_probability(prob, n, k)) - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [10**13, 10**18])
+def test_stage_probability_at_k_1_equals_the_closed_form(n):
+    # the nearest sample point votes alone: p = the sum over label-1
+    # classes c of (1 - P_<c)**n - (1 - P_<=c)**n, with P_<c the mass of
+    # the classes nearer than c; masses near 1/n make 0 < p < 1 at this n
+    prob = problem(m=(1, 10**6, 10**6, 10**6))
+
+    def none_within(mass):  # (1 - mass)**n
+        mass = float(mass)
+        return math.exp(n * math.log1p(-mass)) if mass < 1 else 0.0
+
+    want, before = 0.0, Fraction(0)
+    for c in distance_classes(prob):
+        if c.label:
+            want += none_within(before) - none_within(before + c.prob)
+        before += c.prob
+    p = adv.stage_probability(prob, n, 1)
+    assert 0.1 < want < 0.9 and math.isfinite(p) and 0 <= p <= 1
+    assert abs(p - want) <= 1e-12
+
+
+def test_fresh_stage_on_the_sqrtceil_ladder_clips_p():
+    # stage 1 of the sqrtceil ladder, n = 10**8 and k = 10**4: the rounded
+    # sum passes 1 by 1.6e-13 there, and rng.binomial rejects p > 1
+    config = ex.ExperimentConfig(
+        "consistency", stages=(0, 1), k_rule="sqrtceil", m=(1, 293, 2000, 4000),
+        n=(128, 10**8, 4 * 10**14),
+    )
+    prob = AdversarialProblem(ex.build_schedule(config).schedule, truncation_depth=3)
+    res = structured_stage_sim(prob, 1, 10**8, 10**4, 10**4, 7, sample_mode="fresh")
+    assert adv.stage_probability(prob, 10**8, 10**4) == 1
+    assert res.fraction == 1
+
+
+@pytest.mark.parametrize("n,k", EXACT_CASES[:3])
+def test_fresh_stages_keep_the_exact_law(n, k):
+    # one stage of 10**6 test points, and 1000 stages of 40 summed
     prob = problem()
-    p = _exact_stage_probability(prob, n, k)
+    p = float(_exact_stage_probability(prob, n, k))
     assert 0 < p < 1  # both labels occur, so the check has teeth
-    ones = adv._fresh_ones(prob, n, k, 10**6, np.random.default_rng(11))
-    assert _within_5_sigma(ones, 10**6, float(p))
-
-
-class _SpyRng:
-    """A generator that counts the points each of its draw methods places."""
-
-    def __init__(self, seed):
-        self.rng, self.points = np.random.default_rng(seed), {"binomial": 0, "multinomial": 0}
-
-    def binomial(self, N, q):
-        self.points["binomial"] += len(N)
-        return self.rng.binomial(N, q)
-
-    def multinomial(self, g, rows):
-        self.points["multinomial"] += int(np.sum(g))
-        return self.rng.multinomial(g, rows)
-
-
-@pytest.mark.parametrize("path", ["multinomial", "per-point", "mixed"])
-@pytest.mark.parametrize("n,k", EXACT_CASES)
-def test_each_draw_path_keeps_the_exact_law(path, n, k):
-    # force every drawn state onto one path, or leave the choice by width
-    forced = {"multinomial": True, "per-point": False}.get(path)
-    rule = adv._multinomial_rows if forced is None else lambda width, g: np.full(len(g), forced)
-    prob, count, rng = problem(), 200_000, _SpyRng(5)
-    with mock.patch.object(adv, "_multinomial_rows", rule):
-        ones = adv._fresh_ones(prob, n, k, count, rng)
-    p = float(_exact_stage_probability(prob, n, k))
-    assert 0 < ones < count  # both labels occur, so the check has teeth
-    assert _within_5_sigma(ones, count, p)
-    drawn = {name for name, points in rng.points.items() if points}
-    assert drawn == ({"binomial", "multinomial"} if path == "mixed" else {
-        "multinomial": {"multinomial"}, "per-point": {"binomial"}}[path])
-
-
-@pytest.mark.parametrize("n,k", [(40, 9), (10, 10)])
-def test_small_tables_keep_the_exact_law(n, k):
-    # 40 points per chain spread over up to (k + 1)(k + 2)/2 states, so
-    # most chains reach the one-point-per-state draw, which sorts the
-    # states by need; a sort that moved need without ones read 0.438 and
-    # 0.581 here
-    prob, rng = problem(), np.random.default_rng(3)
-    p = float(_exact_stage_probability(prob, n, k))
-    ones = sum(adv._fresh_ones(prob, n, k, 40, rng) for _ in range(1000))
-    assert 0 < ones < 40_000  # both labels occur, so the check has teeth
+    big = structured_stage_sim(prob, 0, n, k, 10**6, 11, sample_mode="fresh")
+    assert _within_5_sigma(int(big.predictions.sum()), 10**6, p)
+    ones = sum(
+        int(structured_stage_sim(prob, 0, n, k, 40, seed, sample_mode="fresh").predictions.sum())
+        for seed in range(1000)
+    )
     assert _within_5_sigma(ones, 40_000, p)
-
-
-def test_capped_rows_match_fraction_at_small_n():
-    # windows that reach past need (folded into the cap) and ones that stop
-    # short of it; at q = 0.37 the two N = 400 windows start above 0
-    N = np.array([10, 40, 300, 37, 150, 400, 400])
-    need = np.array([10, 9, 5, 20, 60, 150, 300])
-    for q in (0.37, 0.13, 0.01, 1e-3):
-        lo, hi = adv._windows(N, need, q)
-        rows = adv._capped_rows(N, need, q, lo, hi)
-        assert (rows >= 0).all()
-        assert q != 0.37 or (lo[-2:] > 0).all()
-        a, b = Fraction(q).as_integer_ratio()
-        for row, n_, need_, lo_, hi_ in zip(rows, N.tolist(), need.tolist(), lo, hi):
-            # the exact capped pmf, in integers over the common denominator b**N
-            exact = [math.comb(n_, y) * a**y * (b - a) ** (n_ - y) for y in range(need_)]
-            exact.append(b**n_ - sum(exact))  # the capped outcome need
-            top = min(hi_, need_)
-            got = row[len(row) - (top - lo_ + 1):]
-            assert not row[: len(row) - len(got)].any()  # padding on the left only
-            want = np.array([p / b**n_ for p in exact[lo_ : top + 1]])
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-17)
-            assert (sum(exact[:lo_]) + sum(exact[top + 1 :])) / b**n_ < 1e-17  # left out
-
-
-def test_capped_rows_stay_finite_and_normalised_at_n_10_13():
-    # log C(N, y) in float has no digits left at N = 10**13; the rows sum
-    # log((N - j)/(j + 1)) from the window start instead
-    N = np.full(4, 10**13)
-    need = np.array([40, 40, 10_000, 3])
-    for q in (2.1e-12, 4e-12, 9.9e-10, 1e-14):
-        lo, hi = adv._windows(N, need, q)
-        rows = adv._capped_rows(N, need, q, lo, hi)
-        assert np.isfinite(rows).all() and (rows >= 0).all()
-        assert np.allclose(rows.sum(axis=1), 1, rtol=0, atol=1e-14)
-        # the mean of the uncapped rows is N q
-        mean = N * q
-        uncapped = hi < need
-        top = np.minimum(hi, need)
-        y = top[:, None] - (rows.shape[1] - 1 - np.arange(rows.shape[1]))
-        got = (rows * np.maximum(y, 0)).sum(axis=1)
-        assert np.allclose(got[uncapped], mean[uncapped], rtol=1e-9)
 
 
 def test_vote_dtype_is_the_narrowest_signed_type_holding_2k():
@@ -634,13 +594,13 @@ NARROW_EDGES = [(640, 63), (640, 64), (157_000, 16383), (157_000, 16384)]
     # while the nearer label-0 class (3.6 on average) leaves need > 0
     + [((1, 4, 100, 350), 10**6, 7)],
 )
-def test_fresh_fraction_at_the_narrow_type_edges_matches_the_per_point_chain(m, n, k):
+def test_stage_probability_at_the_narrow_type_edges_matches_the_per_point_chain(m, n, k):
     prob = problem(m=m)
     want = _dense_fresh_reference(prob, n, k, 20_000, np.random.default_rng(11))
-    assert 0 < want.mean() < 1  # both labels occur, so the check has teeth
-    ones = adv._fresh_ones(prob, n, k, 10**6, np.random.default_rng(11))
-    p, p_ref = ones / 10**6, want.mean()
-    assert abs(p - p_ref) <= 5 * math.sqrt(p * (1 - p) / 10**6 + p_ref * (1 - p_ref) / 20_000)
+    p_ref = want.mean()
+    assert 0 < p_ref < 1  # both labels occur, so the check has teeth
+    p = adv.stage_probability(prob, n, k)
+    assert abs(p - p_ref) <= 5 * math.sqrt(p * (1 - p) / 20_000)
 
 
 @pytest.mark.parametrize("n,k", NARROW_EDGES)

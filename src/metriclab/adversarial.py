@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from fractions import Fraction
-from typing import Generator, Iterable, NamedTuple, Optional
+from typing import Callable, Generator, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -463,6 +464,9 @@ def ball_mass(problem: AdversarialProblem, t: Iterable[int]) -> BallMass:
 # ---------------------------------------------------------------------------
 # sampling
 
+CHUNK = 1 << 16  # rows per piece of a drawn letter column and per block of the trace kernel
+TABLE_SPAN = 6  # letter tables span at most TABLE_SPAN·(CHUNK + T) entries, as np.isin's do
+
 
 @dataclass
 class SampleTrace:
@@ -505,7 +509,8 @@ def draw_trace(problem: AdversarialProblem, count: int, rng: np.random.Generator
     repeated key is redrawn from a side generator on a jumped copy of
     ``rng``'s bit generator, which never advances ``rng``. So what ``rng``
     draws next does not depend on whether a key repeated, and the trace
-    mode of ``structured_stage_sim`` can discard the keys unsorted."""
+    mode of ``structured_stage_sim`` can skip the keys (``_skip_uniforms``)
+    instead of drawing them."""
     trace = _draw_rows(problem, count, rng)
     keys = rng.random(count)
     side = None
@@ -539,15 +544,27 @@ def _draw_rows(problem: AdversarialProblem, count: int, rng: np.random.Generator
     return SampleTrace(is_atomic, atom_depth, _draw_words(problem, count, rng, dtype), None)
 
 
+def _skip_uniforms(rng: np.random.Generator, count: int) -> None:
+    """Leave ``rng`` where count ``rng.random`` draws would: PCG64 jumps
+    ahead in O(log count) (O'Neill, *PCG*, 2014), but ``advance`` drops the
+    buffered 32-bit half, which ``random`` keeps, so it is put back."""
+    before = rng.bit_generator.state
+    rng.bit_generator.advance(count)
+    half = {key: before[key] for key in ("has_uint32", "uinteger")}
+    rng.bit_generator.state = {**rng.bit_generator.state, **half}
+
+
 def _draw_words(
     problem: AdversarialProblem, count: int, rng: np.random.Generator, dtype
 ) -> np.ndarray:
-    """Uniform letters at each level, drawn as int64 and stored as dtype in
-    column-major order, so that each level narrows into, and is later read
-    from, one contiguous column."""
+    """Uniform letters at each level, drawn as int64 CHUNK rows at a time
+    (the values and generator state of one draw per level) and stored as
+    dtype in column-major order, one contiguous column per level."""
     words = np.empty((count, problem.truncation_depth), dtype=dtype, order="F")
     for level in range(1, problem.truncation_depth + 1):
-        words[:, level - 1] = rng.integers(1, problem.branching_at(level) + 1, size=count)
+        for lo in range(0, count, CHUNK):
+            piece = words[lo : lo + CHUNK, level - 1]
+            piece[:] = rng.integers(1, problem.branching_at(level) + 1, size=len(piece))
     return words
 
 
@@ -758,9 +775,6 @@ def stage_probability(problem: AdversarialProblem, n: int, k: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-CHUNK = 1 << 16  # trace rows per block of the trace kernel
-
-
 def _trace_predictions(
     problem: AdversarialProblem, trace: SampleTrace, test_words: np.ndarray, k: int
 ) -> np.ndarray:
@@ -773,29 +787,26 @@ def _trace_predictions(
     Rows fall into groups keyed by ``atom_depth + 1``: j + 1 for atoms at
     depth j, 0 for diffuse rows (which have D letters; ``SampleTrace``
     keeps their depth at -1), so ``is_atomic`` is never read. The words'
-    distinct letters and prefixes at each level are found once. Then one
-    pass, CHUNK rows at a time, filters the rows down the prefix trie of
-    the test words without sorting the sample. Level 0 is taken over whole
-    columns: the block's groups are counted in one bincount, and
-    ``np.isin`` on the block's level-0 column, with depth != 0 (root atoms
-    have no letter), picks the rows before any is gathered; so the letters
-    are best column-major, as ``draw_trace`` stores them. At a level h > 0
-    only the rows that match some word's h-prefix remain; of them,
-    ``np.isin`` keeps those whose next letter is among the words' distinct
-    letters at that level. ``np.isin`` works by a lookup table when the
-    letters' span is at most 6·(rows + letters), else by sorting or, for
-    fewer than 10·rows**0.145 letters, one comparison per letter; so its
-    memory is O(CHUNK + T) for any letters. Only the rows kept find their
-    letter index by binary search, and the pair (prefix id, letter index)
-    is looked up among the words' (h+1)-prefixes; at h = 0 there is one
-    empty prefix, so the letter index is already the 1-prefix id and
-    the lookup is skipped. Each block's bincount per level is added to
-    ge[h + 1], the rows of each group agreeing with each word on h + 1
-    letters; ge[h] - ge[h+1] rows split at h. Lookup keys stay below T**2,
-    so no letter is ever packed into an integer. Time: O(T D log T) for
-    the words, and per block and level O(CHUNK + T) for the filter plus
-    O(log T) for each row that passes it (O((CHUNK + T) log(CHUNK + T))
-    where the filter sorts); beyond the trace, O(CHUNK + D T + D**2 P)
+    distinct letters and prefixes at each level are found once, with a
+    table from each letter to its index (``_letter_finder``). Then one pass,
+    CHUNK rows at a time, filters the rows down the prefix trie of the test
+    words without sorting the sample. Level 0 is taken over whole columns:
+    the block's groups are counted in one bincount, and one take from the
+    level-0 table over the block's level-0 column, with depth != 0 (root
+    atoms have no letter), picks the rows before any is gathered; so the
+    letters are best column-major, as ``draw_trace`` stores them. At a
+    level h > 0 only the rows that match some word's h-prefix remain; one
+    take keeps those whose next letter is among the words' letters, with
+    its index, and the pair (prefix id, letter index) is looked up among
+    the words' (h+1)-prefixes by binary search; at h = 0 there is one empty
+    prefix, so the letter index is already the 1-prefix id. Each block's
+    bincount per level is added to ge[h + 1], the rows of each group
+    agreeing with each word on h + 1 letters; ge[h] - ge[h+1] rows split
+    at h. Lookup keys stay below T**2, so no letter is ever packed into an
+    integer. Time: O(T D log T) for the words, and per block and level
+    O(CHUNK + T) for the tables plus O(log T) for each row that passes
+    them (O((CHUNK + T) log(CHUNK + T)) where ``np.isin`` stands in for a
+    table); beyond the trace, O(CHUNK + D T + D**2 P)
     memory for at most P distinct prefixes per level (P <= T).
     """
     D, T = problem.truncation_depth, len(test_words)
@@ -807,25 +818,25 @@ def _trace_predictions(
         letters = np.unique(test_words[:, h])
         word_keys = pids[h] * len(letters) + np.searchsorted(letters, test_words[:, h])
         prefixes, word_pid = np.unique(word_keys, return_inverse=True)
-        levels.append((letters, prefixes))
+        levels.append((letters, prefixes, _letter_finder(letters, T)))
         pids.append(word_pid)
     # tables[h][g, p]: rows of group g matching prefix p of length h
     tables = [np.zeros((groups, 1), dtype=np.int64)]
-    tables += [np.zeros((groups, len(prefixes)), dtype=np.int64) for _, prefixes in levels]
+    tables += [np.zeros((groups, len(prefixes)), dtype=np.int64) for _, prefixes, _ in levels]
     for lo in range(0, len(trace), CHUNK):
         block = slice(lo, lo + CHUNK)
         depth, block_letters = trace.atom_depth[block], trace.letters[block]
         tables[0][:, 0] += np.bincount(depth + 1, minlength=groups)
-        # rows with a letter at level 0 (not root atoms) that some word has
-        rows = np.flatnonzero(np.isin(block_letters[:, 0], levels[0][0]) & (depth != 0))
-        for h, (letters, prefixes) in enumerate(levels):
-            row_letter = block_letters[rows, h]
-            if h == 0:
-                row_pid = np.searchsorted(letters, row_letter)
-            else:
-                hit = np.isin(row_letter, letters)
-                rows, row_letter = rows[hit], row_letter[hit]
-                row_pid = row_pid[hit] * len(letters) + np.searchsorted(letters, row_letter)
+        # rows with a letter at level 0 (not root atoms) that some word has;
+        # at h = 0 the letter index, widened to int64, is the 1-prefix id
+        index = levels[0][2](block_letters[:, 0])
+        rows = np.flatnonzero((index >= 0) & (depth != 0))
+        row_pid = index[rows].astype(np.int64)
+        for h, (letters, prefixes, find) in enumerate(levels):
+            if h > 0:
+                index = find(block_letters[rows, h])
+                hit = index >= 0
+                rows, row_pid = rows[hit], row_pid[hit] * len(letters) + index[hit]
                 pos = np.minimum(np.searchsorted(prefixes, row_pid), len(prefixes) - 1)
                 hit = prefixes[pos] == row_pid  # prefix and letter may each occur, the pair not
                 rows, row_pid = rows[hit], pos[hit]
@@ -848,6 +859,19 @@ def _trace_predictions(
 
     classes = distance_classes(problem)
     return _vote(classes, counts(), k)
+
+
+def _letter_finder(letters: np.ndarray, T: int) -> Callable[[np.ndarray], np.ndarray]:
+    """column -> each letter's index among the sorted distinct 1-based
+    ``letters``, else -1: one take from a table in the narrowest signed
+    type, which clips every letter outside it onto a -1 end; past
+    TABLE_SPAN·(CHUNK + T) entries, ``np.isin`` and a binary search."""
+    size = int(letters[-1]) + 2
+    if letters[0] < 1 or size > TABLE_SPAN * (CHUNK + T):
+        return lambda col: np.where(np.isin(col, letters), np.searchsorted(letters, col), -1)
+    lut = np.full(size, -1, dtype=np.min_scalar_type(-len(letters)))
+    lut[letters] = np.arange(len(letters))
+    return partial(lut.take, mode="clip")
 
 
 def _arranged(ones: int, test_count: int, rng: np.random.Generator) -> np.ndarray:
@@ -899,11 +923,12 @@ def structured_stage_sim(
     ``stage_probability``, so it draws their number of 1s as one
     Binomial(T, p) and returns that many 1s in a uniformly random int8
     arrangement (``_arranged``). ``trace`` draws the rows of one shared
-    provenance trace, discards its tie keys unsorted (``draw_trace``
-    redraws a repeated key off the main stream, and the count kernel never
-    reads them), then draws the test words; so for the same seed it
-    reproduces exactly what the brute-force classifier sees on
-    ``draw_trace`` followed by ``draw_test_words`` (int64 predictions).
+    provenance trace, jumps the generator past its n tie keys without
+    drawing them (``_skip_uniforms``: ``draw_trace`` redraws a repeated key
+    off the main stream, and the count kernel never reads the keys), then
+    draws the test words; so for the same seed it reproduces exactly what
+    the brute-force classifier sees on ``draw_trace`` followed by
+    ``draw_test_words`` (int64 predictions).
     """
     if stage < 0 or stage + 1 > problem.truncation_depth:
         raise ValueError("stage must satisfy stage + 1 <= truncation depth")
@@ -917,7 +942,7 @@ def structured_stage_sim(
         preds = _arranged(ones, test_count, rng)
     elif sample_mode == "trace":
         trace = _draw_rows(problem, n, rng)
-        rng.random(n)  # draw_trace's tie keys, which the count kernel never reads
+        _skip_uniforms(rng, n)  # draw_trace's tie keys, which the count kernel never reads
         words = draw_test_words(problem, test_count, rng)
         preds = _trace_predictions(problem, trace, words, k)
     else:

@@ -3,6 +3,7 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -528,6 +529,42 @@ def test_draw_trace_redraws_repeated_tie_keys():
     plain = np.random.default_rng(3)
     adv.draw_trace(small_problem(), 100, plain)
     assert rng.bit_generator.state == plain.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [1, 2, 61, 100, 1001, 10**4])
+def test_skipping_the_tie_keys_leaves_the_state_of_draw_trace(count):
+    # with D = 3, an odd count leaves a buffered 32-bit half from the letter
+    # draws (has_uint32 = 1), which the skip must keep for the test words
+    p = small_problem(truncation=3)
+    drawn = np.random.default_rng(count)
+    adv.draw_trace(p, count, drawn)
+    skipped = np.random.default_rng(count)
+    adv._draw_rows(p, count, skipped)
+    assert skipped.bit_generator.state["has_uint32"] == count % 2
+    adv._skip_uniforms(skipped, count)
+    assert skipped.bit_generator.state == drawn.bit_generator.state
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_letters_drawn_in_pieces_equal_one_draw_per_level(chunk):
+    p = small_problem(truncation=3)
+    whole = np.random.default_rng(11)
+    want = np.column_stack([whole.integers(1, p.branching_at(h) + 1, size=101) for h in (1, 2, 3)])
+    pieces = np.random.default_rng(11)
+    with mock.patch.object(adv, "CHUNK", chunk):
+        got = adv._draw_words(p, 101, pieces, np.int8)
+    assert (got == want).all()
+    assert pieces.bit_generator.state == whole.bit_generator.state
+
+
+def test_skipping_the_tie_keys_leaves_the_state_of_a_redrawing_draw_trace():
+    repeated = _RepeatedTieKeys(3)
+    adv.draw_trace(small_problem(), 100, repeated)
+    assert len(repeated.repeated) > len(np.unique(repeated.repeated))
+    skipped = np.random.default_rng(3)
+    adv._draw_rows(small_problem(), 100, skipped)
+    adv._skip_uniforms(skipped, 100)
+    assert skipped.bit_generator.state == repeated.bit_generator.state
 
 
 class _ChosenFirstDraw:

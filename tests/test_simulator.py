@@ -266,15 +266,16 @@ def _traced_peak_mb(run):
         tracemalloc.stop()
 
 
-def test_trace_stage_at_n_10_6_holds_under_21_mb():
+def test_trace_stage_at_n_10_6_holds_under_13_mb():
     # the shared-sample stage of the empirical table: the trace without tie
-    # keys takes 9 MB (int16 depths and letters), the discarded keys 8 MB,
-    # and the kernel O(CHUNK) rows beyond the trace
+    # keys takes 9 MB (int16 depths and letters); the keys are skipped, not
+    # drawn, each letter column is drawn CHUNK rows at a time, and the
+    # kernel holds O(CHUNK) rows beyond the trace (11.0-11.7 MB measured)
     prob = problem(m=ex.DEFAULT_EMPIRICAL_M, truncation=3)
     peak = _traced_peak_mb(
         lambda: structured_stage_sim(prob, 1, 10**6, 20, 20, 7, sample_mode="trace")
     )
-    assert peak < 21
+    assert peak < 13
 
 
 def test_fresh_stages_at_t_10_6_hold_under_4_mb():
@@ -453,8 +454,7 @@ def test_trace_counts_with_letters_near_2_pow_62():
         ((1, 293, 2000), 20_000, 20, 15),  # few words: most rows leave at level 0
         ((1, 293, 2000), 20_000, 3000, 15),  # many words: every first letter occurs
         ((1, 3, 2), 50, 400, 7),  # more words than rows, many duplicates
-        # first letters spread over 1..50000, more than 6·(rows + letters),
-        # so np.isin looks them up by sorting, not by a table
+        # first letters spread over 1..50000: a 50002-entry letter table
         ((1, 50_000, 2), 2000, 400, 1),
     ],
 )
@@ -469,6 +469,61 @@ def test_trace_kernel_equals_group_lexsort_on_drawn_traces(m, n, test_count, k):
         assert (got == _group_lexsort_reference(prob, trace, words, k)).all()
         labels.update(got.tolist())
     assert labels == {0, 1}  # both labels occur, so the check has teeth
+
+
+def _isin_calls(run):
+    """``run()`` and the number of np.isin calls it made."""
+    with mock.patch.object(adv.np, "isin", wraps=np.isin) as isin:
+        return run(), isin.call_count
+
+
+def test_letter_finder_from_the_table_and_from_isin():
+    letters = np.array([2, 5, 9])
+    column = np.array([1, 2, 3, 5, 9, 10, 11, 13, 16, 2**40 + 1, 0, -3])
+    want = [-1, 0, -1, 1, 2, -1, -1, -1, -1, -1, -1, -1]
+    tabled, calls = _isin_calls(lambda: adv._letter_finder(letters, 1)(column))
+    assert tabled.tolist() == want and tabled.dtype == np.int8 and calls == 0
+    with mock.patch.object(adv, "TABLE_SPAN", 0):
+        filtered, calls = _isin_calls(lambda: adv._letter_finder(letters, 1)(column))
+    assert filtered.tolist() == want and calls == 1
+    for unfit in ([0, 2], [2**62]):  # a letter below 1, or a table of 2**62 entries
+        assert _isin_calls(lambda: adv._letter_finder(np.array(unfit), 1)(column))[1] == 1
+
+
+def _predictions_on_both_filter_paths(prob, trace, words, k):
+    """The kernel's predictions with a letter table at every level, and with
+    np.isin at every level (no table may span a letter)."""
+    tabled, calls = _isin_calls(lambda: adv._trace_predictions(prob, trace, words, k))
+    assert calls == 0
+    with mock.patch.object(adv, "TABLE_SPAN", 0):
+        filtered, calls = _isin_calls(lambda: adv._trace_predictions(prob, trace, words, k))
+    assert calls > 0
+    return tabled, filtered
+
+
+@pytest.mark.parametrize("m,truncation,stage,n,k", CRITERION_07_CONFIGS)
+def test_letter_tables_and_isin_give_the_same_predictions(m, truncation, stage, n, k):
+    prob = problem(m=m, truncation=truncation)
+    rng = np.random.default_rng(n)
+    trace = adv.draw_trace(prob, n, rng)
+    words = adv.draw_test_words(prob, 10, rng)
+    tabled, filtered = _predictions_on_both_filter_paths(prob, trace, words, k)
+    assert (tabled == filtered).all()
+
+
+def test_letter_tables_and_isin_give_the_same_predictions_on_wide_first_letters():
+    prob = problem(m=(1, 50_000, 2), truncation=3)
+    rng = np.random.default_rng(4)
+    trace = adv.draw_trace(prob, 50_000, rng)
+    words = adv.draw_test_words(prob, 400, rng)
+    tabled, filtered = _predictions_on_both_filter_paths(prob, trace, words, 1)
+    assert (tabled == filtered).all()
+    assert set(tabled.tolist()) == {0, 1}
+
+
+def test_letters_near_2_pow_62_take_np_isin():
+    # a table would span 2**62 letters, past TABLE_SPAN·(CHUNK + T)
+    assert _isin_calls(lambda: _check_big_letters(2**62))[1] > 0
 
 
 def _exact_stage_probability(prob, n, k):

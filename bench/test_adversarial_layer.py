@@ -61,6 +61,15 @@ def test_structured_stage_sim_trace(benchmark):
     assert res.fraction >= 0.9
 
 
+def test_draw_rows(benchmark):
+    # the shared sample's rows without their tie keys, as trace mode draws
+    # them: one multinomial for the group sizes, letters only where read
+    problem = _problem("empirical", 1)
+    trace = benchmark(adv._draw_rows, problem, 10**6, np.random.default_rng(7))
+    assert len(trace) == 10**6 and trace.tie_keys is None
+    assert abs(trace.is_atomic.mean() - 0.5) <= 5 * 0.5 / 10**3
+
+
 def test_draw_trace(benchmark):
     # the shared sample of the empirical table's stage 1: n = 10^6 rows
     problem = _problem("empirical", 1)

@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -397,6 +401,10 @@ def _rows_one_at_a_time(problem, trace):
 def _trace_case(problem, name):
     trace = adv.draw_trace(problem, 1 if name.startswith("n=1") else 500, np.random.default_rng(4))
     count, D = len(trace), problem.truncation_depth
+    if "drawn" not in name:
+        # a drawn row holds letters only down to its own depth, so a row
+        # turned into a deeper atom or a diffuse row gets all D letters
+        trace.letters[:] = adv.draw_test_words(problem, count, np.random.default_rng(5))
     if name == "all atomic":
         trace.is_atomic[:] = True
         trace.atom_depth[:] = np.arange(count) % (D + 1)
@@ -429,8 +437,8 @@ def test_labelled_sample_matches_rows_read_one_at_a_time(name):
 @pytest.mark.parametrize(
     "seed, digest",
     [
-        (5, "dbe891d7d92b693830d8b1ffb28f8f7ee3bb35cfb22c41fe53c7cfe42a0038c2"),
-        (11, "2878a000afec1f9169c1ba9280aa60313fb9895e5bd14dfb0206d5ab9eb9aae6"),
+        (5, "815e4296bd0fee101fcb9abc3bda489e133cef2c504039ee36fecbcb72134c87"),
+        (11, "c600c6e5905556781780df6600ede1fbf871fa86d53c7fac6cc01dfe2671bb6e"),
     ],
     ids=["seed5", "seed11"],
 )
@@ -497,7 +505,7 @@ def test_sampler_matches_masses():
 
 
 class _RepeatedTieKeys:
-    """A generator whose first tie-key draw (its second ``random`` call)
+    """A generator whose first tie-key draw (its first ``random`` call)
     repeats values, so ``draw_trace`` has to redraw them."""
 
     def __init__(self, seed):
@@ -510,18 +518,19 @@ class _RepeatedTieKeys:
     def random(self, size):
         self._calls += 1
         values = self._rng.random(size)
-        if self._calls == 2:
+        if self._calls == 1:
             values[1::3] = values[::3][: len(values[1::3])]
             self.repeated = values.copy()
         return values
 
 
 def test_draw_trace_redraws_repeated_tie_keys():
-    # repeats are redrawn off the main stream: rng sees only the coin and
-    # depth draw and the key draw, and ends where an unspied generator ends
+    # repeats are redrawn off the main stream: rng sees only the group
+    # counts, the letters and one key draw, and ends where an unspied
+    # generator ends
     rng = _RepeatedTieKeys(3)
     trace = adv.draw_trace(small_problem(), 100, rng)
-    assert rng._calls == 2
+    assert rng._calls == 1
     assert len(np.unique(trace.tie_keys)) == 100
     # the first copy of each value stays, every later copy is redrawn
     assert (trace.tie_keys[::3] == rng.repeated[::3]).all()
@@ -533,26 +542,44 @@ def test_draw_trace_redraws_repeated_tie_keys():
 
 @pytest.mark.parametrize("count", [1, 2, 61, 100, 1001, 10**4])
 def test_skipping_the_tie_keys_leaves_the_state_of_draw_trace(count):
-    # with D = 3, an odd count leaves a buffered 32-bit half from the letter
-    # draws (has_uint32 = 1), which the skip must keep for the test words
     p = small_problem(truncation=3)
     drawn = np.random.default_rng(count)
     adv.draw_trace(p, count, drawn)
     skipped = np.random.default_rng(count)
     adv._draw_rows(p, count, skipped)
-    assert skipped.bit_generator.state["has_uint32"] == count % 2
     adv._skip_uniforms(skipped, count)
     assert skipped.bit_generator.state == drawn.bit_generator.state
 
 
+def test_skipping_the_tie_keys_keeps_either_buffered_half():
+    # an odd number of letter draws leaves a buffered 32-bit half
+    # (has_uint32 = 1), which the skip must keep for the test words; the
+    # number of letters is random, so both parities occur
+    p = small_problem(truncation=3)
+    parities = set()
+    for count in range(1, 17):
+        drawn = np.random.default_rng(count)
+        adv.draw_trace(p, count, drawn)
+        skipped = np.random.default_rng(count)
+        adv._draw_rows(p, count, skipped)
+        parities.add(skipped.bit_generator.state["has_uint32"])
+        adv._skip_uniforms(skipped, count)
+        assert skipped.bit_generator.state == drawn.bit_generator.state
+    assert parities == {0, 1}
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_letters_drawn_in_pieces_equal_one_draw_per_level(chunk):
+    # each level draws letters for a prefix of the rows; the rest stay 0
     p = small_problem(truncation=3)
+    reach = [101, 60, 7]
     whole = np.random.default_rng(11)
-    want = np.column_stack([whole.integers(1, p.branching_at(h) + 1, size=101) for h in (1, 2, 3)])
+    want = np.zeros((101, 3), dtype=np.int64)
+    for h, rows in enumerate(reach):
+        want[:rows, h] = whole.integers(1, p.branching_at(h + 1) + 1, size=rows)
     pieces = np.random.default_rng(11)
     with mock.patch.object(adv, "CHUNK", chunk):
-        got = adv._draw_words(p, 101, pieces, np.int8)
+        got = adv._draw_words(p, 101, pieces, np.int8, reach)
     assert (got == want).all()
     assert pieces.bit_generator.state == whole.bit_generator.state
 
@@ -567,41 +594,38 @@ def test_skipping_the_tie_keys_leaves_the_state_of_a_redrawing_draw_trace():
     assert skipped.bit_generator.state == repeated.bit_generator.state
 
 
-class _ChosenFirstDraw:
-    """A generator whose first ``random`` call, the coin and depth draw of
-    ``draw_trace``, returns chosen values."""
+_NO_MASKED_ARRAYS = """
+import sys
+import numpy as np
+from metriclab import adversarial as adv
 
-    def __init__(self, values):
-        self._rng = np.random.default_rng(0)
-        self._values = np.array(values, dtype=np.float64)
-        self._calls = 0
+class Repeated:  # a generator whose tie keys repeat, so draw_trace redraws them
+    def __init__(self):
+        self.rng = np.random.default_rng(3)
 
     def __getattr__(self, name):
-        return getattr(self._rng, name)
+        return getattr(self.rng, name)
 
     def random(self, size):
-        self._calls += 1
-        if self._calls == 1:
-            assert size == len(self._values)
-            return self._values.copy()
-        return self._rng.random(size)
+        values = self.rng.random(size)
+        values[1::3] = values[::3][: len(values[1::3])]
+        return values
+
+p = adv.AdversarialProblem(adv.Schedule(m=(1, 4, 3, 3), n=(60, 200), mode="empirical"), 4)
+adv.structured_stage_sim(p, 1, 500, 7, 20, 0, sample_mode="trace")
+adv.draw_trace(p, 100, Repeated())
+print("numpy.ma" in sys.modules)
+"""
 
 
-@pytest.mark.parametrize("D", [3, 60])
-def test_draw_trace_depth_at_the_exponent_boundaries(D):
-    # u in [2**-(j+2), 2**-(j+1)) is an atom at depth j, clamped at D; u >= 1/2
-    # is diffuse; u = 0 is the deepest atom
-    cases = [(0.0, D), (2.0**-53, 51), (0.5 - 2.0**-53, 0), (0.5, -1)]
-    for j in range(53):
-        cases.append((2.0 ** -(j + 1), j - 1))
-        cases.append((math.nextafter(2.0 ** -(j + 1), 0), j))
-    values, want = zip(*cases)
-    want = np.array([min(d, D) for d in want])
-    p = small_problem(truncation=D)
-    trace = adv.draw_trace(p, len(values), _ChosenFirstDraw(values))
-    assert (trace.is_atomic == (want >= 0)).all()
-    assert (trace.atom_depth == want).all()
-    assert trace.atom_depth.dtype == np.int8
+def test_trace_paths_do_not_load_masked_arrays():
+    # plain np.unique and np.setdiff1d import numpy.ma (5 ms) on first use
+    src = str(Path(adv.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("D", [3, 8])
@@ -615,9 +639,60 @@ def test_draw_trace_depth_frequencies_match_gamma(D):
         assert abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / count)
 
 
+@pytest.mark.parametrize("D", [1, 3, 60])
+def test_draw_trace_lays_rows_out_by_group_with_letters_only_where_read(D):
+    # diffuse rows, then atoms from depth D down to 0; a row holds a letter
+    # at level h exactly when it is diffuse or an atom of depth >= h
+    p = small_problem(m=(1,) + (3,) * D, n=(60,), truncation=D)
+    for seed in range(3):
+        trace = adv.draw_trace(p, 2000, np.random.default_rng(seed))
+        depth = trace.atom_depth.astype(np.int64)
+        assert trace.atom_depth.dtype == np.int8
+        assert (trace.is_atomic == (depth >= 0)).all()
+        assert depth[0] == -1 and depth[-1] == 0
+        rank = np.where(depth < 0, D + 1, depth)  # the layout runs rank down
+        assert (np.diff(rank) <= 0).all()
+        reach = np.where(depth < 0, D, depth)
+        has_letter = np.arange(1, D + 1)[None, :] <= reach[:, None]
+        assert ((trace.letters != 0) == has_letter).all()
+        assert (trace.letters <= 3).all()
+        assert trace.letters.flags.f_contiguous
+
+
+class _SpiedMultinomial:
+    """A generator that keeps the arguments and result of its
+    ``multinomial`` call."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def multinomial(self, count, pvals):
+        self.pvals = list(pvals)
+        self.counts = self._rng.multinomial(count, pvals)
+        return self.counts
+
+
+@pytest.mark.parametrize("D", [3, 60])
+def test_draw_trace_group_counts_are_one_multinomial_over_gamma(D):
+    # the diffuse half, gamma_0 .. gamma_(D-1) and the tail at D, each
+    # exact in a double, so every conditional binomial of the multinomial
+    # has p = 1/2; the trace holds exactly the drawn counts
+    rng = _SpiedMultinomial(D)
+    trace = adv._draw_rows(small_problem(m=(1,) + (2,) * D, truncation=D), 5000, rng)
+    want = [Fraction(1, 2)] + [adv.gamma_value(j) for j in range(D)] + [adv.gamma_tail(D)]
+    assert [Fraction(v) for v in rng.pvals] == want
+    assert all(Fraction(v) / (1 - sum(want[:i])) == Fraction(1, 2) for i, v in enumerate(want[:-1]))
+    got = np.bincount(trace.atom_depth.astype(np.int64) + 1, minlength=D + 2)
+    assert (got == rng.counts).all()
+    assert trace.tie_keys is None
+
+
 def test_draw_trace_at_n_10_6_holds_under_26_mib():
     # the 16.2 MiB trace, the 7.6 MiB sorted tie-key copy and its 1 MB
-    # comparison: the coin and depth uniform is gone before the letters
+    # comparison: the group counts draw no uniform beside the keys
     p = small_problem(m=(1, 293, 2000), n=(128, 10**6), truncation=3)
     tracemalloc.start()
     try:

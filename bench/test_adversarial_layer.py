@@ -67,7 +67,7 @@ def test_draw_rows(benchmark):
     problem = _problem("empirical", 1)
     trace = benchmark(adv._draw_rows, problem, 10**6, np.random.default_rng(7))
     assert len(trace) == 10**6 and trace.tie_keys is None
-    assert abs(trace.is_atomic.mean() - 0.5) <= 5 * 0.5 / 10**3
+    assert abs(trace.group_sizes[0] / len(trace) - 0.5) <= 5 * 0.5 / 10**3
 
 
 def test_draw_trace(benchmark):
@@ -75,7 +75,7 @@ def test_draw_trace(benchmark):
     problem = _problem("empirical", 1)
     trace = benchmark(adv.draw_trace, problem, 10**6, np.random.default_rng(7))
     assert len(trace) == 10**6
-    assert abs(trace.is_atomic.mean() - 0.5) <= 5 * 0.5 / 10**3
+    assert abs(trace.group_sizes[0] / len(trace) - 0.5) <= 5 * 0.5 / 10**3
     assert len(np.unique(trace.tie_keys)) == 10**6
 
 

@@ -113,9 +113,9 @@ def _criterion07_sample():
 def test_labelled_sample_from_trace_n2000(benchmark):
     prob, trace, _ = _criterion07_sample()
     sample = benchmark(adv.labelled_sample_from_trace, prob, trace)
-    assert sample.labels == tuple(trace.is_atomic.astype(int).tolist())
+    assert sample.labels == tuple((trace.depths() >= 0).astype(int).tolist())
     assert sample.tie_keys == tuple(trace.tie_keys.tolist())
-    row = int(trace.is_atomic.argmin())  # a diffuse row: its node centre
+    row = int(trace.depths().argmin())  # a diffuse row: its node centre
     assert sample.points[row] is prob.geometry(tuple(trace.letters[row].tolist())).center
 
 

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from fractions import Fraction
-from typing import Callable, Generator, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -468,27 +468,37 @@ CHUNK = 1 << 16  # rows per piece of a drawn letter column and per block of the 
 TABLE_SPAN = 6  # letter tables span at most TABLE_SPAN·(CHUNK + T) entries, as np.isin's do
 
 
+def _layout_depths(D: int) -> list[int]:
+    """The depth of each row group of a trace in layout order: the diffuse
+    rows (-1), then the atoms at depth D down to 0."""
+    return [-1, *range(D, -1, -1)]
+
+
 @dataclass
 class SampleTrace:
     """Provenance-level draw of an i.i.d. sample (no points materialized).
 
-    ``atom_depth`` and ``letters`` share the narrowest integer type that
-    holds -1..D and the largest branching, so a row takes 9 + (D + 1)·b
-    bytes for b-byte integers: 17 MB at n = 10**6, D = 3 and branching
-    2000 (int16), against 41 MB with int64 arrays. A row's letters past
-    its atom depth are never read. ``draw_trace`` lays the rows out by
-    group and stores the letters column-major, one contiguous column per
-    level; a trace built by hand may hold its rows in any order and its
-    letters in either order.
+    The rows are laid out by group (``_layout_depths``): the diffuse rows,
+    then the atoms from depth D down to 0, so the D + 2 group sizes say
+    what each row is. The letters take the narrowest signed integer type
+    that holds the largest branching, so a row takes D·b bytes for b-byte
+    integers, plus 8 for its tie key: 6 MB of letters at n = 10**6, D = 3
+    and branching 2000 (int16). A row's letters past its atom depth are
+    never read. ``draw_trace`` stores the letters column-major, one
+    contiguous column per level; a trace built by hand may hold them in
+    either order.
     """
 
-    is_atomic: np.ndarray  # bool (count,)
-    atom_depth: np.ndarray  # int (count,), -1 exactly on the diffuse rows
+    group_sizes: np.ndarray  # int (D + 2,), in layout order
     letters: np.ndarray  # int (count, truncation_depth), 1-based
     tie_keys: Optional[np.ndarray]  # float64 (count,), pairwise distinct; None if never read
 
     def __len__(self) -> int:
-        return len(self.is_atomic)
+        return len(self.letters)
+
+    def depths(self) -> np.ndarray:
+        """Each row's atom depth, -1 on the diffuse rows."""
+        return np.repeat(_layout_depths(len(self.group_sizes) - 2), self.group_sizes)
 
 
 def draw_trace(problem: AdversarialProblem, count: int, rng: np.random.Generator) -> SampleTrace:
@@ -526,23 +536,21 @@ def _draw_rows(problem: AdversarialProblem, count: int, rng: np.random.Generator
     The group sizes (diffuse rows, and atoms at each depth 0..D, the tail
     at D) are one multinomial draw (the conditional method, Devroye, 1986).
     Drawn in that order, each of its conditional binomials has p = 1/2
-    exactly, so the law is exact at every depth. The rows are laid out as
-    diffuse rows, then atoms from depth D down to 0, so the rows with a
-    letter at level h (the diffuse rows and the atoms of depth >= h) are a
-    prefix of the trace, and only those rows draw letters
-    (``_draw_words``); about 1.94·count letters rather than 3·count at D =
-    3. Letters past an atom's depth stay 0."""
+    exactly, so the law is exact at every depth. The trace keeps the
+    sizes in layout order, so the rows with a letter at level h (the
+    diffuse rows and the atoms of depth >= h) are a prefix of the trace,
+    and only those rows draw letters (``_draw_words``); about 1.94·count
+    letters rather than 3·count at D = 3. Letters past an atom's depth
+    stay 0."""
     if count < 1:
         raise ValueError("count must be positive")
     D = problem.truncation_depth
-    dtype = np.min_scalar_type(-1 - max(D, *map(problem.branching_at, range(1, D + 1))))
+    dtype = np.min_scalar_type(-1 - max(map(problem.branching_at, range(1, D + 1))))
     pvals = [0.5] + [float(gamma_value(j)) for j in range(D)] + [float(gamma_tail(D))]
-    counts = rng.multinomial(count, pvals)
-    counts = np.concatenate((counts[:1], counts[:0:-1]))  # diffuse, then depth D down to 0
-    atom_depth = np.repeat(np.array([-1, *range(D, -1, -1)], dtype=dtype), counts)
-    reach = np.cumsum(counts)[D:0:-1]  # reach[h - 1]: the rows with a letter at level h
+    sizes = rng.multinomial(count, pvals)[np.add(_layout_depths(D), 1)]  # in layout order
+    reach = np.cumsum(sizes)[D:0:-1]  # reach[h - 1]: the rows with a letter at level h
     letters = _draw_words(problem, count, rng, dtype, reach.tolist())
-    return SampleTrace(atom_depth >= 0, atom_depth, letters, None)
+    return SampleTrace(sizes, letters, None)
 
 
 def _skip_uniforms(rng: np.random.Generator, count: int) -> None:
@@ -585,13 +593,13 @@ def labelled_sample_from_trace(
     0). The arrays are read as plain lists, and points are the memoized
     geometry objects."""
     geometry, D = problem.geometry, problem.truncation_depth
-    atomic = trace.is_atomic.tolist()
-    rows = zip(atomic, trace.atom_depth.tolist(), trace.letters.tolist())
     points = tuple(
-        geometry(letters[:depth]).atom if a else geometry(letters[:D]).center
-        for a, depth, letters in rows
+        geometry(letters[:depth]).atom if depth >= 0 else geometry(letters[:D]).center
+        for depth, letters in zip(trace.depths().tolist(), trace.letters.tolist())
     )
-    return LabelledSample(points, tuple(map(int, atomic)), tuple(trace.tie_keys.tolist()))
+    diffuse = int(trace.group_sizes[0])  # the diffuse rows come first
+    labels = (0,) * diffuse + (1,) * (len(trace) - diffuse)
+    return LabelledSample(points, labels, tuple(trace.tie_keys.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -664,46 +672,6 @@ def distance_classes(problem: AdversarialProblem) -> tuple[DistanceClass, ...]:
             )
     problem._classes = tuple(classes)
     return problem._classes
-
-
-def _vote_dtype(k: int) -> type:
-    """The narrowest signed integer type that holds 2k. Signed, so that
-    every operation mixing it with int64 counts stays in int64 (numpy takes
-    uint64 with int64 to float64)."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if 2 * k <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
-
-
-def _vote(classes: tuple[DistanceClass, ...], counts: Generator[np.ndarray, None, None],
-          k: int) -> np.ndarray:
-    """Trace mode's k-NN vote from per-class sample counts, one length-T
-    int64 vector per class in distance order; label 1 wins with half the
-    votes. need, ones and one reused votes buffer take ``_vote_dtype(k)``:
-    a class's votes are min(count, need), taken in int64 and at most need
-    <= k, so the cast into votes is exact. Each count is dropped before the
-    next is read, and ``counts`` is closed, with whatever it still holds,
-    before the predictions are allocated; so beside the counts the vote
-    holds 3·b·T bytes for b-byte integers. Stops reading ``counts`` once
-    every point has its k neighbours."""
-    need = ones = votes = None  # need = max(k - before, 0), before = points met so far
-    for c in classes:
-        count = next(counts)
-        if need is None:
-            need = np.full(count.shape, k, dtype=_vote_dtype(k))
-            ones, votes = np.zeros_like(need), np.empty_like(need)
-        np.minimum(count, need, out=votes, casting="unsafe")  # the votes of this class
-        del count
-        need -= votes
-        if c.label:
-            ones += votes
-        if not need.any():
-            break
-    counts.close()
-    del need, votes
-    ones *= 2
-    return (ones >= k).astype(np.int64)
 
 
 def _binomial_logpmf(N: int, q: float, count: int) -> np.ndarray:
@@ -786,35 +754,32 @@ def _trace_predictions(
     share it (``distance_classes`` raises otherwise), so the label sum of
     the k nearest does not depend on which tied rows the keys pick.
 
-    Rows fall into groups keyed by ``atom_depth + 1``: j + 1 for atoms at
-    depth j, 0 for diffuse rows (which have D letters; ``SampleTrace`` keeps
-    their depth at -1), so ``is_atomic`` is never read. The words' distinct
-    letters and prefixes at each level are found once, with a table from
-    each letter to its index (``_letter_finder``). Then one pass, CHUNK rows
-    at a time, filters the rows down the prefix trie of the test words
-    without reordering the sample. Level 0 is taken over whole columns: one
-    sort of the block's depths (a radix sort for 8- and 16-bit types, 5-8
-    times faster than a bincount, whose increments chain on grouped rows)
-    and a binary search count its groups, and one take from the level-0
-    table over its level-0 column, with depth != 0 (root atoms have no
-    letter), picks the rows before any is gathered; so the letters are best
-    column-major, as ``draw_trace`` stores them. At a level h > 0 only the
-    rows that match some word's h-prefix remain; one take keeps those whose
-    next letter is among the words' letters, with its index, and the pair
-    (prefix id, letter index) is looked up among the words' (h+1)-prefixes
-    by binary search; at h = 0 there is one empty prefix, so the letter
-    index is already the 1-prefix id. Each block's bincount per level is
-    added to ge[h + 1], the rows of each group agreeing with each word on
-    h+1 letters; ge[h] - ge[h+1] rows split at h. Lookup keys stay below
-    T**2, so no letter is ever packed into an integer. Time: O(T D log T)
-    for the words, per block O(CHUNK) for the depth sort (O(CHUNK log CHUNK)
-    past 16 bits), and per block and level O(CHUNK + T) for the tables plus
-    O(log T) for each row that passes them (O((CHUNK + T) log(CHUNK + T))
-    where ``np.isin`` stands in for a table); beyond the trace, O(CHUNK +
-    D·T + D**2·P) memory for at most P distinct prefixes per level (P <= T).
+    The words' distinct letters and prefixes at each level are found once,
+    with a table from each letter to its index (``_letter_finder``). Each
+    row group is then walked down the prefix trie of the test words over
+    its own levels, CHUNK rows at a time, without reordering the sample:
+    the diffuse rows over all D levels, the atoms at depth j over their j
+    letters. At each level only the rows that match some word's prefix
+    remain: one take keeps those whose next letter is among the words'
+    letters, with its index; one binary search looks the pair (prefix id,
+    letter index) up among the words' longer prefixes (at h = 0 the one
+    empty prefix makes the letter index the 1-prefix id); and one bincount
+    adds the rows of each prefix to ge[h + 1], the group's rows agreeing
+    with each word on h + 1 letters. ge[0] is the group size, and ge[h] -
+    ge[h + 1] rows split at h. Lookup keys stay below T**2, so no letter is
+    ever packed into an integer. The letters are best column-major, as
+    ``draw_trace`` stores them.
+
+    The vote reads the (classes x T) matrix of class counts in distance
+    order: a word takes min(cumulative count, k) rows up to each class, and
+    its label-1 votes are the label-weighted differences of those.
+
+    Time: O(T D log T) for the words, and per block and level O(CHUNK + T)
+    for the tables plus O(log T) for each row that passes them (O((CHUNK +
+    T) log(CHUNK + T)) where ``np.isin`` stands in for a table); beyond the
+    trace, O(CHUNK + D**2·T) memory: 1.1 MB of counts at D = 3, T = 10**4.
     """
     D, T = problem.truncation_depth, len(test_words)
-    groups = D + 2
     # per level h: the words' distinct letters and (h+1)-prefixes; pids[h]:
     # each word's prefix id at length h
     levels, pids = [], [np.zeros(T, dtype=np.int64)]
@@ -824,47 +789,39 @@ def _trace_predictions(
         prefixes, word_pid = np.unique(word_keys, return_inverse=True)
         levels.append((letters, prefixes, _letter_finder(letters, T)))
         pids.append(word_pid)
-    # tables[h][g, p]: rows of group g matching prefix p of length h
-    tables = [np.zeros((groups, 1), dtype=np.int64)]
-    tables += [np.zeros((groups, len(prefixes)), dtype=np.int64) for _, prefixes, _ in levels]
-    bounds = np.arange(-2, D + 1).astype(trace.atom_depth.dtype)
-    for lo in range(0, len(trace), CHUNK):
-        block = slice(lo, lo + CHUNK)
-        depth, block_letters = trace.atom_depth[block], trace.letters[block]
-        ends = np.searchsorted(np.sort(depth), bounds, side="right")  # rows of depth <= bound
-        tables[0][:, 0] += ends[1:] - ends[:-1]
-        # rows with a letter at level 0 (not root atoms) that some word has;
-        # at h = 0 the letter index, widened to int64, is the 1-prefix id
-        index = levels[0][2](block_letters[:, 0])
-        rows = np.flatnonzero((index >= 0) & (depth != 0))
-        row_pid = index[rows].astype(np.int64)
-        for h, (letters, prefixes, find) in enumerate(levels):
-            if h > 0:
-                index = find(block_letters[rows, h])
-                hit = index >= 0
-                rows, row_pid = rows[hit], row_pid[hit] * len(letters) + index[hit]
-                pos = np.minimum(np.searchsorted(prefixes, row_pid), len(prefixes) - 1)
-                hit = prefixes[pos] == row_pid  # prefix and letter may each occur, the pair not
-                rows, row_pid = rows[hit], pos[hit]
-            # int64, so that the bincount keys group * P + pid cannot wrap
-            row_group = depth[rows].astype(np.int64) + 1
-            P = len(prefixes)
-            keys = row_group * P + row_pid
-            tables[h + 1] += np.bincount(keys, minlength=groups * P).reshape(groups, P)
-            # diffuse rows go on; atoms at depth h + 1 have no further letter
-            deeper = (row_group == 0) | (row_group > h + 2)
-            rows, row_pid = rows[deeper], row_pid[deeper]
-
-    def counts():
-        for c in classes:
-            g, h = (c.depth + 1 if c.kind == "atom" else 0), c.split
-            ge = tables[h][g, pids[h]]
-            if h < c.depth:
-                ge -= tables[h + 1][g, pids[h + 1]]
-            yield ge
+    ge = {}  # ge[depth][h][p]: the group's rows that match prefix p of length h
+    stop = 0
+    for depth, size in zip(_layout_depths(D), trace.group_sizes.tolist()):
+        start, stop = stop, stop + size
+        walk = levels[: D if depth < 0 else depth]
+        ge[depth] = [np.array([size])] + [np.zeros(len(p), dtype=np.int64) for _, p, _ in walk]
+        for lo in range(start, stop, CHUNK):
+            block = trace.letters[lo : min(lo + CHUNK, stop)]
+            for h, (letters, prefixes, find) in enumerate(walk):
+                if h == 0:  # one empty prefix: a letter's index is its 1-prefix id
+                    index = find(block[:, 0])
+                    rows = np.flatnonzero(index >= 0)
+                    row_pid = index[rows].astype(np.int64)  # so that pairs cannot wrap
+                else:
+                    index = find(block[:, h][rows])
+                    keep = np.flatnonzero(index >= 0)
+                    pair = row_pid[keep] * len(letters) + index[keep]
+                    pos = np.minimum(np.searchsorted(prefixes, pair), len(prefixes) - 1)
+                    hit = prefixes[pos] == pair  # prefix and letter may each occur, the pair not
+                    rows, row_pid = rows[keep[hit]], pos[hit]
+                ge[depth][h + 1] += np.bincount(row_pid, minlength=len(prefixes))
 
     classes = distance_classes(problem)
-    return _vote(classes, counts(), k)
+    counts = np.empty((len(classes), T), dtype=np.int64)
+    for row, c in zip(counts, classes):
+        group, h = ge[c.depth if c.kind == "atom" else -1], c.split
+        row[:] = group[h][pids[h]]
+        if h < c.depth:
+            row -= group[h + 1][pids[h + 1]]
+    labels = np.array([c.label for c in classes], dtype=np.int64)
+    taken = np.minimum(counts.cumsum(0), k)
+    ones = labels @ np.diff(taken, axis=0, prepend=0)
+    return (2 * ones >= k).astype(np.int64)
 
 
 def _letter_finder(letters: np.ndarray, T: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -928,16 +885,17 @@ def structured_stage_sim(
     Bernoulli(p) for the exact stage probability p of
     ``stage_probability``, so it draws their number of 1s as one
     Binomial(T, p) and returns that many 1s in a uniformly random int8
-    arrangement (``_arranged``). ``trace`` draws the rows of one shared
-    provenance trace (``_draw_rows``: the group sizes as one multinomial,
-    rows laid out by group, letters only where a row has them), jumps the
-    generator past its n tie keys without drawing them (``_skip_uniforms``:
+    arrangement (``_arranged``). ``trace`` draws one shared provenance
+    trace as its group sizes and letters (``_draw_rows``: the sizes as one
+    multinomial, letters only where a row has them), jumps the generator
+    past its n tie keys without drawing them (``_skip_uniforms``:
     ``draw_trace`` redraws a repeated key off the main stream, and the
-    count kernel never reads the keys), then draws the test words; so for
-    the same seed it reproduces exactly what the brute-force classifier
-    sees on ``draw_trace`` followed by ``draw_test_words`` (int64
-    predictions). The fraction is the count of 1s over T, which is the
-    mean's own float.
+    count kernel never reads the keys), then draws the test words and
+    walks each row group down their prefix trie (``_trace_predictions``);
+    so for the same seed it reproduces exactly what the brute-force
+    classifier sees on ``draw_trace`` followed by ``draw_test_words``
+    (int64 predictions). The fraction is the count of 1s over T, which is
+    the mean's own float.
     """
     if stage < 0 or stage + 1 > problem.truncation_depth:
         raise ValueError("stage must satisfy stage + 1 <= truncation depth")

@@ -26,6 +26,7 @@ from metriclab.adversarial import (
     verify_node,
 )
 from metriclab.spaces import DirectionIds, SparseL2, distance
+from trace_rows import grouped_trace
 
 SPACE = SparseL2()
 
@@ -385,12 +386,22 @@ def test_ball_mass_examples():
 # sampler
 
 
+def test_grouped_trace_sorts_hand_made_rows_into_the_layout():
+    # D = 2: the diffuse rows, then atoms at depths 2 (none here), 1 and 0
+    letters = np.array([[1, 1], [2, 1], [3, 3], [4, 2], [1, 2]])
+    trace = grouped_trace([0, -1, 1, -1, 0], letters, [0.1, 0.2, 0.3, 0.4, 0.5])
+    assert len(trace) == 5 and trace.group_sizes.tolist() == [2, 0, 1, 2]
+    assert trace.depths().tolist() == [-1, -1, 1, 0, 0]
+    assert trace.letters[:, 0].tolist() == [2, 4, 3, 1, 1]
+    assert trace.tie_keys.tolist() == [0.2, 0.4, 0.3, 0.1, 0.5]
+
+
 def _rows_one_at_a_time(problem, trace):
     """The reference: each trace row read one numpy element at a time."""
-    rows = []
+    rows, depths = [], trace.depths()
     for row in range(len(trace)):
-        if trace.is_atomic[row]:
-            word = tuple(int(v) for v in trace.letters[row, : int(trace.atom_depth[row])])
+        if depths[row] >= 0:
+            word = tuple(int(v) for v in trace.letters[row, : int(depths[row])])
             rows.append((problem.geometry(word).atom, 1))
         else:
             word = tuple(int(v) for v in trace.letters[row, : problem.truncation_depth])
@@ -400,21 +411,19 @@ def _rows_one_at_a_time(problem, trace):
 
 def _trace_case(problem, name):
     trace = adv.draw_trace(problem, 1 if name.startswith("n=1") else 500, np.random.default_rng(4))
+    if "drawn" in name:
+        return trace
     count, D = len(trace), problem.truncation_depth
-    if "drawn" not in name:
-        # a drawn row holds letters only down to its own depth, so a row
-        # turned into a deeper atom or a diffuse row gets all D letters
-        trace.letters[:] = adv.draw_test_words(problem, count, np.random.default_rng(5))
     if name == "all atomic":
-        trace.is_atomic[:] = True
-        trace.atom_depth[:] = np.arange(count) % (D + 1)
+        depth = np.arange(count) % (D + 1)
     elif name in ("all diffuse", "n=1 diffuse"):
-        trace.is_atomic[:] = False
-        trace.atom_depth[:] = -1
-    elif name in ("depth-0 atoms", "n=1 root atom"):
-        trace.is_atomic[:] = True
-        trace.atom_depth[:] = 0
-    return trace
+        depth = np.full(count, -1)
+    else:  # "depth-0 atoms", "n=1 root atom"
+        depth = np.zeros(count, dtype=np.int64)
+    # a drawn row holds letters only down to its own depth, so a row
+    # turned into a deeper atom or a diffuse row gets all D letters
+    letters = adv.draw_test_words(problem, count, np.random.default_rng(5))
+    return grouped_trace(depth, letters, trace.tie_keys)
 
 
 @pytest.mark.parametrize(
@@ -462,11 +471,11 @@ def test_sample_points_carry_one_label_each():
     p = small_problem()
     trace = adv.draw_trace(p, 2000, np.random.default_rng(11))
     sample = adv.labelled_sample_from_trace(p, trace)
-    labels = {}
+    labels, depths = {}, trace.depths()
     for row, (pt, lab) in enumerate(zip(sample.points, sample.labels)):
         assert labels.setdefault(pt, lab) == lab
-        if trace.is_atomic[row]:
-            depth = int(trace.atom_depth[row])
+        if depths[row] >= 0:
+            depth = int(depths[row])
             hub = p.geometry(tuple(trace.letters[row, :depth].tolist())).center
             assert lab == 1
             assert distance(SPACE, hub, pt) == adv.atom_offset(depth)
@@ -481,7 +490,7 @@ def test_draw_trace_label_frequency():
     p = small_problem()
     rng = np.random.default_rng(8)
     trace = adv.draw_trace(p, 10**6, rng)
-    freq = trace.is_atomic.mean()
+    freq = (trace.depths() >= 0).mean()
     assert abs(freq - 0.5) <= 4 * math.sqrt(0.25 / 10**6)
 
 
@@ -490,16 +499,17 @@ def test_sampler_matches_masses():
     rng = np.random.default_rng(9)
     count = 10**6
     trace = adv.draw_trace(p, count, rng)
+    depth = trace.depths()
     # root atom frequency ~ gamma_0
-    root_freq = (trace.is_atomic & (trace.atom_depth == 0)).mean()
+    root_freq = (depth == 0).mean()
     g0 = float(adv.gamma_value(0))
     assert abs(root_freq - g0) <= 4 * math.sqrt(g0 * (1 - g0) / count)
     # one depth-1 atom frequency ~ gamma_1 / 4
-    mask = trace.is_atomic & (trace.atom_depth == 1) & (trace.letters[:, 0] == 2)
+    mask = (depth == 1) & (trace.letters[:, 0] == 2)
     expect = float(atom_mass(p.schedule, (2,)))
     assert abs(mask.mean() - expect) <= 4 * math.sqrt(expect * (1 - expect) / count)
     # diffuse mass landing in one depth-1 ball ~ mu0 part
-    mask = ~trace.is_atomic & (trace.letters[:, 0] == 3)
+    mask = (depth < 0) & (trace.letters[:, 0] == 3)
     expect = float(ball_mass(p, (3,)).mu0)
     assert abs(mask.mean() - expect) <= 4 * math.sqrt(expect * (1 - expect) / count)
 
@@ -633,7 +643,7 @@ def test_draw_trace_depth_frequencies_match_gamma(D):
     # P(atom at depth j) = gamma_j = 2**-(j+2) below D, the tail 2**-(D+1) at D
     count = 10**6
     trace = adv.draw_trace(small_problem(truncation=D), count, np.random.default_rng(12))
-    got = np.bincount(trace.atom_depth + 1, minlength=D + 2) / count
+    got = np.bincount(trace.depths() + 1, minlength=D + 2) / count
     want = [0.5] + [float(adv.gamma_value(j)) for j in range(D)] + [float(adv.gamma_tail(D))]
     for freq, p in zip(got, want):
         assert abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / count)
@@ -641,21 +651,21 @@ def test_draw_trace_depth_frequencies_match_gamma(D):
 
 @pytest.mark.parametrize("D", [1, 3, 60])
 def test_draw_trace_lays_rows_out_by_group_with_letters_only_where_read(D):
-    # diffuse rows, then atoms from depth D down to 0; a row holds a letter
-    # at level h exactly when it is diffuse or an atom of depth >= h
+    # D + 2 group sizes: diffuse rows, then atoms from depth D down to 0; a
+    # row holds a letter at level h exactly when it is diffuse or an atom
+    # of depth >= h
     p = small_problem(m=(1,) + (3,) * D, n=(60,), truncation=D)
     for seed in range(3):
         trace = adv.draw_trace(p, 2000, np.random.default_rng(seed))
-        depth = trace.atom_depth.astype(np.int64)
-        assert trace.atom_depth.dtype == np.int8
-        assert (trace.is_atomic == (depth >= 0)).all()
+        assert trace.group_sizes.shape == (D + 2,) and trace.group_sizes.sum() == len(trace)
+        depth = trace.depths()
         assert depth[0] == -1 and depth[-1] == 0
         rank = np.where(depth < 0, D + 1, depth)  # the layout runs rank down
         assert (np.diff(rank) <= 0).all()
         reach = np.where(depth < 0, D, depth)
         has_letter = np.arange(1, D + 1)[None, :] <= reach[:, None]
         assert ((trace.letters != 0) == has_letter).all()
-        assert (trace.letters <= 3).all()
+        assert (trace.letters <= 3).all() and trace.letters.dtype == np.int8
         assert trace.letters.flags.f_contiguous
 
 
@@ -679,20 +689,23 @@ class _SpiedMultinomial:
 def test_draw_trace_group_counts_are_one_multinomial_over_gamma(D):
     # the diffuse half, gamma_0 .. gamma_(D-1) and the tail at D, each
     # exact in a double, so every conditional binomial of the multinomial
-    # has p = 1/2; the trace holds exactly the drawn counts
+    # has p = 1/2; the trace holds exactly the drawn counts, as its group
+    # sizes and as its rows' depths
     rng = _SpiedMultinomial(D)
     trace = adv._draw_rows(small_problem(m=(1,) + (2,) * D, truncation=D), 5000, rng)
     want = [Fraction(1, 2)] + [adv.gamma_value(j) for j in range(D)] + [adv.gamma_tail(D)]
     assert [Fraction(v) for v in rng.pvals] == want
     assert all(Fraction(v) / (1 - sum(want[:i])) == Fraction(1, 2) for i, v in enumerate(want[:-1]))
-    got = np.bincount(trace.atom_depth.astype(np.int64) + 1, minlength=D + 2)
+    assert trace.group_sizes.tolist() == [rng.counts[0], *rng.counts[:0:-1]]
+    got = np.bincount(trace.depths() + 1, minlength=D + 2)
     assert (got == rng.counts).all()
     assert trace.tie_keys is None
 
 
-def test_draw_trace_at_n_10_6_holds_under_26_mib():
-    # the 16.2 MiB trace, the 7.6 MiB sorted tie-key copy and its 1 MB
-    # comparison: the group counts draw no uniform beside the keys
+def test_draw_trace_at_n_10_6_holds_under_23_mib():
+    # the 5.7 MiB of int16 letters, the 7.6 MiB tie keys, their 7.6 MiB
+    # sorted copy and its 1 MB comparison (21.9 MiB measured): the group
+    # sizes take no per-row array, and draw no uniform beside the keys
     p = small_problem(m=(1, 293, 2000), n=(128, 10**6), truncation=3)
     tracemalloc.start()
     try:
@@ -700,7 +713,7 @@ def test_draw_trace_at_n_10_6_holds_under_26_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 26 * 2**20
+    assert peak < 23 * 2**20
 
 
 def test_atoms_disjoint_from_diffuse_support():

@@ -2,7 +2,6 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,6 +19,7 @@ from metriclab.adversarial import (
 )
 from metriclab.knn import TieStrategy, knn_predict
 from metriclab.spaces import SparseL2, distance, sparse_d2
+from trace_rows import grouped_trace
 
 SPACE = SparseL2()
 
@@ -123,12 +123,7 @@ def test_label_pure_distance_groups():
 def test_all_atomic_sample_with_k_equals_n_predicts_one():
     p = problem(truncation=2)
     n = 16
-    trace = adv.SampleTrace(
-        is_atomic=np.ones(n, dtype=bool),
-        atom_depth=np.zeros(n, dtype=np.int64),
-        letters=np.ones((n, 2), dtype=np.int64),
-        tie_keys=np.linspace(0.1, 0.9, n),
-    )
+    trace = grouped_trace(np.zeros(n), np.ones((n, 2), dtype=np.int64), np.linspace(0.1, 0.9, n))
     words = adv.draw_test_words(p, 5, np.random.default_rng(0))
     preds = adv._trace_predictions(p, trace, words, k=n)
     assert (preds == 1).all()
@@ -239,9 +234,11 @@ CRITERION_07_CONFIGS = [
 
 @pytest.mark.parametrize("m,truncation,stage,n,k", CRITERION_07_CONFIGS)
 def test_trace_kernel_does_not_depend_on_the_row_chunk(m, truncation, stage, n, k):
-    # every n here is below CHUNK, so the unpatched kernel reads one block;
+    # every n here is below CHUNK, so the unpatched kernel reads each group
+    # in one block, and the patched ones split the groups across blocks;
     # the letters are read as drawn (column-major) and C-ordered, as a
-    # hand-built trace holds them
+    # hand-built trace holds them, and the same rows are read with every
+    # other group emptied
     prob = problem(m=m, truncation=truncation)
     rng = np.random.default_rng(n)
     trace = adv.draw_trace(prob, n, rng)
@@ -250,10 +247,15 @@ def test_trace_kernel_does_not_depend_on_the_row_chunk(m, truncation, stage, n, 
     assert (want == _brute_force_predictions(prob, trace, words, k)).all()
     c_ordered = replace(trace, letters=np.ascontiguousarray(trace.letters))
     assert trace.letters.flags.f_contiguous and not c_ordered.letters.flags.f_contiguous
-    for layout in (trace, c_ordered):
+    depth = trace.depths()
+    kept = np.isin(depth, adv._layout_depths(truncation)[::2])
+    gappy = grouped_trace(depth[kept], trace.letters[kept], trace.tie_keys[kept])
+    assert (gappy.group_sizes[1::2] == 0).all() and gappy.group_sizes.max() > 7
+    want_gappy = _lexsort_reference(prob, gappy, words, k)
+    for layout, expected in ((trace, want), (c_ordered, want), (gappy, want_gappy)):
         for chunk in (adv.CHUNK, 1, 7, 64):
             with mock.patch.object(adv, "CHUNK", chunk):
-                assert (adv._trace_predictions(prob, layout, words, k) == want).all()
+                assert (adv._trace_predictions(prob, layout, words, k) == expected).all()
 
 
 def _traced_peak_mb(run):
@@ -267,17 +269,17 @@ def _traced_peak_mb(run):
         tracemalloc.stop()
 
 
-def test_trace_stage_at_n_10_6_holds_under_10_6_mb():
+def test_trace_stage_at_n_10_6_holds_under_7_6_mb():
     # the shared-sample stage of the empirical table: the trace without tie
-    # keys takes 9 MB (int16 depths and letters); the group counts draw no
-    # uniform, the keys are skipped, not drawn, each letter column is drawn
-    # CHUNK rows at a time, and the kernel holds O(CHUNK) rows beyond the
-    # trace (9.6 MB measured)
+    # keys is its 6 MB of int16 letters and D + 2 group sizes; the group
+    # sizes draw no uniform, the keys are skipped, not drawn, each letter
+    # column is drawn CHUNK rows at a time, and the kernel holds O(CHUNK)
+    # rows and O(D**2·T) counts beyond the trace (6.7 MB measured)
     prob = problem(m=ex.DEFAULT_EMPIRICAL_M, truncation=3)
     peak = _traced_peak_mb(
         lambda: structured_stage_sim(prob, 1, 10**6, 20, 20, 7, sample_mode="trace")
     )
-    assert peak < 10.6
+    assert peak < 7.6
 
 
 def test_fresh_stages_at_t_10_6_hold_under_4_mb():
@@ -309,15 +311,15 @@ def _lexsort_reference(prob, trace, words, k):
             rank_atom[c.depth, c.split] = idx
         else:
             rank_diffuse[c.split] = idx
-    eff_depth = np.where(trace.is_atomic, trace.atom_depth, D)
-    labels = trace.is_atomic.astype(np.int64)
+    depth = trace.depths()
+    atomic = depth >= 0
+    eff_depth = np.where(atomic, depth, D)
+    labels = atomic.astype(np.int64)
     preds = []
     for word in words:
         lcp = np.cumprod(trace.letters == word[None, :], axis=1).sum(axis=1)
         split = np.minimum(lcp, eff_depth)
-        ranks = np.where(
-            trace.is_atomic, rank_atom[eff_depth, split], rank_diffuse[split]
-        )
+        ranks = np.where(atomic, rank_atom[eff_depth, split], rank_diffuse[split])
         order = np.lexsort((trace.tie_keys, ranks))
         preds.append(1 if 2 * labels[order[:k]].sum() >= k else 0)
     return np.array(preds, dtype=np.int64)
@@ -342,18 +344,27 @@ def _group_lexsort_reference(prob, trace, test_words, k):
             above = ge
         yield n_rows - above
 
-    D, atomic, letters = prob.truncation_depth, trace.is_atomic, trace.letters
-    groups = {("diffuse", D): split_counts(letters[~atomic])}
+    D, depth, letters = prob.truncation_depth, trace.depths(), trace.letters
+    groups = {("diffuse", D): split_counts(letters[depth < 0])}
     for j in range(D + 1):
-        groups["atom", j] = split_counts(letters[atomic & (trace.atom_depth == j), :j])
+        groups["atom", j] = split_counts(letters[depth == j, :j])
     classes = distance_classes(prob)
-    return adv._vote(classes, (next(groups[c.kind, c.depth]) for c in classes), k)
+    counts = np.column_stack([next(groups[c.kind, c.depth]) for c in classes])
+    return _cumsum_vote(classes, counts, k)
+
+
+def _cumsum_vote(classes, counts, k):
+    """The k-NN vote over a dense (T x classes) count matrix in distance
+    order: each class gives min(its count, k - the rows before it) votes."""
+    labels = np.array([c.label for c in classes], dtype=np.int64)
+    before = counts.cumsum(axis=1) - counts
+    take = np.minimum(np.maximum(k - before, 0), counts)
+    return (2 * (take * labels).sum(axis=1) >= k).astype(np.int64)
 
 
 def _dense_fresh_reference(prob, n, k, test_count, rng):
     """The fresh-mode vote over a dense (T x classes) occupancy matrix."""
     classes = distance_classes(prob)
-    labels = np.array([c.label for c in classes], dtype=np.int64)
     counts = np.zeros((test_count, len(classes)), dtype=np.int64)
     rem_n = np.full(test_count, n, dtype=np.int64)
     rem_p = Fraction(1)
@@ -365,9 +376,7 @@ def _dense_fresh_reference(prob, n, k, test_count, rng):
         counts[:, idx] = drawn
         rem_n -= drawn
         rem_p -= c.prob
-    before = counts.cumsum(axis=1) - counts
-    take = np.minimum(np.maximum(k - before, 0), counts)
-    return (2 * (take * labels).sum(axis=1) >= k).astype(np.int64)
+    return _cumsum_vote(classes, counts, k)
 
 
 @st.composite
@@ -397,9 +406,7 @@ def hand_built_traces(draw):
         dtype=np.int64,
     ).reshape(n, D)
     tie_keys = np.array(draw(st.permutations(range(n))), dtype=np.float64) / n
-    trace = adv.SampleTrace(
-        np.array(is_atomic, dtype=bool), np.array(atom_depth, dtype=np.int64), letters, tie_keys
-    )
+    trace = grouped_trace(atom_depth, letters, tie_keys)
     words: list[list[int]] = []
     for _ in range(draw(st.integers(1, 30))):
         # keep an earlier word's first `shared` letters (all of them: a duplicate)
@@ -428,13 +435,9 @@ def _check_big_letters(big):
     prob = problem(m=(1, big, big, big), truncation=3)
     rng = np.random.default_rng(5)
     letters = rng.choice([big - 1, big], size=(200, 3))
-    trace = adv.SampleTrace(
-        is_atomic=rng.random(200) < 0.5,
-        atom_depth=rng.integers(0, 4, size=200),
-        letters=letters,
-        tie_keys=rng.permutation(200) / 200.0,
-    )
-    trace.atom_depth[~trace.is_atomic] = -1
+    is_atomic, atom_depth = rng.random(200) < 0.5, rng.integers(0, 4, size=200)
+    depth = np.where(is_atomic, atom_depth, -1)
+    trace = grouped_trace(depth, letters, rng.permutation(200) / 200.0)
     words = np.vstack([letters[:6], rng.choice([big - 2, big - 1, big], size=(6, 3))])
     for k in (1, 7, 40, 200):
         got = adv._trace_predictions(prob, trace, words, k)
@@ -618,29 +621,8 @@ def test_fresh_stages_keep_the_exact_law(n, k):
     assert _within_5_sigma(ones, 40_000, p)
 
 
-def test_vote_dtype_is_the_narrowest_signed_type_holding_2k():
-    got = [adv._vote_dtype(k) for k in (1, 63, 64, 16383, 16384, 2**30 - 1, 2**30)]
-    assert got == [np.int8, np.int8, np.int16, np.int16, np.int32, np.int32, np.int64]
-
-
-@pytest.mark.parametrize("k", [63, 64, 16383, 16384])
-def test_vote_at_the_narrow_type_edges_on_hand_built_counts(k):
-    # half the counts are 0 and the rest run to 3k, past the type's maximum,
-    # so points see every vote from 0 to k ones, k included: 2k must not wrap
-    rng = np.random.default_rng(k)
-    labels = np.array([0, 1, 1, 0, 1, 0])
-    shape = (len(labels), 4000)
-    counts = rng.integers(0, 3 * k, size=shape) * (rng.random(shape) < 0.5)
-    classes = [SimpleNamespace(label=label) for label in labels]
-    got = adv._vote(classes, (row.copy() for row in counts), k)
-    before = counts.cumsum(axis=0) - counts
-    ones = (np.minimum(np.maximum(k - before, 0), counts) * labels[:, None]).sum(axis=0)
-    assert {0, k} <= set(ones.tolist())
-    assert (got == (2 * ones >= k)).all()
-
-
-# the k at which 2k crosses the int8 and int16 maxima, each with an n near
-# the vote's midpoint on problem(), so that both labels occur
+# k on both sides of 2k = 127 and of 2k = 32767, each with an n near the
+# vote's midpoint on problem(), so that both labels occur
 NARROW_EDGES = [(640, 63), (640, 64), (157_000, 16383), (157_000, 16384)]
 
 
@@ -661,7 +643,7 @@ def test_stage_probability_at_the_narrow_type_edges_matches_the_per_point_chain(
 
 
 @pytest.mark.parametrize("n,k", NARROW_EDGES)
-def test_trace_vote_at_the_narrow_type_edges(n, k):
+def test_trace_vote_at_large_k(n, k):
     prob = problem()
     rng = np.random.default_rng(5)
     trace = adv.draw_trace(prob, n, rng)

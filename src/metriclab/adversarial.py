@@ -771,8 +771,7 @@ def _trace_predictions(
     ``draw_trace`` stores them.
 
     The vote reads the (classes x T) matrix of class counts in distance
-    order: a word takes min(cumulative count, k) rows up to each class, and
-    its label-1 votes are the label-weighted differences of those.
+    order (``_count_vote``).
 
     Time: O(T D log T) for the words, and per block and level O(CHUNK + T)
     for the tables plus O(log T) for each row that passes them (O((CHUNK +
@@ -818,7 +817,13 @@ def _trace_predictions(
         row[:] = group[h][pids[h]]
         if h < c.depth:
             row -= group[h + 1][pids[h + 1]]
-    labels = np.array([c.label for c in classes], dtype=np.int64)
+    return _count_vote(np.array([c.label for c in classes], dtype=np.int64), counts, k)
+
+
+def _count_vote(labels: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """The k-NN vote over a (classes x T) int64 count matrix in distance
+    order: each point takes min(cumulative count, k) rows up to each class,
+    and its label-1 votes are the label-weighted differences of those."""
     taken = np.minimum(counts.cumsum(0), k)
     ones = labels @ np.diff(taken, axis=0, prepend=0)
     return (2 * ones >= k).astype(np.int64)

@@ -621,6 +621,22 @@ def test_fresh_stages_keep_the_exact_law(n, k):
     assert _within_5_sigma(ones, 40_000, p)
 
 
+@pytest.mark.parametrize("k", [63, 64, 16383, 16384])
+def test_vote_at_the_narrow_type_edges_on_hand_built_counts(k):
+    # k on both sides of 2k = 127 and of 2k = 32767. Half the counts are 0
+    # and the rest run to 3k, so points see every vote from 0 to k ones, k
+    # included, and cumulative counts far past k
+    rng = np.random.default_rng(k)
+    labels = np.array([0, 1, 1, 0, 1, 0])
+    shape = (len(labels), 4000)
+    counts = rng.integers(0, 3 * k, size=shape) * (rng.random(shape) < 0.5)
+    got = adv._count_vote(labels, counts, k)
+    before = counts.cumsum(axis=0) - counts
+    ones = (np.minimum(np.maximum(k - before, 0), counts) * labels[:, None]).sum(axis=0)
+    assert {0, k} <= set(ones.tolist())
+    assert (got == (2 * ones >= k)).all()
+
+
 # k on both sides of 2k = 127 and of 2k = 32767, each with an n near the
 # vote's midpoint on problem(), so that both labels occur
 NARROW_EDGES = [(640, 63), (640, 64), (157_000, 16383), (157_000, 16384)]

@@ -18,7 +18,7 @@ import pytest
 
 from metriclab import adversarial as adv
 from metriclab.adversarial import AdversarialProblem, Schedule
-from metriclab.knn import TieStrategy, euclidean_vote, select_neighbours
+from metriclab.knn import TieStrategy, euclidean_vote, knn_predict, select_neighbours
 from metriclab.spaces import (
     EuclideanD,
     EuclideanLine,
@@ -142,6 +142,29 @@ def _dispatch_case(kind):
 def test_distance_dispatch(benchmark, kind):
     space, p, q, expected = _dispatch_case(kind)
     assert benchmark(distance, space, p, q) == expected > 0
+
+
+def test_criterion07_trial(benchmark):
+    # one trial of the criterion-07 oracle at its largest configuration
+    # (n = 2000, k = 11): draw the sample and the test words, run the trace
+    # stage, build the sample and vote by brute force at each word
+    prob = AdversarialProblem(Schedule(m=(1, 6, 2), n=(60,), mode="empirical"), truncation_depth=2)
+    space = SparseL2()
+
+    def trial():
+        rng = np.random.default_rng(11)
+        trace = adv.draw_trace(prob, 2000, rng)
+        words = adv.draw_test_words(prob, 10, rng)
+        sim = adv.structured_stage_sim(prob, 0, 2000, 11, 10, 11, sample_mode="trace")
+        sample = adv.labelled_sample_from_trace(prob, trace)
+        brute = [
+            knn_predict(sample, prob.geometry(tuple(row)).center, 11, TieStrategy.UNIFORM_RANDOM, space)
+            for row in words.tolist()
+        ]
+        return brute, sim.predictions.tolist()
+
+    brute, trace_mode = benchmark(trial)
+    assert brute == trace_mode and len(brute) == 10
 
 
 def test_select_neighbours_criterion07(benchmark):

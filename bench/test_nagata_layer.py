@@ -44,7 +44,8 @@ def test_sparse_d2(benchmark):
     assert benchmark(sparse_d2, p, q) == sparse_d2(q, p) > 0
 
 
-@pytest.mark.parametrize("m", [256, 4096])
+# m = 1 and 8 show the fixed cost of a call, m >= 256 the cost per ball
+@pytest.mark.parametrize("m", [1, 8, 256, 4096])
 def test_contained_pairs(benchmark, m):
     # the certificate's point list: the witness, then every centre
     family = _witness_family(m)
@@ -60,7 +61,7 @@ def test_contained_pairs(benchmark, m):
     assert benchmark(pairs) == 2 * m
 
 
-@pytest.mark.parametrize("m", [256, 4096])
+@pytest.mark.parametrize("m", [1, 8, 256, 4096])
 def test_certificate(benchmark, m):
     family = _witness_family(m)
     assert benchmark(DimensionCertificate, family, ORIGIN, m).multiplicity == m

@@ -590,13 +590,39 @@ def labelled_sample_from_trace(
 ) -> LabelledSample:
     """The trace rows materialized in order: an atomic row is the hub atom
     of its word (label 1), a diffuse row the hub at its full branch (label
-    0). The arrays are read as plain lists, and points are the memoized
-    geometry objects."""
-    geometry, D = problem.geometry, problem.truncation_depth
-    points = tuple(
-        geometry(letters[:depth]).atom if depth >= 0 else geometry(letters[:D]).center
-        for depth, letters in zip(trace.depths().tolist(), trace.letters.tolist())
-    )
+    0), and points are the memoized geometry objects.
+
+    Each distinct (group, word) row is looked up once, in order of first
+    use, so the geometry memo issues its direction ids as a row-by-row
+    walk would. The sort keys are one row per level, with the letters a
+    row does not read set to 0, and the row's layout group last; one
+    stable lexsort brings equal rows together behind their first use, and
+    the points are expanded from the distinct ones by index. A
+    criterion-07 sample of 2000 rows holds a few dozen distinct points."""
+    D, n = problem.truncation_depth, len(trace)
+    keys = np.empty((D + 1, n), dtype=trace.letters.dtype)
+    keys[:D] = trace.letters.T
+    ends = np.cumsum(trace.group_sizes).tolist()
+    for level in range(1, D + 1):  # read by the diffuse rows and the atoms at depth >= level
+        keys[level - 1, ends[D + 1 - level] :] = 0
+    keys[D] = np.repeat(np.arange(D + 2), trace.group_sizes)
+    order = np.lexsort(keys)
+    run = np.zeros(n, dtype=bool)  # the first row of each run of equal rows
+    run[0] = True
+    for row in np.take(keys, order, axis=1):
+        run[1:] |= row[1:] != row[:-1]
+    uses = order[run]  # each distinct row's first use
+    by_use = uses.argsort()
+    rank = np.empty_like(by_use)
+    rank[by_use] = np.arange(len(by_use))
+    index = np.empty(n, dtype=np.intp)
+    index[order] = rank[np.cumsum(run) - 1]
+    geometry, depth_of = problem.geometry, _layout_depths(D)
+    distinct = []
+    for *word, group in keys[:, uses[by_use]].T.tolist():
+        depth = depth_of[group]
+        distinct.append(geometry(word[:depth]).atom if depth >= 0 else geometry(word).center)
+    points = tuple(map(distinct.__getitem__, index.tolist()))
     diffuse = int(trace.group_sizes[0])  # the diffuse rows come first
     labels = (0,) * diffuse + (1,) * (len(trace) - diffuse)
     return LabelledSample(points, labels, tuple(trace.tie_keys.tolist()))
@@ -754,12 +780,15 @@ def _trace_predictions(
     share it (``distance_classes`` raises otherwise), so the label sum of
     the k nearest does not depend on which tied rows the keys pick.
 
-    The words' distinct letters and prefixes at each level are found once,
-    with a table from each letter to its index (``_letter_finder``). Each
-    row group is then walked down the prefix trie of the test words over
-    its own levels, CHUNK rows at a time, without reordering the sample:
-    the diffuse rows over all D levels, the atoms at depth j over their j
-    letters. At each level only the rows that match some word's prefix
+    The words' distinct letters and prefixes at each level are found once
+    (``_unique_inverse``), with a table from each letter to its index
+    (``_letter_finder``). The row groups are then walked down the prefix
+    trie of the test words over their own levels, CHUNK rows at a time,
+    without reordering the sample: the diffuse rows and the atoms at depth
+    D, which lie side by side, as one slice over all D levels with a count
+    row each (a block that holds rows of both splits its counts with one
+    binary search), and the atoms at depth j < D over their j letters. At
+    each level only the rows that match some word's prefix
     remain: one take keeps those whose next letter is among the words'
     letters, with its index; one binary search looks the pair (prefix id,
     letter index) up among the words' longer prefixes (at h = 0 the one
@@ -783,19 +812,29 @@ def _trace_predictions(
     # each word's prefix id at length h
     levels, pids = [], [np.zeros(T, dtype=np.int64)]
     for h in range(D):
-        letters, letter_index = np.unique(test_words[:, h], return_inverse=True)
+        letters, letter_index = _unique_inverse(test_words[:, h])
         word_keys = pids[h] * len(letters) + letter_index
-        prefixes, word_pid = np.unique(word_keys, return_inverse=True)
+        prefixes, word_pid = _unique_inverse(word_keys)
         levels.append((letters, prefixes, _letter_finder(letters, T)))
         pids.append(word_pid)
+    # the diffuse rows and the atoms at depth D read the same D letters and
+    # lie side by side, so they walk as one slice with two count rows; each
+    # shallower atom group walks its own letters
+    sizes = trace.group_sizes.tolist()
+    slices = [((-1, D), sizes[:2])]
+    slices += [((depth,), [size]) for depth, size in zip(range(D - 1, -1, -1), sizes[2:])]
     ge = {}  # ge[depth][h][p]: the group's rows that match prefix p of length h
     stop = 0
-    for depth, size in zip(_layout_depths(D), trace.group_sizes.tolist()):
-        start, stop = stop, stop + size
-        walk = levels[: D if depth < 0 else depth]
-        ge[depth] = [np.array([size])] + [np.zeros(len(p), dtype=np.int64) for _, p, _ in walk]
+    for groups, group_sizes in slices:
+        start, stop = stop, stop + sum(group_sizes)
+        second = start + group_sizes[0]  # the first row of the second group, if any
+        walk = levels[: groups[-1]]
+        counts = [np.array(group_sizes)[:, None]]
+        counts += [np.zeros((len(groups), len(p)), dtype=np.int64) for _, p, _ in walk]
         for lo in range(start, stop, CHUNK):
             block = trace.letters[lo : min(lo + CHUNK, stop)]
+            split = second - lo  # the block's rows before it are the first group's
+            straddles, group = 0 < split < len(block), int(split <= 0)
             for h, (letters, prefixes, find) in enumerate(walk):
                 if h == 0:  # one empty prefix: a letter's index is its 1-prefix id
                     index = find(block[:, 0])
@@ -808,7 +847,14 @@ def _trace_predictions(
                     pos = np.minimum(np.searchsorted(prefixes, pair), len(prefixes) - 1)
                     hit = prefixes[pos] == pair  # prefix and letter may each occur, the pair not
                     rows, row_pid = rows[keep[hit]], pos[hit]
-                ge[depth][h + 1] += np.bincount(row_pid, minlength=len(prefixes))
+                if straddles:  # the rows stay in order: the first group's come first
+                    cut = int(rows.searchsorted(split))
+                    counts[h + 1][0] += np.bincount(row_pid[:cut], minlength=len(prefixes))
+                    counts[h + 1][1] += np.bincount(row_pid[cut:], minlength=len(prefixes))
+                else:
+                    counts[h + 1][group] += np.bincount(row_pid, minlength=len(prefixes))
+        for i, depth in enumerate(groups):
+            ge[depth] = [c[i] for c in counts]
 
     classes = distance_classes(problem)
     counts = np.empty((len(classes), T), dtype=np.int64)
@@ -818,6 +864,17 @@ def _trace_predictions(
         if h < c.depth:
             row -= group[h + 1][pids[h + 1]]
     return _count_vote(np.array([c.label for c in classes], dtype=np.int64), counts, k)
+
+
+def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` from one sort: the sorted
+    distinct values (the first of each run of equal values), and each
+    value's index among them by binary search."""
+    ordered = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct, distinct.searchsorted(values)
 
 
 def _count_vote(labels: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:

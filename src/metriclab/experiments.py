@@ -291,14 +291,18 @@ def plane_pentagon_family() -> BallFamily:
 
 def random_disconnected_intervals(rng: np.random.Generator, count: int) -> BallFamily:
     """Intervals whose radii stay strictly below the nearest other center,
-    which forces disconnectedness."""
+    which forces disconnectedness. The centres ascend and rounding is
+    monotone, so a centre's nearest other centre is one of its two sorted
+    neighbours."""
+    if count < 2:
+        raise ValueError("a family of disconnected intervals needs two centres")
     centers = np.sort(rng.random(count) * 20.0)
     centers += np.arange(count) * 1e-6  # ensure distinct
+    steps = np.diff(centers).tolist()
     balls = []
-    for i, c in enumerate(centers):
-        gaps = [abs(c - centers[j]) for j in range(count) if j != i]
-        r = (0.2 + 0.75 * rng.random()) * min(gaps)
-        balls.append(Ball(Real(float(c)), float(r), bool(rng.random() < 0.5)))
+    for c, gap in zip(centers.tolist(), map(min, [math.inf] + steps, steps + [math.inf])):
+        r = (0.2 + 0.75 * rng.random()) * gap
+        balls.append(Ball(Real(c), r, bool(rng.random() < 0.5)))
     return BallFamily(tuple(balls), EuclideanLine(), math.inf)
 
 

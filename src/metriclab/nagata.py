@@ -15,12 +15,19 @@ the sparse l2 space only the pairs that share a direction or pass a norm
 bound reach the exact merge: about 2m pairs for a sparse witness of m
 balls, in O(m) memory, where an m x m matrix would be O(m^2 s).
 ``greedy_covering_subfamily`` and ``doubling_cover_greedy`` stay scalar.
+
+A family gathers its centres, radii and closed flags once, when it is
+built, and every containment call reads them from there. A sparse witness
+of m balls takes its m fresh directions from one ``DirectionIds.block``,
+and each centre is one ``SparsePoint.shift`` past the last id of the
+common centre, which needs no search, so building it costs O(m) small
+records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,15 +46,23 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Ball:
+class _BallFields(NamedTuple):
     center: Point
     radius: float
     closed: bool = True
 
-    def __post_init__(self):
-        if not self.radius > 0:
+
+class Ball(_BallFields):
+    """A ball of positive radius, closed (d <= r) or open (d < r): a named
+    tuple checked in ``__new__``, which builds faster than a frozen
+    dataclass, whose fields are set one ``object.__setattr__`` at a time."""
+
+    __slots__ = ()
+
+    def __new__(cls, center: Point, radius: float, closed: bool = True):
+        if not radius > 0:
             raise ValueError("ball radius must be positive")
+        return tuple.__new__(cls, (center, radius, closed))
 
 
 @dataclass(frozen=True)
@@ -56,13 +71,20 @@ class BallFamily:
     space: MetricSpace
     scale: float = math.inf  # all radii must stay below this
 
+    # the balls' centres, radii and closed flags, gathered once
+    _columns: tuple[tuple[Point, ...], tuple[float, ...], tuple[bool, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
     def __post_init__(self):
-        for b in self.balls:
-            if not b.radius < self.scale:
+        columns = tuple(zip(*self.balls)) or ((), (), ())  # a ball is the tuple of its fields
+        for r in columns[1]:
+            if not r < self.scale:
                 raise ValueError("all radii must be strictly below the family scale")
+        object.__setattr__(self, "_columns", columns)
 
     def centers(self) -> tuple[Point, ...]:
-        return tuple(b.center for b in self.balls)
+        return self._columns[0]
 
     def __len__(self) -> int:
         return len(self.balls)
@@ -76,14 +98,7 @@ def contains(ball: Ball, p: Point, space: MetricSpace) -> bool:
 def _members(family: BallFamily, points: Sequence[Point]):
     """Blocks of (ball index, point index) arrays: every pair with
     ``contains(family.balls[b], points[p], family.space)``."""
-    balls = family.balls
-    return contained_pairs(
-        family.space,
-        family.centers(),
-        [b.radius for b in balls],
-        [b.closed for b in balls],
-        points,
-    )
+    return contained_pairs(family.space, *family._columns, points)
 
 
 def is_disconnected(family: BallFamily) -> bool:
@@ -220,8 +235,6 @@ def nagata_witness_sparse(
     if not scale > 0:
         raise ValueError("scale must be positive")
     r = 0.9 * scale
-    balls = tuple(
-        Ball(center.shift(ids.fresh(), r), r, closed=True) for _ in range(m)
-    )
+    balls = tuple(Ball(center.shift(d, r), r, True) for d in ids.block(m))
     family = BallFamily(balls, SparseL2(), scale)
     return DimensionCertificate(family, center, m)

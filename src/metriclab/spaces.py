@@ -43,7 +43,12 @@ has fl(sqrt(X)) > r and lies in neither the closed nor the open ball.
 
 The cost is linear in the total support size to pack, plus one merge step
 per id of the two supports for each candidate pair, in blocks of
-``PAIR_BLOCK`` pairs, with no len(A) x len(B) array.
+``PAIR_BLOCK`` pairs, with no len(A) x len(B) array. Each stage works on
+all rows or pairs at once: the pack, the rank, the join, the norm prefix
+and the dedup are a fixed few numpy calls each, a merge step is nine over
+its whole block, and a block's merge ends once every pair has reached its
+sentinels. So a call on a few balls costs a fixed few dozen numpy calls,
+and each added ball a few list and array entries.
 """
 
 from __future__ import annotations
@@ -120,8 +125,11 @@ class SparsePoint:
         """Return this point moved by ``amount`` along one direction, with
         ``from_dict``'s rules: a float value, and no zero coordinate."""
         items = self.items
+        if not items or items[-1][0] < direction:  # a new last id: nothing to search
+            value = float(0.0 + amount)
+            return SparsePoint(items + ((direction, value),) if value != 0.0 else items)
         i = bisect.bisect_left(items, direction, key=itemgetter(0))
-        found = i < len(items) and items[i][0] == direction
+        found = items[i][0] == direction
         value = float((items[i][1] if found else 0.0) + amount)
         moved = ((direction, value),) if value != 0.0 else ()
         return SparsePoint(items[:i] + moved + items[i + found :])
@@ -363,10 +371,10 @@ def _pack_sparse(space: SparseL2, points: Sequence[Point]) -> _Packed:
     sorted union of ids, so ids of any size fit and the sentinel rank sorts
     after all of them. Directions that every point holds with one finite
     value are left out: each adds an exact +0.0 to every merge."""
-    other = next((p for p in points if not isinstance(p, SparsePoint)), None)
-    if other is not None:
+    rows = [p.items for p in points if isinstance(p, SparsePoint)]
+    if len(rows) < len(points):
+        other = next(p for p in points if not isinstance(p, SparsePoint))
         raise _mismatch(space, other, other)
-    rows = [p.items for p in points]
     sizes = np.fromiter(map(len, rows), np.intp, len(rows))
     items = list(itertools.chain.from_iterable(rows))
     ids, values = zip(*items) if items else ((), ())
@@ -405,67 +413,76 @@ def _merge_d2(packed: _Packed, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     d * d to its sum, as ``sparse_d2`` does: d = va - vb on a shared id,
     va or -vb when only one side has the smaller id, and 0 once both sides
     rest on their sentinels. The terms come in the same order with the same
-    float operations.
+    float operations. The two sides' cursors are the two rows of one
+    array, and a block ends once every cursor rests on its sentinel.
     """
     ranks, values = packed.ranks, packed.values
     out = np.empty(len(ia))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in sparse_d2
         for lo in range(0, len(ia), PAIR_BLOCK):
-            rows_a, rows_b = ia[lo : lo + PAIR_BLOCK], ib[lo : lo + PAIR_BLOCK]
-            i, j = packed.start[rows_a], packed.start[rows_b]
-            i_stop, j_stop = packed.stop[rows_a], packed.stop[rows_b]
+            pair = np.array((ia[lo : lo + PAIR_BLOCK], ib[lo : lo + PAIR_BLOCK]))
+            at, stop = packed.start[pair], packed.stop[pair]
             s = out[lo : lo + PAIR_BLOCK]
             s[...] = 0.0
-            for _ in range(int((i_stop - i + j_stop - j).max(initial=0))):
-                take_a = ranks[i] <= ranks[j]
-                take_b = ranks[j] <= ranks[i]
-                d = np.where(take_a, values[i], 0.0) - np.where(take_b, values[j], 0.0)
+            while True:
+                rank = ranks[at]
+                take = rank <= rank[::-1]  # each side's rank is the smaller or equal
+                term = np.where(take, values[at], 0.0)
+                d = term[0] - term[1]
                 s += d * d
-                np.minimum(i + take_a, i_stop, out=i)
-                np.minimum(j + take_b, j_stop, out=j)
+                at += take
+                np.minimum(at, stop, out=at)
+                if (at == stop).all():
+                    break
     return out
 
 
-def _runs(rows: np.ndarray, starts: np.ndarray, counts: np.ndarray, table: np.ndarray):
-    """The pairs (rows[t], table[starts[t] + u]) for u < counts[t], each t."""
+def _runs(keys: np.ndarray, starts: np.ndarray, counts: np.ndarray, table: np.ndarray):
+    """keys[t] + table[starts[t] + u] for u < counts[t], each t in turn."""
     offset = (starts - (counts.cumsum() - counts)).repeat(counts)
-    return rows.repeat(counts), table[offset + np.arange(len(offset))]
+    return keys.repeat(counts) + table[offset + np.arange(len(offset))]
 
 
 def _sparse_contained(packed, radii, closed, n_centers, n_points):
     """Blocks of ``contained_pairs`` for packed centres (rows below
-    ``n_centers``) and points (the rows after them)."""
+    ``n_centers``) and points (the rows after them). A candidate pair is
+    the key ball·n_points + point until it is decided."""
     ranks, rows, values = packed.item_rank, packed.item_row, packed.item_value
     split = rows.searchsorted(n_centers)
     a_rank, a_row = ranks[:split], rows[:split]
-    b_rank, b_row = ranks[split:], rows[split:] - n_centers
-    # the points holding each rank, listed rank by rank
-    b_by_rank = b_row[b_rank.argsort(kind="stable")]
+    b_rank = ranks[split:]
     held = np.bincount(b_rank, minlength=packed.sentinel)
-    start = held.cumsum() - held
     # the norm bound: a point with disjoint support lies in ball b only if
-    # its norm is at most limit[b]; those points are a prefix by norm
+    # its norm is at most limit[b]; those points are a prefix by norm, and
+    # a NaN limit sorts after every norm, so it prunes nothing
     with np.errstate(over="ignore", invalid="ignore"):  # squares overflow to inf
         norms = np.bincount(rows, weights=values * values, minlength=n_centers + n_points)
-        na, nb = norms[:n_centers], norms[n_centers:]
-        limit = radii * radii * (1 + _SLACK) + _FLOOR - na * (1 - _SLACK)
-    limit[np.isnan(limit)] = np.inf
+        nb = norms[n_centers:]
+        limit = radii * radii * (1 + _SLACK) + _FLOOR - norms[:n_centers] * (1 - _SLACK)
     by_norm = nb.argsort(kind="stable")
     cut = nb[by_norm].searchsorted(limit, side="right")
+    # one table: the points by norm, then the points holding each rank,
+    # rank by rank; a centre item's run is its rank's points, a ball's run
+    # its prefix by norm
+    table = np.concatenate((by_norm, rows[split:][b_rank.argsort(kind="stable")] - n_centers))
+    start = held.cumsum() - held + n_points
     # balls in blocks of about PAIR_BLOCK candidates, at least one ball each
-    shared = np.bincount(a_row, weights=held[a_rank], minlength=n_centers)
-    total = np.concatenate(([0.0], (shared + cut).cumsum()))
+    total = (np.bincount(a_row, weights=held[a_rank], minlength=n_centers) + cut).cumsum()
     lo = 0
     while lo < n_centers:
-        hi = max(int(total.searchsorted(total[lo] + PAIR_BLOCK, side="right")) - 1, lo + 1)
+        before = total[lo - 1] if lo else 0.0
+        hi = max(int(total.searchsorted(before + PAIR_BLOCK, side="right")), lo + 1)
         a_lo, a_hi = a_row.searchsorted((lo, hi))
         q = a_rank[a_lo:a_hi]
-        join_a, join_b = _runs(a_row[a_lo:a_hi], start[q], held[q], b_by_rank)
-        near_a, near_b = _runs(np.arange(lo, hi), np.zeros(hi - lo, np.intp), cut[lo:hi], by_norm)
-        keys = np.concatenate((join_a * n_points + join_b, near_a * n_points + near_b))
+        keys = _runs(
+            np.concatenate((a_row[a_lo:a_hi], np.arange(lo, hi))) * n_points,
+            np.concatenate((start[q], np.zeros(hi - lo, np.intp))),
+            np.concatenate((held[q], cut[lo:hi])),
+            table,
+        )
         keys.sort()
         once = np.ones(len(keys), bool)  # each pair once
-        once[1:] = keys[1:] != keys[:-1]
+        np.not_equal(keys[1:], keys[:-1], out=once[1:])
         ia, ib = np.divmod(keys[once], n_points)
         d, r = np.sqrt(_merge_d2(packed, ia, ib + n_centers)), radii[ia]
         hit = np.where(closed[ia], d <= r, d < r)
@@ -492,11 +509,7 @@ def contained_pairs(
     if isinstance(space, SparseL2):
         packed = _pack_sparse(space, list(centers) + list(points))
         return _sparse_contained(
-            packed,
-            np.asarray(radii, float),
-            np.asarray(closed, bool),
-            len(centers),
-            len(points),
+            packed, np.asarray(radii, float), np.asarray(closed, bool), len(centers), len(points)
         )
     return _scalar_contained(space, centers, radii, closed, points)
 

@@ -486,6 +486,63 @@ def test_sample_points_carry_one_label_each():
     assert set(labels.values()) == {0, 1}
 
 
+# criterion 07: (branching, truncation depth, stage, n, k)
+CRITERION_07 = [
+    ((1, 4, 3, 3), 3, 0, 60, 7),
+    ((1, 4, 3, 3), 3, 1, 250, 9),
+    ((1, 3, 2), 3, 0, 120, 1),
+    ((1, 2, 5), 2, 0, 500, 12),
+    ((1, 6, 2), 2, 0, 2000, 11),
+    ((1, 3, 3), 3, 1, 40, 40),
+    ((1, 5, 4), 2, 0, 1000, 2),
+    ((1, 2, 2, 2), 3, 0, 300, 17),
+    ((1, 7, 3), 2, 0, 800, 5),
+    ((1, 4, 4), 3, 1, 150, 30),
+]
+
+
+def _sample_against_the_rows(problem, fresh, trace):
+    """The sample of ``trace`` holds the very objects, labels and tie keys of
+    the rows read one at a time, and a fresh problem walked row by row
+    issues the same direction ids, so its points are equal."""
+    sample = adv.labelled_sample_from_trace(problem, trace)
+    expect = _rows_one_at_a_time(problem, trace)
+    assert len(sample) == len(expect) == len(trace)
+    assert all(got is pt for got, (pt, _) in zip(sample.points, expect))
+    assert sample.labels == tuple(lab for _, lab in expect)
+    assert sample.tie_keys == tuple(trace.tie_keys.tolist())
+    assert sample.points == tuple(pt for pt, _ in _rows_one_at_a_time(fresh, trace))
+
+
+@pytest.mark.parametrize("m, depth, stage, n, k", CRITERION_07)
+def test_distinct_row_sample_equals_the_row_by_row_sample(m, depth, stage, n, k):
+    problem, fresh = (small_problem(m=m, n=(60,), truncation=depth) for _ in range(2))
+    _sample_against_the_rows(problem, fresh, adv.draw_trace(problem, n, np.random.default_rng(n)))
+
+
+def test_distinct_row_sample_of_a_hand_built_row_major_trace():
+    # row-major int64 letters, with letters past each atom's depth that the
+    # sample must not read
+    problem, fresh = small_problem(), small_problem()
+    trace = adv.draw_trace(problem, 400, np.random.default_rng(6))
+    letters = np.ascontiguousarray(trace.letters, dtype=np.int64)
+    depths = trace.depths()
+    unread = (np.arange(problem.truncation_depth) >= depths[:, None]) & (depths[:, None] >= 0)
+    letters[unread] = np.random.default_rng(7).integers(1, 3, size=int(unread.sum()))
+    assert letters.flags.c_contiguous and unread.any()
+    hand = adv.SampleTrace(trace.group_sizes, letters, trace.tie_keys)
+    _sample_against_the_rows(problem, fresh, hand)
+
+
+@pytest.mark.parametrize("values", [[3], [2, 2, 2], [5, 1, 4, 1, 5, 9, 2, 6], list(range(40, 0, -3))])
+def test_unique_inverse_equals_np_unique(values):
+    values = np.array(values, dtype=np.int64)
+    distinct, inverse = adv._unique_inverse(values)
+    want_distinct, want_inverse = np.unique(values, return_inverse=True)
+    assert distinct.tolist() == want_distinct.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+
+
 def test_draw_trace_label_frequency():
     p = small_problem()
     rng = np.random.default_rng(8)

@@ -15,12 +15,23 @@ from metriclab.experiments import (
     run_baseline,
     run_consistency,
     run_coverhart,
+    random_disconnected_intervals,
     run_dimension_suite,
 )
 from metriclab import adversarial as adv
+from metriclab.nagata import Ball, BallFamily
 from metriclab.experiments import _vote_error
 from metriclab.knn import LabelledSample, TieStrategy, euclidean_vote, knn_predict
-from metriclab.spaces import ORIGIN, EuclideanD, KindMismatchError, Real, SparseL2, Vec, distance
+from metriclab.spaces import (
+    ORIGIN,
+    EuclideanD,
+    EuclideanLine,
+    KindMismatchError,
+    Real,
+    SparseL2,
+    Vec,
+    distance,
+)
 
 
 def cfg(**kw):
@@ -82,6 +93,33 @@ def test_coverhart_cases(tmp_path):
     assert by_name["deterministic_halfplane"]["error"] <= 0.03
     assert by_name["ratio_vs_twice_bayes"]["ratio"] <= 2.1
     assert json.loads(out.read_text())[0]["case"] == "constant_eta_0.3"
+
+
+def _intervals_by_double_loop(rng, count):
+    """The reference: each ball's gap as the least distance to every other
+    centre, numpy scalars as they come."""
+    centers = np.sort(rng.random(count) * 20.0)
+    centers += np.arange(count) * 1e-6
+    balls = []
+    for i, c in enumerate(centers):
+        gaps = [abs(c - centers[j]) for j in range(count) if j != i]
+        r = (0.2 + 0.75 * rng.random()) * min(gaps)
+        balls.append(Ball(Real(float(c)), float(r), bool(rng.random() < 0.5)))
+    return BallFamily(tuple(balls), EuclideanLine())
+
+
+def test_disconnected_intervals_equal_the_double_loop():
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        count = int(rng.integers(2, 9))
+        assert count == int(ref.integers(2, 9))
+        fam, want = random_disconnected_intervals(rng, count), _intervals_by_double_loop(ref, count)
+        assert [(b.center.value.hex(), b.radius.hex(), b.closed) for b in fam.balls] == [
+            (b.center.value.hex(), b.radius.hex(), b.closed) for b in want.balls
+        ]
+        assert rng.random() == ref.random()  # the two streams end in step
+    with pytest.raises(ValueError):
+        random_disconnected_intervals(np.random.default_rng(0), 1)
 
 
 def test_dimension_suite(tmp_path):

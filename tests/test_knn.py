@@ -228,6 +228,36 @@ def test_one_distance_call_per_distinct_object_on_a_trace_sample():
     assert chosen == _loop_select_neighbours(sample, x, 11, TieStrategy.UNIFORM_RANDOM, SparseL2())
 
 
+def _assert_packed_by_id_dict(sample):
+    """``sample.packed`` against the reference packing: one dict from
+    ``id()`` to slot, objects in order of first use."""
+    slots: dict[int, int] = {}
+    inverse = [slots.setdefault(id(p), len(slots)) for p in sample.points]
+    objects = tuple({id(p): p for p in sample.points}.values())
+    packed = sample.packed
+    assert len(packed.objects) == len(objects)
+    assert all(got is want for got, want in zip(packed.objects, objects))
+    assert packed.inverse.tolist() == inverse
+    assert packed.counts.tolist() == np.bincount(inverse, minlength=len(objects)).tolist()
+    assert packed.labels.tolist() == list(sample.labels)
+    assert packed.tie_keys.tolist() == list(sample.tie_keys)
+
+
+@given(repeated_object_cases())
+@settings(max_examples=200, deadline=None)
+def test_packed_equals_the_id_dict_packing(case):
+    _assert_packed_by_id_dict(case[1])
+
+
+def test_packed_equals_the_id_dict_packing_on_a_trace_sample():
+    prob = adv.AdversarialProblem(
+        adv.Schedule(m=(1, 4, 3, 3), n=(60,), mode="empirical"), truncation_depth=3
+    )
+    _assert_packed_by_id_dict(
+        adv.labelled_sample_from_trace(prob, adv.draw_trace(prob, 500, np.random.default_rng(2)))
+    )
+
+
 def test_select_neighbours_breaks_the_exact_heisenberg_tie_by_rule():
     # q = x * R(x^-1 p) for a quarter turn R about the z axis, so p and q are
     # equally far from x in exact arithmetic, and in floats in either

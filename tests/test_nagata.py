@@ -68,6 +68,18 @@ def test_contains_boundaries():
     assert not contains(b_open, Real(1.0), LINE)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_ball_and_family_reject_bad_radii(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        Ball(Real(0.0), radius)
+    ball = Ball(Real(0.0), 2.0, closed=False)
+    assert (ball.center, ball.radius, ball.closed) == (Real(0.0), 2.0, False)
+    with pytest.raises(AttributeError):
+        ball.radius = 1.0
+    with pytest.raises(ValueError, match="strictly below the family scale"):
+        BallFamily((Ball(Real(0.0), 1.0), ball), LINE, scale=2.0)
+
+
 def test_pentagon_disconnected_multiplicity_five():
     fam = pentagon()
     assert is_disconnected(fam)
@@ -286,6 +298,30 @@ def test_sparse_witness_decides_linearly_many_pairs(centred):
     assert cert.multiplicity == m
     assert sum(len(call.args[1]) for call in merge.call_args_list) <= 3 * m
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("centred", ["origin", "two-ids"])
+def test_witness_containment_equals_the_double_loop(centred):
+    # the witness point sits on every sphere, each centre in its own ball;
+    # one more point shares a centre's direction and one lies off them all
+    ids = DirectionIds()
+    centre = ORIGIN if centred == "origin" else SparsePoint(((ids.fresh(), 0.3), (ids.fresh(), -1.7)))
+    for m in range(1, 9):
+        family = nagata_witness_sparse(m, centre, 1.0, ids).family
+        first = family.centers()[0]
+        points = (centre, *family.centers(), first.shift(first.items[-1][0], -0.5))
+        points += (centre.shift(ids.fresh(), 0.25),)
+        radii, closed = [b.radius for b in family.balls], [b.closed for b in family.balls]
+        blocks = spaces.contained_pairs(SparseL2(), family.centers(), radii, closed, points)
+        got = sorted((b, p) for balls, found in blocks for b, p in zip(balls.tolist(), found.tolist()))
+        want = [
+            (b, p)
+            for b, ball in enumerate(family.balls)
+            for p, q in enumerate(points)
+            if contains(ball, q, family.space)
+        ]
+        assert got == want
+        assert len(want) >= 2 * m
 
 
 def test_certificate_validation():

@@ -207,11 +207,13 @@ class DimensionCertificate:
     multiplicity: int
 
     def __post_init__(self):
-        # point 0 is the witness, point j the center of ball j - 1
+        # point 0 is the witness, point j the center of ball j - 1; a pair
+        # is listed once, so the pairs beyond those two kinds are foreign
         count, foreign = 0, False
         for b, p in _members(self.family, (self.witness_point,) + self.family.centers()):
-            count += int((p == 0).sum())
-            foreign = foreign or bool(((p != 0) & (p != b + 1)).any())
+            witness = np.count_nonzero(p == 0)
+            count += witness
+            foreign = foreign or len(p) > witness + np.count_nonzero(p == b + 1)
         if count != self.multiplicity:
             raise ValueError(
                 f"witness sits in {count} balls, certificate claims {self.multiplicity}"

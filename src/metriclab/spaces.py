@@ -382,7 +382,7 @@ def _pack_sparse(space: SparseL2, points: Sequence[Point]) -> _Packed:
     rank = dict(zip(union, range(len(union))))
     ranks = np.fromiter(map(rank.__getitem__, ids), np.intp, len(ids))
     values = np.array(values, float)
-    row = np.repeat(np.arange(len(points)), sizes)
+    row = np.arange(len(points)).repeat(sizes)
     if len(points) and sizes.all():
         # a direction that every point holds is in the first point's support
         first = np.full(len(union), np.nan)
@@ -394,9 +394,10 @@ def _pack_sparse(space: SparseL2, points: Sequence[Point]) -> _Packed:
         ranks, values, row = ranks[keep], values[keep], row[keep]
         sizes = np.bincount(row, minlength=len(points))
     # row r's sentinel follows its items and the r sentinels before it
-    stop = np.cumsum(sizes) + np.arange(len(points))
+    stop = sizes.cumsum() + np.arange(len(points))
     slot = np.arange(len(ranks)) + row
-    flat_ranks = np.full(len(ranks) + len(points), len(union), np.intp)
+    flat_ranks = np.empty(len(ranks) + len(points), np.intp)
+    flat_ranks.fill(len(union))
     flat_values = np.zeros(len(ranks) + len(points))
     flat_ranks[slot] = ranks
     flat_values[slot] = values
@@ -417,13 +418,12 @@ def _merge_d2(packed: _Packed, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     array, and a block ends once every cursor rests on its sentinel.
     """
     ranks, values = packed.ranks, packed.values
-    out = np.empty(len(ia))
+    out = np.zeros(len(ia))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in sparse_d2
         for lo in range(0, len(ia), PAIR_BLOCK):
             pair = np.array((ia[lo : lo + PAIR_BLOCK], ib[lo : lo + PAIR_BLOCK]))
             at, stop = packed.start[pair], packed.stop[pair]
             s = out[lo : lo + PAIR_BLOCK]
-            s[...] = 0.0
             while True:
                 rank = ranks[at]
                 take = rank <= rank[::-1]  # each side's rank is the smaller or equal
@@ -465,23 +465,23 @@ def _sparse_contained(packed, radii, closed, n_centers, n_points):
     # rank by rank; a centre item's run is its rank's points, a ball's run
     # its prefix by norm
     table = np.concatenate((by_norm, rows[split:][b_rank.argsort(kind="stable")] - n_centers))
-    start = held.cumsum() - held + n_points
+    a_held, a_start = held[a_rank], (held.cumsum() - held + n_points)[a_rank]
     # balls in blocks of about PAIR_BLOCK candidates, at least one ball each
-    total = (np.bincount(a_row, weights=held[a_rank], minlength=n_centers) + cut).cumsum()
+    total = (np.bincount(a_row, weights=a_held, minlength=n_centers) + cut).cumsum()
     lo = 0
     while lo < n_centers:
         before = total[lo - 1] if lo else 0.0
         hi = max(int(total.searchsorted(before + PAIR_BLOCK, side="right")), lo + 1)
         a_lo, a_hi = a_row.searchsorted((lo, hi))
-        q = a_rank[a_lo:a_hi]
         keys = _runs(
             np.concatenate((a_row[a_lo:a_hi], np.arange(lo, hi))) * n_points,
-            np.concatenate((start[q], np.zeros(hi - lo, np.intp))),
-            np.concatenate((held[q], cut[lo:hi])),
+            np.concatenate((a_start[a_lo:a_hi], np.zeros(hi - lo, np.intp))),
+            np.concatenate((a_held[a_lo:a_hi], cut[lo:hi])),
             table,
         )
         keys.sort()
-        once = np.ones(len(keys), bool)  # each pair once
+        once = np.empty(len(keys), bool)  # each pair once
+        once[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=once[1:])
         ia, ib = np.divmod(keys[once], n_points)
         d, r = np.sqrt(_merge_d2(packed, ia, ib + n_centers)), radii[ia]

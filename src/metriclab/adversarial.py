@@ -611,15 +611,13 @@ def labelled_sample_from_trace(
     run[0] = True
     for row in np.take(keys, order, axis=1):
         run[1:] |= row[1:] != row[:-1]
-    uses = order[run]  # each distinct row's first use
-    by_use = uses.argsort()
-    rank = np.empty_like(by_use)
-    rank[by_use] = np.arange(len(by_use))
+    # the distinct rows' first uses in row order, and each run's place among them
+    uses, place = _unique_inverse(order[run])
     index = np.empty(n, dtype=np.intp)
-    index[order] = rank[np.cumsum(run) - 1]
+    index[order] = place[np.cumsum(run) - 1]
     geometry, depth_of = problem.geometry, _layout_depths(D)
     distinct = []
-    for *word, group in keys[:, uses[by_use]].T.tolist():
+    for *word, group in keys[:, uses].T.tolist():
         depth = depth_of[group]
         distinct.append(geometry(word[:depth]).atom if depth >= 0 else geometry(word).center)
     points = tuple(map(distinct.__getitem__, index.tolist()))

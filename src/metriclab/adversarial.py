@@ -827,12 +827,12 @@ def _trace_predictions(
         start, stop = stop, stop + sum(group_sizes)
         second = start + group_sizes[0]  # the first row of the second group, if any
         walk = levels[: groups[-1]]
-        counts = [np.array(group_sizes)[:, None]]
-        counts += [np.zeros((len(groups), len(p)), dtype=np.int64) for _, p, _ in walk]
+        tallies = [np.array(group_sizes)[:, None]]  # tallies[h][g]: ge[groups[g]][h]
+        tallies += [np.zeros((len(groups), len(p)), dtype=np.int64) for _, p, _ in walk]
         for lo in range(start, stop, CHUNK):
             block = trace.letters[lo : min(lo + CHUNK, stop)]
             split = second - lo  # the block's rows before it are the first group's
-            straddles, group = 0 < split < len(block), int(split <= 0)
+            straddles, only = 0 < split < len(block), int(split <= 0)
             for h, (letters, prefixes, find) in enumerate(walk):
                 if h == 0:  # one empty prefix: a letter's index is its 1-prefix id
                     index = find(block[:, 0])
@@ -847,12 +847,12 @@ def _trace_predictions(
                     rows, row_pid = rows[keep[hit]], pos[hit]
                 if straddles:  # the rows stay in order: the first group's come first
                     cut = int(rows.searchsorted(split))
-                    counts[h + 1][0] += np.bincount(row_pid[:cut], minlength=len(prefixes))
-                    counts[h + 1][1] += np.bincount(row_pid[cut:], minlength=len(prefixes))
+                    tallies[h + 1][0] += np.bincount(row_pid[:cut], minlength=len(prefixes))
+                    tallies[h + 1][1] += np.bincount(row_pid[cut:], minlength=len(prefixes))
                 else:
-                    counts[h + 1][group] += np.bincount(row_pid, minlength=len(prefixes))
-        for i, depth in enumerate(groups):
-            ge[depth] = [c[i] for c in counts]
+                    tallies[h + 1][only] += np.bincount(row_pid, minlength=len(prefixes))
+        for g, depth in enumerate(groups):
+            ge[depth] = [t[g] for t in tallies]
 
     classes = distance_classes(problem)
     counts = np.empty((len(classes), T), dtype=np.int64)

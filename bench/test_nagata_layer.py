@@ -10,14 +10,21 @@ Each case also checks its result, so a fast wrong answer fails.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from metriclab.experiments import heisenberg_unit_grid
+from metriclab.experiments import (
+    heisenberg_unit_grid,
+    random_disconnected_interval_families,
+    random_word_families,
+)
 from metriclab.nagata import (
     DimensionCertificate,
     doubling_cover_greedy,
     greedy_covering_subfamily,
+    interval_multiplicity_exact,
     is_disconnected,
+    multiplicity_over_probes,
     nagata_witness_sparse,
 )
 from metriclab.spaces import (
@@ -91,3 +98,35 @@ def test_doubling_cover_greedy(benchmark):
     points = [h_dilate(0.5, p) for p in heisenberg_unit_grid()]
     assert len(points) == 305
     assert benchmark(doubling_cover_greedy, points, HPoint(0.0, 0.0, 0.0), 0.5, Heisenberg()) == 74
+
+
+# the dimension suite's two random batteries at seed 7, 1000 families each:
+# the draws and the per-family work, as the suite runs them
+
+
+def _interval_battery():
+    rng = np.random.default_rng(7)
+    families = random_disconnected_interval_families(rng, rng.integers(2, 9, size=1000))
+    return max(map(interval_multiplicity_exact, families))
+
+
+def test_interval_battery(benchmark):
+    assert benchmark(_interval_battery) == 2
+
+
+def _stream_after_the_intervals():
+    rng = np.random.default_rng(7)
+    random_disconnected_interval_families(rng, rng.integers(2, 9, size=1000))
+    return (rng,), {}
+
+
+def _word_battery(rng):
+    worst = 0
+    for fam in random_word_families(rng, rng.integers(2, 9, size=1000), alphabet=3):
+        sub = greedy_covering_subfamily(fam)
+        worst = max(worst, multiplicity_over_probes(sub, fam.centers()).count)
+    return worst
+
+
+def test_word_battery(benchmark):
+    assert benchmark.pedantic(_word_battery, setup=_stream_after_the_intervals, rounds=20) == 1

@@ -10,7 +10,7 @@ import io
 import json
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -289,52 +289,103 @@ def plane_pentagon_family() -> BallFamily:
     return BallFamily(tuple(balls), EuclideanD(2), math.inf)
 
 
-def random_disconnected_intervals(rng: np.random.Generator, count: int) -> BallFamily:
-    """Intervals whose radii stay strictly below the nearest other center,
-    which forces disconnectedness. The centres ascend and rounding is
+def _families(sizes, space, ball) -> Iterator[BallFamily]:
+    """One family of ``space`` per entry of ``sizes``, built when it is
+    consumed: the family of size s takes ``ball(i)`` for the next s
+    indices i of the concatenated draws."""
+    ends = np.cumsum(sizes, dtype=np.intp).tolist()
+    return (
+        BallFamily(tuple(map(ball, range(a, b))), space, math.inf)
+        for a, b in zip([0] + ends[:-1], ends)
+    )
+
+
+def random_disconnected_interval_families(
+    rng: np.random.Generator, sizes: Sequence[int]
+) -> Iterator[BallFamily]:
+    """Families of intervals whose radii stay strictly below the nearest
+    other centre, which forces disconnectedness; one family per entry of
+    ``sizes``, each of at least two intervals.
+
+    The call draws everything, in two array calls: all centres, family by
+    family, then a (total, 2) array of (radius, closed) uniforms, a row per
+    interval in each family's ascending centre order. So one family of
+    ``count`` draws its ``count`` centres and then its (radius, closed)
+    pairs ball by ball, as a per-ball loop would. A family's centres are
+    sorted and moved apart by 1e-6 a rank; they ascend and rounding is
     monotone, so a centre's nearest other centre is one of its two sorted
-    neighbours."""
-    if count < 2:
+    neighbours. The arrays become lists once, and a family's balls are
+    built when the family is consumed."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if (sizes < 2).any():
         raise ValueError("a family of disconnected intervals needs two centres")
-    centers = np.sort(rng.random(count) * 20.0)
-    centers += np.arange(count) * 1e-6  # ensure distinct
-    steps = np.diff(centers).tolist()
-    balls = []
-    for c, gap in zip(centers.tolist(), map(min, [math.inf] + steps, steps + [math.inf])):
-        r = (0.2 + 0.75 * rng.random()) * gap
-        balls.append(Ball(Real(c), r, bool(rng.random() < 0.5)))
-    return BallFamily(tuple(balls), EuclideanLine(), math.inf)
+    total = int(sizes.sum())
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    family = np.repeat(np.arange(len(sizes)), sizes)
+    centers = rng.random(total) * 20.0
+    centers = centers[np.lexsort((centers, family))]
+    centers += (np.arange(total) - np.repeat(starts, sizes)) * 1e-6  # ensure distinct
+    steps = np.diff(centers)
+    left, right = np.append(math.inf, steps), np.append(steps, math.inf)
+    left[starts] = right[ends - 1] = math.inf  # no neighbour across families
+    u = rng.random((total, 2))
+    c = centers.tolist()
+    r = ((0.2 + 0.75 * u[:, 0]) * np.minimum(left, right)).tolist()
+    closed = (u[:, 1] < 0.5).tolist()
+    return _families(sizes, EuclideanLine(), lambda i: Ball(Real(c[i]), r[i], closed[i]))
+
+
+def random_disconnected_intervals(rng: np.random.Generator, count: int) -> BallFamily:
+    """One family of ``random_disconnected_interval_families``."""
+    return next(random_disconnected_interval_families(rng, [count]))
+
+
+def random_word_families(
+    rng: np.random.Generator, sizes: Sequence[int], alphabet: int
+) -> Iterator[BallFamily]:
+    """Families of ultrametric balls, one per entry of ``sizes``: words of
+    0..4 letters in 1..``alphabet``, radius 2^-e for e in 0..3, closed with
+    probability 1/2.
+
+    The call draws everything, in four array calls: every ball's length,
+    then all letters, word after word, then every radius exponent, then
+    every closed uniform. The arrays become lists once, and a family's
+    balls are built when the family is consumed."""
+    total = int(np.sum(sizes))
+    lengths = rng.integers(0, 5, size=total)
+    letters = rng.integers(1, alphabet + 1, size=int(lengths.sum())).tolist()
+    bounds = np.append(0, np.cumsum(lengths)).tolist()  # ball i's letters: bounds[i]:bounds[i + 1]
+    r = (2.0 ** -rng.integers(0, 4, size=total)).tolist()
+    closed = (rng.random(total) < 0.5).tolist()
+    return _families(
+        sizes,
+        UltrametricWords(alphabet),
+        lambda i: Ball(Word(tuple(letters[bounds[i] : bounds[i + 1]])), r[i], closed[i]),
+    )
+
+
+def random_word_family(rng: np.random.Generator, count: int, alphabet: int) -> BallFamily:
+    """One family of ``random_word_families``."""
+    return next(random_word_families(rng, [count], alphabet))
 
 
 def random_interval_family(rng: np.random.Generator, count: int) -> BallFamily:
-    balls = [
-        Ball(Real(float(rng.random() * 10.0)), float(0.1 + 2.0 * rng.random()),
-             bool(rng.random() < 0.5))
-        for _ in range(count)
-    ]
+    """``count`` intervals from one (count, 3) array of uniforms, a row
+    (centre, radius, closed) per ball, so row-major order is the per-ball
+    order of scalar draws."""
+    u = rng.random((count, 3)).tolist()
+    balls = [Ball(Real(x * 10.0), 0.1 + 2.0 * r, c < 0.5) for x, r, c in u]
     return BallFamily(tuple(balls), EuclideanLine(), math.inf)
 
 
 def random_plane_family(rng: np.random.Generator, count: int) -> BallFamily:
-    balls = [
-        Ball(
-            Vec((float(rng.random() * 10.0), float(rng.random() * 10.0))),
-            float(0.1 + 2.0 * rng.random()),
-            bool(rng.random() < 0.5),
-        )
-        for _ in range(count)
-    ]
+    """``count`` discs from one (count, 4) array of uniforms, a row
+    (x, y, radius, closed) per ball, so row-major order is the per-ball
+    order of scalar draws."""
+    u = rng.random((count, 4)).tolist()
+    balls = [Ball(Vec((x * 10.0, y * 10.0)), 0.1 + 2.0 * r, c < 0.5) for x, y, r, c in u]
     return BallFamily(tuple(balls), EuclideanD(2), math.inf)
-
-
-def random_word_family(rng: np.random.Generator, count: int, alphabet: int) -> BallFamily:
-    balls = []
-    for _ in range(count):
-        length = int(rng.integers(0, 5))
-        letters = tuple(int(rng.integers(1, alphabet + 1)) for _ in range(length))
-        radius = float(2.0 ** (-int(rng.integers(0, 4))))
-        balls.append(Ball(Word(letters), radius, bool(rng.random() < 0.5)))
-    return BallFamily(tuple(balls), UltrametricWords(alphabet), math.inf)
 
 
 def heisenberg_unit_grid() -> list[HPoint]:
@@ -354,7 +405,13 @@ def heisenberg_unit_grid() -> list[HPoint]:
 def run_dimension_suite(config: ExperimentConfig) -> dict:
     """Witness batteries: the plane pentagon, interval sweeps, ultrametric
     covers, sparse high-multiplicity witnesses, and a Heisenberg separated-
-    set table transported across scales by dilation."""
+    set table transported across scales by dilation.
+
+    Each random battery of 1000 families draws its sizes (2..8) in one
+    ``rng.integers`` call and then all its families' fields in a few array
+    calls (``random_disconnected_interval_families``,
+    ``random_word_families``): the interval sizes, the intervals, the word
+    sizes, then the words, from one stream seeded with ``config.seed``."""
     rng = np.random.default_rng(config.seed)
     out: dict = {}
 
@@ -371,15 +428,12 @@ def run_dimension_suite(config: ExperimentConfig) -> dict:
         "cone_upper": 5,
     }
 
-    worst = 0
-    for _ in range(1000):
-        fam = random_disconnected_intervals(rng, int(rng.integers(2, 9)))
-        worst = max(worst, interval_multiplicity_exact(fam))
+    families = random_disconnected_interval_families(rng, rng.integers(2, 9, size=1000))
+    worst = max(map(interval_multiplicity_exact, families))
     out["interval_sweep"] = {"families": 1000, "max_multiplicity": worst}
 
     worst = 0
-    for _ in range(1000):
-        fam = random_word_family(rng, int(rng.integers(2, 9)), alphabet=3)
+    for fam in random_word_families(rng, rng.integers(2, 9, size=1000), alphabet=3):
         sub = greedy_covering_subfamily(fam)
         probes = list(fam.centers())
         worst = max(worst, multiplicity_over_probes(sub, probes).count)

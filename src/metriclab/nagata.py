@@ -147,7 +147,7 @@ def interval_multiplicity_exact(family: BallFamily) -> int:
         else:
             events.append((lo, _OPEN_ENTER, 1))
             events.append((hi, _OPEN_EXIT, -1))
-    events.sort(key=lambda e: (e[0], e[1]))
+    events.sort()  # by coordinate, then priority; the priority fixes the delta
     best = 0
     running = 0
     for _, _, delta in events:

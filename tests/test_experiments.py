@@ -1,9 +1,13 @@
 import dataclasses
+import hashlib
+import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclab import cli
 from metriclab.cli import _measure, build_parser, config_from_args, main
@@ -15,11 +19,16 @@ from metriclab.experiments import (
     run_baseline,
     run_consistency,
     run_coverhart,
+    random_disconnected_interval_families,
     random_disconnected_intervals,
+    random_interval_family,
+    random_plane_family,
+    random_word_families,
     run_dimension_suite,
 )
 from metriclab import adversarial as adv
-from metriclab.nagata import Ball, BallFamily
+from metriclab import nagata
+from metriclab.nagata import Ball, BallFamily, interval_multiplicity_exact, is_disconnected
 from metriclab.experiments import _vote_error
 from metriclab.knn import LabelledSample, TieStrategy, euclidean_vote, knn_predict
 from metriclab.spaces import (
@@ -29,6 +38,7 @@ from metriclab.spaces import (
     KindMismatchError,
     Real,
     SparseL2,
+    UltrametricWords,
     Vec,
     distance,
 )
@@ -95,17 +105,23 @@ def test_coverhart_cases(tmp_path):
     assert json.loads(out.read_text())[0]["case"] == "constant_eta_0.3"
 
 
-def _intervals_by_double_loop(rng, count):
-    """The reference: each ball's gap as the least distance to every other
-    centre, numpy scalars as they come."""
-    centers = np.sort(rng.random(count) * 20.0)
+def _double_loop_family(raw, uniform):
+    """The reference: the centres ``raw`` sorted and spread, each ball's gap
+    as the least distance to every other centre, numpy scalars as they
+    come, and the radius and closed flag from two ``uniform()`` calls."""
+    count = len(raw)
+    centers = np.sort(raw)
     centers += np.arange(count) * 1e-6
     balls = []
     for i, c in enumerate(centers):
         gaps = [abs(c - centers[j]) for j in range(count) if j != i]
-        r = (0.2 + 0.75 * rng.random()) * min(gaps)
-        balls.append(Ball(Real(float(c)), float(r), bool(rng.random() < 0.5)))
+        r = (0.2 + 0.75 * uniform()) * min(gaps)
+        balls.append(Ball(Real(float(c)), float(r), bool(uniform() < 0.5)))
     return BallFamily(tuple(balls), EuclideanLine())
+
+
+def _intervals_by_double_loop(rng, count):
+    return _double_loop_family(rng.random(count) * 20.0, rng.random)
 
 
 def test_disconnected_intervals_equal_the_double_loop():
@@ -121,6 +137,159 @@ def test_disconnected_intervals_equal_the_double_loop():
     with pytest.raises(ValueError):
         random_disconnected_intervals(np.random.default_rng(0), 1)
 
+
+
+
+def test_interval_families_equal_the_double_loop_family_by_family():
+    # all centres first, then the (radius, closed) draws family by family
+    for seed in range(100):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        sizes = rng.integers(2, 9, size=int(rng.integers(1, 20)))
+        assert (sizes == ref.integers(2, 9, size=int(ref.integers(1, 20)))).all()
+        families = random_disconnected_interval_families(rng, sizes)
+        raw = np.split(ref.random(sizes.sum()) * 20.0, np.cumsum(sizes)[:-1])
+        want = [_double_loop_family(centers, ref.random) for centers in raw]
+        assert [_ball_fields(f) for f in families] == [_ball_fields(w) for w in want]
+        assert rng.random() == ref.random()  # the two streams end in step
+
+def _ball_fields(fam):
+    """Each ball's centre (floats as hex, words as letters), radius as hex
+    and closed flag."""
+
+    def center(c):
+        if isinstance(c, Real):
+            return c.value.hex()
+        if isinstance(c, Vec):
+            return tuple(x.hex() for x in c.coords)
+        return c.letters
+
+    return [(center(b.center), b.radius.hex(), b.closed) for b in fam.balls]
+
+
+def _interval_family_per_ball(rng, count):
+    """The reference: scalar draws, centre, radius, closed, ball by ball."""
+    balls = [
+        Ball(
+            Real(float(rng.random() * 10.0)),
+            float(0.1 + 2.0 * rng.random()),
+            bool(rng.random() < 0.5),
+        )
+        for _ in range(count)
+    ]
+    return BallFamily(tuple(balls), EuclideanLine())
+
+
+def _plane_family_per_ball(rng, count):
+    """The reference: scalar draws, x, y, radius, closed, ball by ball."""
+    balls = [
+        Ball(
+            Vec((float(rng.random() * 10.0), float(rng.random() * 10.0))),
+            float(0.1 + 2.0 * rng.random()),
+            bool(rng.random() < 0.5),
+        )
+        for _ in range(count)
+    ]
+    return BallFamily(tuple(balls), EuclideanD(2))
+
+
+@pytest.mark.parametrize(
+    "draw, reference",
+    [
+        (random_interval_family, _interval_family_per_ball),
+        (random_plane_family, _plane_family_per_ball),
+    ],
+)
+def test_criterion_04_families_equal_the_per_ball_draws(draw, reference):
+    for seed in range(300):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        count = int(rng.integers(1, 11))
+        assert count == int(ref.integers(1, 11))
+        fam, want = draw(rng, count), reference(ref, count)
+        assert fam.space == want.space
+        assert _ball_fields(fam) == _ball_fields(want)
+        assert rng.random() == ref.random()  # the two streams end in step
+
+
+def test_battery_generators_are_pinned():
+    # pins the streams of both battery generators; dimension.json reports
+    # the batteries only through their maxima
+    rng = np.random.default_rng(7)
+    sizes = [2, 5, 8, 3]
+    fields = [_ball_fields(f) for f in random_disconnected_interval_families(rng, sizes)]
+    fields += [_ball_fields(f) for f in random_word_families(rng, sizes, alphabet=3)]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == (
+        "f06d4837c5ad594ee4a8696612baf280c36dffff9a9c08c2a72b036935352fc7"
+    )
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(seeds, st.lists(st.integers(2, 12), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_interval_families_are_disconnected_below_their_gaps(seed, sizes):
+    families = list(random_disconnected_interval_families(np.random.default_rng(seed), sizes))
+    assert [len(f) for f in families] == sizes
+    for fam in families:
+        assert fam.space == EuclideanLine()
+        assert is_disconnected(fam)
+        centers = [c.value for c in fam.centers()]
+        for i, b in enumerate(fam.balls):
+            gap = min(abs(centers[i] - c) for j, c in enumerate(centers) if j != i)
+            assert 0 < b.radius < gap
+            assert type(b.closed) is bool
+
+
+def test_interval_families_need_two_centres_each():
+    with pytest.raises(ValueError):
+        random_disconnected_interval_families(np.random.default_rng(0), [3, 1, 4])
+
+
+@given(seeds, st.lists(st.integers(0, 12), max_size=8), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_word_families_draw_in_range(seed, sizes, alphabet):
+    families = list(random_word_families(np.random.default_rng(seed), sizes, alphabet))
+    assert [len(f) for f in families] == sizes
+    for fam in families:
+        assert fam.space == UltrametricWords(alphabet)
+        for b in fam.balls:
+            letters = b.center.letters
+            assert len(letters) <= 4
+            assert all(type(a) is int and 1 <= a <= alphabet for a in letters)
+            assert b.radius in (1.0, 0.5, 0.25, 0.125)
+            assert type(b.closed) is bool
+
+
+def _keyed_sweep(fam):
+    """The reference: the endpoint sweep with its events sorted by the key
+    (coordinate, priority)."""
+    events = []
+    for b in fam.balls:
+        c = b.center.value
+        if b.closed:
+            enter, leave = nagata._CLOSED_ENTER, nagata._CLOSED_EXIT
+        else:
+            enter, leave = nagata._OPEN_ENTER, nagata._OPEN_EXIT
+        events += [(c - b.radius, enter, 1), (c + b.radius, leave, -1)]
+    events.sort(key=lambda e: (e[0], e[1]))
+    return max(itertools.accumulate(delta for _, _, delta in events))
+
+
+def test_interval_sweep_equals_the_keyed_sort():
+    # the suite's interval battery at seed 7, then families on a grid of
+    # halves, whose endpoints often meet, so the priorities decide
+    rng = np.random.default_rng(7)
+    battery = random_disconnected_interval_families(rng, rng.integers(2, 9, size=1000))
+    for fam in battery:
+        assert interval_multiplicity_exact(fam) == _keyed_sweep(fam)
+    grid = np.random.default_rng(0)
+    for _ in range(1000):
+        count = int(grid.integers(1, 9))
+        centers, radii = grid.integers(0, 8, count) / 2, grid.integers(1, 4, count) / 2
+        rows = zip(centers.tolist(), radii.tolist(), grid.integers(0, 2, count).tolist())
+        balls = (Ball(Real(c), r, bool(k)) for c, r, k in rows)
+        fam = BallFamily(tuple(balls), EuclideanLine())
+        assert interval_multiplicity_exact(fam) == _keyed_sweep(fam)
 
 def test_dimension_suite(tmp_path):
     out = tmp_path / "certs.json"

@@ -9,7 +9,8 @@ an argmin 1-NN kernel; the chunked all-pairs ``knn.euclidean_vote`` that
 replaced both, the sorted-slab and sorted-strip searches that replaced it,
 and the counted cell table that replaced the strips reproduce them. The ``dimension.json`` digest pins the generic-metric outputs
 (certificates and sparse witnesses) that every ``spaces.distance`` path
-feeds. The two ``consistency_*.csv`` digests are those of fresh mode
+feeds; it covers the interval and ultrametric batteries only through their
+maxima, so their draws are pinned in ``test_experiments.py`` instead. The two ``consistency_*.csv`` digests are those of fresh mode
 drawing its count of 1s as one Binomial(T, p) with the exact p of
 ``adversarial.stage_probability``: at stage 0 (p = 0.999924, T = 10^4) it
 predicts 0 for one test point in each table (frac_pred1 0.9999), and at

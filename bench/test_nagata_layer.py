@@ -14,17 +14,19 @@ import numpy as np
 import pytest
 
 from metriclab.experiments import (
+    _draw_words,
     heisenberg_unit_grid,
-    random_disconnected_interval_families,
-    random_word_families,
+    interval_battery,
+    word_cover_battery,
 )
 from metriclab.nagata import (
+    Ball,
     DimensionCertificate,
+    contains,
     doubling_cover_greedy,
+    family_pairs,
     greedy_covering_subfamily,
-    interval_multiplicity_exact,
     is_disconnected,
-    multiplicity_over_probes,
     nagata_witness_sparse,
 )
 from metriclab.spaces import (
@@ -34,9 +36,13 @@ from metriclab.spaces import (
     HPoint,
     SparseL2,
     SparsePoint,
+    UltrametricWords,
+    Word,
     contained_pairs,
     h_dilate,
+    pack_words,
     sparse_d2,
+    words_contained,
 )
 
 
@@ -101,13 +107,12 @@ def test_doubling_cover_greedy(benchmark):
 
 
 # the dimension suite's two random batteries at seed 7, 1000 families each:
-# the draws and the per-family work, as the suite runs them
+# the draws and the array path that decides them, as the suite runs them
 
 
 def _interval_battery():
     rng = np.random.default_rng(7)
-    families = random_disconnected_interval_families(rng, rng.integers(2, 9, size=1000))
-    return max(map(interval_multiplicity_exact, families))
+    return int(interval_battery(rng, rng.integers(2, 9, size=1000)).max())
 
 
 def test_interval_battery(benchmark):
@@ -116,17 +121,38 @@ def test_interval_battery(benchmark):
 
 def _stream_after_the_intervals():
     rng = np.random.default_rng(7)
-    random_disconnected_interval_families(rng, rng.integers(2, 9, size=1000))
+    interval_battery(rng, rng.integers(2, 9, size=1000))
     return (rng,), {}
 
 
 def _word_battery(rng):
-    worst = 0
-    for fam in random_word_families(rng, rng.integers(2, 9, size=1000), alphabet=3):
-        sub = greedy_covering_subfamily(fam)
-        worst = max(worst, multiplicity_over_probes(sub, fam.centers()).count)
-    return worst
+    covers = word_cover_battery(rng, rng.integers(2, 9, size=1000), 3)
+    return max(cover.multiplicity for cover in covers)
 
 
 def test_word_battery(benchmark):
     assert benchmark.pedantic(_word_battery, setup=_stream_after_the_intervals, rounds=20) == 1
+
+
+def test_words_contained(benchmark):
+    # the word kernel alone on the seed-7 battery's ~29,000 pairs within
+    # families, in the suite's blocks; the hits are the pairs that the
+    # scalar distance puts in the ball
+    (rng,), _ = _stream_after_the_intervals()
+    sizes = rng.integers(2, 9, size=1000)
+    lengths, letters, radii, closed = _draw_words(rng, sizes, 3)
+    words = pack_words(lengths, letters)
+    blocks = [(ball, centre) for _, ball, centre in family_pairs(sizes)]
+
+    def hits():
+        return sum(int(words_contained(words, radii, closed, a, b).sum()) for a, b in blocks)
+
+    ends = np.cumsum(lengths).tolist()
+    text = [Word(tuple(letters[e - n : e].tolist())) for e, n in zip(ends, lengths.tolist())]
+    space = UltrametricWords(3)
+    want = sum(
+        contains(Ball(text[a], float(radii[a]), bool(closed[a])), text[b], space)
+        for ball, centre in blocks
+        for a, b in zip(ball.tolist(), centre.tolist())
+    )
+    assert benchmark(hits) == want

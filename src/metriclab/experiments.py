@@ -19,10 +19,12 @@ from .knn import euclidean_vote
 from .nagata import (
     Ball,
     BallFamily,
+    Cover,
     DimensionCertificate,
     doubling_cover_greedy,
-    greedy_covering_subfamily,
-    interval_multiplicity_exact,
+    exchange_covers,
+    family_pairs,
+    interval_multiplicities,
     multiplicity_over_probes,
     nagata_witness_sparse,
 )
@@ -40,6 +42,8 @@ from .spaces import (
     Word,
     h_dilate,
     h_norm,
+    pack_words,
+    words_contained,
 )
 
 DEFAULT_EMPIRICAL_M = (1, 293, 2000)
@@ -300,6 +304,25 @@ def _families(sizes, space, ball) -> Iterator[BallFamily]:
     )
 
 
+def _draw_disconnected_intervals(rng: np.random.Generator, sizes: np.ndarray):
+    """The centres, radii and closed flags of
+    ``random_disconnected_interval_families``, as arrays."""
+    if (sizes < 2).any():
+        raise ValueError("a family of disconnected intervals needs two centres")
+    total = int(sizes.sum())
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    family = np.repeat(np.arange(len(sizes)), sizes)
+    centers = rng.random(total) * 20.0
+    centers = centers[np.lexsort((centers, family))]
+    centers += (np.arange(total) - np.repeat(starts, sizes)) * 1e-6  # ensure distinct
+    steps = np.diff(centers)
+    left, right = np.append(math.inf, steps), np.append(steps, math.inf)
+    left[starts] = right[ends - 1] = math.inf  # no neighbour across families
+    u = rng.random((total, 2))
+    return centers, (0.2 + 0.75 * u[:, 0]) * np.minimum(left, right), u[:, 1] < 0.5
+
+
 def random_disconnected_interval_families(
     rng: np.random.Generator, sizes: Sequence[int]
 ) -> Iterator[BallFamily]:
@@ -317,28 +340,30 @@ def random_disconnected_interval_families(
     neighbours. The arrays become lists once, and a family's balls are
     built when the family is consumed."""
     sizes = np.asarray(sizes, dtype=np.intp)
-    if (sizes < 2).any():
-        raise ValueError("a family of disconnected intervals needs two centres")
-    total = int(sizes.sum())
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    family = np.repeat(np.arange(len(sizes)), sizes)
-    centers = rng.random(total) * 20.0
-    centers = centers[np.lexsort((centers, family))]
-    centers += (np.arange(total) - np.repeat(starts, sizes)) * 1e-6  # ensure distinct
-    steps = np.diff(centers)
-    left, right = np.append(math.inf, steps), np.append(steps, math.inf)
-    left[starts] = right[ends - 1] = math.inf  # no neighbour across families
-    u = rng.random((total, 2))
-    c = centers.tolist()
-    r = ((0.2 + 0.75 * u[:, 0]) * np.minimum(left, right)).tolist()
-    closed = (u[:, 1] < 0.5).tolist()
+    c, r, closed = (a.tolist() for a in _draw_disconnected_intervals(rng, sizes))
     return _families(sizes, EuclideanLine(), lambda i: Ball(Real(c[i]), r[i], closed[i]))
 
 
 def random_disconnected_intervals(rng: np.random.Generator, count: int) -> BallFamily:
     """One family of ``random_disconnected_interval_families``."""
     return next(random_disconnected_interval_families(rng, [count]))
+
+
+def interval_battery(rng: np.random.Generator, sizes: Sequence[int]) -> np.ndarray:
+    """``interval_multiplicity_exact`` of each family that
+    ``random_disconnected_interval_families(rng, sizes)`` would build, from
+    the same draws, in one sweep over every family and no ``Ball``."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    return interval_multiplicities(*_draw_disconnected_intervals(rng, sizes), sizes)
+
+
+def _draw_words(rng: np.random.Generator, sizes: Sequence[int], alphabet: int):
+    """The lengths, concatenated letters, radii and closed flags of
+    ``random_word_families``, as arrays."""
+    total = int(np.sum(sizes))
+    lengths = rng.integers(0, 5, size=total)
+    letters = rng.integers(1, alphabet + 1, size=int(lengths.sum()))
+    return lengths, letters, 2.0 ** -rng.integers(0, 4, size=total), rng.random(total) < 0.5
 
 
 def random_word_families(
@@ -352,12 +377,9 @@ def random_word_families(
     then all letters, word after word, then every radius exponent, then
     every closed uniform. The arrays become lists once, and a family's
     balls are built when the family is consumed."""
-    total = int(np.sum(sizes))
-    lengths = rng.integers(0, 5, size=total)
-    letters = rng.integers(1, alphabet + 1, size=int(lengths.sum())).tolist()
+    lengths, letters, r, closed = _draw_words(rng, sizes, alphabet)
+    letters, r, closed = letters.tolist(), r.tolist(), closed.tolist()
     bounds = np.append(0, np.cumsum(lengths)).tolist()  # ball i's letters: bounds[i]:bounds[i + 1]
-    r = (2.0 ** -rng.integers(0, 4, size=total)).tolist()
-    closed = (rng.random(total) < 0.5).tolist()
     return _families(
         sizes,
         UltrametricWords(alphabet),
@@ -368,6 +390,23 @@ def random_word_families(
 def random_word_family(rng: np.random.Generator, count: int, alphabet: int) -> BallFamily:
     """One family of ``random_word_families``."""
     return next(random_word_families(rng, [count], alphabet))
+
+
+def word_cover_battery(
+    rng: np.random.Generator, sizes: Sequence[int], alphabet: int
+) -> Iterator[Cover]:
+    """``greedy_covering_subfamily`` of each family that
+    ``random_word_families(rng, sizes, alphabet)`` would build, as the
+    members' indices and the largest number of members holding one centre
+    (``multiplicity_over_probes`` of the cover at the family's centres).
+
+    The call draws everything as ``random_word_families`` does; the pairs
+    within each family are decided ``PAIR_BLOCK`` at a time by one
+    ``spaces.words_contained`` call, with no ``Ball`` built."""
+    lengths, letters, radii, closed = _draw_words(rng, sizes, alphabet)
+    words = pack_words(lengths, letters)
+    for block, ball, centre in family_pairs(sizes):
+        yield from exchange_covers(block, words_contained(words, radii, closed, ball, centre))
 
 
 def random_interval_family(rng: np.random.Generator, count: int) -> BallFamily:
@@ -409,9 +448,14 @@ def run_dimension_suite(config: ExperimentConfig) -> dict:
 
     Each random battery of 1000 families draws its sizes (2..8) in one
     ``rng.integers`` call and then all its families' fields in a few array
-    calls (``random_disconnected_interval_families``,
-    ``random_word_families``): the interval sizes, the intervals, the word
-    sizes, then the words, from one stream seeded with ``config.seed``."""
+    calls, as ``random_disconnected_interval_families`` and
+    ``random_word_families`` draw them: the interval sizes, the intervals,
+    the word sizes, then the words, from one stream seeded with
+    ``config.seed``. Each battery is then decided from those arrays in a
+    few array calls, with no ``Ball`` built: ``interval_battery`` sweeps
+    every family's endpoints at once, and ``word_cover_battery`` decides
+    the pairs within each family by one array kernel and runs the
+    covering exchange on each family's 0/1 matrix."""
     rng = np.random.default_rng(config.seed)
     out: dict = {}
 
@@ -428,15 +472,11 @@ def run_dimension_suite(config: ExperimentConfig) -> dict:
         "cone_upper": 5,
     }
 
-    families = random_disconnected_interval_families(rng, rng.integers(2, 9, size=1000))
-    worst = max(map(interval_multiplicity_exact, families))
+    worst = int(interval_battery(rng, rng.integers(2, 9, size=1000)).max())
     out["interval_sweep"] = {"families": 1000, "max_multiplicity": worst}
 
-    worst = 0
-    for fam in random_word_families(rng, rng.integers(2, 9, size=1000), alphabet=3):
-        sub = greedy_covering_subfamily(fam)
-        probes = list(fam.centers())
-        worst = max(worst, multiplicity_over_probes(sub, probes).count)
+    covers = word_cover_battery(rng, rng.integers(2, 9, size=1000), alphabet=3)
+    worst = max(cover.multiplicity for cover in covers)
     out["ultrametric_cover"] = {"families": 1000, "max_multiplicity": worst}
 
     ids = DirectionIds()

@@ -7,14 +7,22 @@ any scale, the multiplicity of a disconnected family is a lower bound for
 the dimension-style overlap constant of the space, which is what the
 certificates record.
 
-``is_disconnected``, ``multiplicity_over_probes`` and the certificate check
-read (ball index, point index) pairs, block by block, from
-``spaces.contained_pairs``, with each pair decided as ``contains`` decides
-it, so closed (``d <= r``) and open (``d < r``) boundaries fall exactly. In
-the sparse l2 space only the pairs that share a direction or pass a norm
-bound reach the exact merge: about 2m pairs for a sparse witness of m
-balls, in O(m) memory, where an m x m matrix would be O(m^2 s).
-``greedy_covering_subfamily`` and ``doubling_cover_greedy`` stay scalar.
+``is_disconnected``, ``multiplicity_over_probes``, the certificate check
+and ``greedy_covering_subfamily`` read (ball index, point index) pairs,
+block by block, from ``spaces.contained_pairs``, with each pair decided as
+``contains`` decides it, so closed (``d <= r``) and open (``d < r``)
+boundaries fall exactly. In the sparse l2 space only the pairs that share
+a direction or pass a norm bound reach the exact merge: about 2m pairs for
+a sparse witness of m balls, in O(m) memory, where an m x m matrix would
+be O(m^2 s). Only ``doubling_cover_greedy`` stays scalar.
+
+A battery of many small families is decided in arrays, with no ``Ball``
+built: ``interval_multiplicities`` sweeps the endpoints of every family
+in one sort and one running sum, and ``family_pairs`` lists the pairs
+within each family in blocks of about ``PAIR_BLOCK``, whose 0/1 answers
+``exchange_covers`` turns into each family's cover. The exchange and the
+sweep each have one implementation, and ``greedy_covering_subfamily`` and
+``interval_multiplicity_exact`` are their one-family case.
 
 A family gathers its centres, radii and closed flags once, when it is
 built, and every containment call reads them from there. A sparse witness
@@ -28,10 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from operator import add, sub
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import spaces
 from .spaces import (
     DirectionIds,
     EuclideanLine,
@@ -132,55 +142,129 @@ def multiplicity_over_probes(family: BallFamily, probes: Sequence[Point]) -> Mul
 _OPEN_EXIT, _CLOSED_ENTER, _CLOSED_EXIT, _OPEN_ENTER = 0, 1, 2, 3
 
 
+def interval_multiplicities(
+    centers: np.ndarray, radii: np.ndarray, closed: np.ndarray, sizes: Sequence[int]
+) -> np.ndarray:
+    """Exact maximum overlap of each family of intervals on the line, for
+    families given as their sizes and their balls' concatenated centres,
+    radii and closed flags.
+
+    One endpoint sweep serves every family: the events, an entry and an
+    exit per ball, are sorted by (family, coordinate, priority) and their
+    deltas summed in one running count. Each family's deltas sum to 0, so
+    the count starts from 0 at every family."""
+    centers, radii = np.asarray(centers, float), np.asarray(radii, float)
+    closed = np.asarray(closed, bool)[:, None]
+    family = np.repeat(np.arange(len(sizes)), 2 * np.asarray(sizes, np.intp))
+    coordinate = np.stack((centers - radii, centers + radii), axis=1).ravel()
+    priority = np.where(closed, (_CLOSED_ENTER, _CLOSED_EXIT), (_OPEN_ENTER, _OPEN_EXIT)).ravel()
+    delta = np.tile(np.array((1, -1), np.int8), len(centers))
+    order = np.lexsort((priority, coordinate, family))
+    best = np.zeros(len(sizes), np.intp)
+    np.maximum.at(best, family[order], delta[order].cumsum())
+    return best
+
+
 def interval_multiplicity_exact(family: BallFamily) -> int:
-    """Exact maximum overlap of a family of intervals on the line."""
+    """Exact maximum overlap of a family of intervals on the line: the
+    one-family case of ``interval_multiplicities``."""
     if not isinstance(family.space, EuclideanLine):
         raise KindMismatchError("exact interval sweep requires the Euclidean line")
-    events: list[tuple[float, int, int]] = []
-    for b in family.balls:
-        if not isinstance(b.center, Real):
-            raise KindMismatchError("interval sweep requires Real centers")
-        lo, hi = b.center.value - b.radius, b.center.value + b.radius
-        if b.closed:
-            events.append((lo, _CLOSED_ENTER, 1))
-            events.append((hi, _CLOSED_EXIT, -1))
-        else:
-            events.append((lo, _OPEN_ENTER, 1))
-            events.append((hi, _OPEN_EXIT, -1))
-    events.sort()  # by coordinate, then priority; the priority fixes the delta
-    best = 0
-    running = 0
-    for _, _, delta in events:
-        running += delta
-        best = max(best, running)
-    return best
+    centers, radii, closed = family._columns
+    if not all(isinstance(c, Real) for c in centers):
+        raise KindMismatchError("interval sweep requires Real centers")
+    values = [c.value for c in centers]
+    return int(interval_multiplicities(values, radii, closed, [len(family)])[0])
+
+
+class Cover(NamedTuple):
+    """The exchange's result on one family: its members' indices, in the
+    order the exchange leaves them, and the largest number of members whose
+    balls hold one centre of the family."""
+
+    members: list[int]
+    multiplicity: int
+
+
+def _exchange(rows: Sequence[Sequence[int]]) -> Cover:
+    """The covering exchange on one family's 0/1 containment matrix:
+    ``rows[i][j]`` is 1 when ball i contains centre j. It keeps, per
+    centre, the number of members whose balls contain it."""
+    cover = [0] * len(rows)
+    members: list[int] = []
+    for _ in range(1000 * max(1, len(rows)) ** 2 + 1000):
+        try:
+            j = cover.index(0)  # the first uncovered centre
+        except ValueError:
+            return Cover(members, max(cover, default=0))
+        row = rows[j]
+        kept = []
+        for i in members:
+            if row[i]:  # ball j holds member i's centre: i drops out
+                cover = list(map(sub, cover, rows[i]))
+            else:
+                kept.append(i)
+        kept.append(j)
+        members = kept
+        cover = list(map(add, cover, row))
+    raise RuntimeError("covering exchange did not converge")
+
+
+def exchange_covers(sizes: Sequence[int], inside: np.ndarray) -> Iterator[Cover]:
+    """The covering exchange on each family of ``sizes``, whose n x n
+    containment matrices (ball, then centre) lie row-major, one family
+    after another, in the flat 0/1 array ``inside``."""
+    flat = np.asarray(inside, bool).tobytes()
+    offset = 0
+    for n in np.asarray(sizes).tolist():
+        yield _exchange([flat[offset + i * n : offset + (i + 1) * n] for i in range(n)])
+        offset += n * n
+
+
+def family_pairs(sizes: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Blocks of the (ball, centre) pairs within each family of ``sizes``,
+    whose balls are concatenated family after family: (the block's family
+    sizes, ball indices, centre indices), each family's pairs row-major,
+    in blocks of whole families, of at most ``PAIR_BLOCK`` pairs unless
+    one family has more."""
+    sizes = np.asarray(sizes, np.intp)
+    squares = sizes * sizes
+    ends = squares.cumsum()
+    pairs = int(ends[-1]) if len(ends) else 0
+    index = np.int32 if pairs < 2**31 else np.intp  # every index is below pairs, as n <= n * n
+    starts = (sizes.cumsum() - sizes).astype(index)
+    lo = 0
+    while lo < len(sizes):
+        before = ends[lo - 1] if lo else 0
+        hi = max(int(ends.searchsorted(before + spaces.PAIR_BLOCK, side="right")), lo + 1)
+        n, count = sizes[lo:hi], squares[lo:hi]
+        family = np.repeat(np.arange(hi - lo, dtype=index), count)
+        first_pair = (count.cumsum() - count).astype(index)
+        offset = np.arange(len(family), dtype=index) - first_pair[family]
+        ball, centre = np.divmod(offset, n.astype(index)[family])
+        first = starts[lo:hi][family]
+        yield n, first + ball, first + centre
+        lo = hi
 
 
 def greedy_covering_subfamily(family: BallFamily) -> BallFamily:
     """Disconnected subfamily covering every center of the input family.
 
-    Exchange procedure: while some ball's center is uncovered, insert that
-    ball and drop the current members whose centers it contains. Each
-    exchange removes only balls strictly below the inserted one in the
-    (radius, closed) order, so the subfamily's radius multiset grows
-    lexicographically and the loop terminates.
+    Exchange procedure: while some ball's center is uncovered, insert the
+    first such ball and drop the current members whose centers it
+    contains. Each exchange removes only balls strictly below the inserted
+    one in the (radius, closed) order, so the subfamily's radius multiset
+    grows lexicographically and the loop terminates.
+
+    The one-family case of ``exchange_covers``: the family's n x n
+    containment matrix comes from one ``contained_pairs`` call.
     """
-    balls = family.balls
-    space = family.space
-    current: list[int] = []
-    max_steps = 1000 * max(1, len(balls)) ** 2 + 1000
-    for _ in range(max_steps):
-        uncovered = None
-        for j, b in enumerate(balls):
-            if not any(contains(balls[i], b.center, space) for i in current):
-                uncovered = j
-                break
-        if uncovered is None:
-            return BallFamily(tuple(balls[i] for i in current), space, family.scale)
-        b = balls[uncovered]
-        current = [i for i in current if not contains(b, balls[i].center, space)]
-        current.append(uncovered)
-    raise RuntimeError("covering exchange did not converge")
+    n = len(family)
+    inside = np.zeros((n, n), bool)
+    for b, p in _members(family, family.centers()):
+        inside[b, p] = True
+    members = next(exchange_covers([n], inside.ravel())).members
+    return BallFamily(tuple(family.balls[i] for i in members), family.space, family.scale)
 
 
 def doubling_cover_greedy(

@@ -49,6 +49,16 @@ and the dedup are a fixed few numpy calls each, a merge step is nine over
 its whole block, and a block's merge ends once every pair has reached its
 sentinels. So a call on a few balls costs a fixed few dozen numpy calls,
 and each added ball a few list and array entries.
+
+Words are decided by one array kernel, ``words_contained``, over a list of
+pairs, in blocks of ``PAIR_BLOCK``. ``pack_words`` puts the words in the
+rows of a letter matrix padded with the blank 0, as ``_word_prefix_len``
+pads them; ``contained_pairs`` first codes the letters, 0 as 0 and every
+other distinct letter as 1, 2, ..., so letters of any int fit a narrow
+dtype. A pair's common prefix is the run of equal columns, capped at the
+longer word's length, and the distance is 0.0 for equal words and
+``ldexp(1.0, -lcp)``, the power of two ``2.0 ** -lcp`` gives, otherwise;
+so both boundaries fall exactly.
 """
 
 from __future__ import annotations
@@ -490,6 +500,71 @@ def _sparse_contained(packed, radii, closed, n_centers, n_points):
         lo = hi
 
 
+class PackedWords(NamedTuple):
+    """Words as the rows of ``letters``, each padded past its ``lengths``
+    entry with the blank 0."""
+
+    letters: np.ndarray
+    lengths: np.ndarray
+
+
+def pack_words(lengths: np.ndarray, letters: np.ndarray) -> PackedWords:
+    """Pack words given as their lengths and their concatenated letters,
+    each a non-negative int with 0 the blank, in the narrowest dtypes
+    that hold them."""
+    lengths = np.asarray(lengths)
+    letters = np.asarray(letters)
+    width = int(lengths.max(initial=0))
+    rows = np.zeros((len(lengths), width), np.min_scalar_type(letters.max(initial=0)))
+    rows[np.arange(width) < lengths[:, None]] = letters  # row-major: word after word
+    # signed, so the common prefix's negation is exact
+    return PackedWords(rows, lengths.astype(np.result_type(np.int8, np.min_scalar_type(width))))
+
+
+def words_contained(
+    words: PackedWords, radii: np.ndarray, closed: np.ndarray, ia: np.ndarray, ib: np.ndarray
+) -> np.ndarray:
+    """For each t, whether word ``ib[t]`` lies in the ball of radius
+    ``radii[ia[t]]`` around word ``ia[t]``, closed or open as
+    ``closed[ia[t]]`` says, exactly as ``distance`` decides it. Its arrays
+    are as long as the pair list: callers pass blocks of ``PAIR_BLOCK``."""
+    la, lb = words.lengths[ia], words.lengths[ib]
+    equal = words.letters[ia] == words.letters[ib]
+    # the run of equal columns, capped where zip_longest stops
+    run = np.logical_and.accumulate(equal, axis=1).sum(axis=1, dtype=la.dtype)
+    lcp = np.minimum(run, np.maximum(la, lb))
+    d = np.ldexp(1.0, -lcp)
+    d[(la == lb) & (lcp == la)] = 0.0  # equal words
+    r = radii[ia]
+    return np.where(closed[ia], d <= r, d < r)
+
+
+def _pack_word_points(space: UltrametricWords, points: Sequence[Point]) -> PackedWords:
+    """``pack_words`` of the points, each letter coded by first appearance
+    after the blank: 0 as 0, every other distinct letter as 1, 2, ..."""
+    rows = [p.letters for p in points if isinstance(p, Word)]
+    if len(rows) < len(points):
+        other = next(p for p in points if not isinstance(p, Word))
+        raise _mismatch(space, other, other)
+    letters = list(itertools.chain.from_iterable(rows))
+    code = dict.fromkeys(itertools.chain((0,), letters))
+    code = dict(zip(code, range(len(code))))
+    return pack_words(
+        np.fromiter(map(len, rows), np.intp, len(rows)),
+        np.fromiter(map(code.__getitem__, letters), np.intp, len(letters)),
+    )
+
+
+def _word_contained(words, radii, closed, n_centers, n_points):
+    """Blocks of ``contained_pairs`` for packed centres (rows below
+    ``n_centers``) and points (the rows after them): every (ball, point)
+    pair, ``PAIR_BLOCK`` at a time, through ``words_contained``."""
+    for lo in range(0, n_centers * n_points, PAIR_BLOCK):
+        ia, ib = np.divmod(np.arange(lo, min(lo + PAIR_BLOCK, n_centers * n_points)), n_points)
+        hit = words_contained(words, radii, closed, ia, ib + n_centers)
+        yield ia[hit], ib[hit]
+
+
 def contained_pairs(
     space: MetricSpace,
     centers: Sequence[Point],
@@ -503,13 +578,20 @@ def contained_pairs(
 
     The sparse l2 space decides only the candidate pairs, in blocks of about
     ``PAIR_BLOCK``, and each by ``sparse_d2``'s exact merge (see the module
-    docstring). The other kinds loop over ``distance``: a numpy form of
-    their formulas need not round as Python's ``d * d`` on floats does.
+    docstring). Words decide every pair, ``PAIR_BLOCK`` at a time, by the
+    array kernel ``words_contained``. The line, Euclidean space and the
+    Heisenberg group loop over ``distance``: a numpy form of their
+    formulas need not round as Python's ``d * d`` on floats does.
     """
     if isinstance(space, SparseL2):
         packed = _pack_sparse(space, list(centers) + list(points))
         return _sparse_contained(
             packed, np.asarray(radii, float), np.asarray(closed, bool), len(centers), len(points)
+        )
+    if isinstance(space, UltrametricWords):
+        words = _pack_word_points(space, list(centers) + list(points))
+        return _word_contained(
+            words, np.asarray(radii, float), np.asarray(closed, bool), len(centers), len(points)
         )
     return _scalar_contained(space, centers, radii, closed, points)
 

@@ -2,18 +2,22 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covering_reference import restart_scan_cover
 from metriclab import cli
 from metriclab.cli import _measure, build_parser, config_from_args, main
 from metriclab.experiments import (
     ExperimentConfig,
     build_schedule,
+    interval_battery,
     print_schedule,
     reports_to_csv,
     run_baseline,
@@ -25,9 +29,10 @@ from metriclab.experiments import (
     random_plane_family,
     random_word_families,
     run_dimension_suite,
+    word_cover_battery,
 )
 from metriclab import adversarial as adv
-from metriclab import nagata
+from metriclab import nagata, spaces
 from metriclab.nagata import Ball, BallFamily, interval_multiplicity_exact, is_disconnected
 from metriclab.experiments import _vote_error
 from metriclab.knn import LabelledSample, TieStrategy, euclidean_vote, knn_predict
@@ -277,19 +282,81 @@ def _keyed_sweep(fam):
 
 def test_interval_sweep_equals_the_keyed_sort():
     # the suite's interval battery at seed 7, then families on a grid of
-    # halves, whose endpoints often meet, so the priorities decide
+    # halves, whose endpoints often meet, so the priorities decide; each
+    # battery family by family and in one sweep
     rng = np.random.default_rng(7)
-    battery = random_disconnected_interval_families(rng, rng.integers(2, 9, size=1000))
-    for fam in battery:
-        assert interval_multiplicity_exact(fam) == _keyed_sweep(fam)
+    battery = list(random_disconnected_interval_families(rng, rng.integers(2, 9, size=1000)))
     grid = np.random.default_rng(0)
+    ties = []
     for _ in range(1000):
         count = int(grid.integers(1, 9))
         centers, radii = grid.integers(0, 8, count) / 2, grid.integers(1, 4, count) / 2
         rows = zip(centers.tolist(), radii.tolist(), grid.integers(0, 2, count).tolist())
         balls = (Ball(Real(c), r, bool(k)) for c, r, k in rows)
-        fam = BallFamily(tuple(balls), EuclideanLine())
-        assert interval_multiplicity_exact(fam) == _keyed_sweep(fam)
+        ties.append(BallFamily(tuple(balls), EuclideanLine()))
+    for families in (battery, ties):
+        want = [_keyed_sweep(fam) for fam in families]
+        assert [interval_multiplicity_exact(fam) for fam in families] == want
+        balls = [b for fam in families for b in fam.balls]
+        got = nagata.interval_multiplicities(
+            [b.center.value for b in balls],
+            [b.radius for b in balls],
+            [b.closed for b in balls],
+            [len(fam) for fam in families],
+        )
+        assert got.tolist() == want
+    rng = np.random.default_rng(7)
+    assert interval_battery(rng, rng.integers(2, 9, size=1000)).tolist() == [
+        _keyed_sweep(fam) for fam in battery
+    ]
+
+
+def test_interval_battery_equals_the_sweeps():
+    for seed in range(100):
+        sizes = np.random.default_rng(seed).integers(2, 9, size=int(seed % 7) + 1)
+        maxima = interval_battery(np.random.default_rng(seed), sizes).tolist()
+        families = list(random_disconnected_interval_families(np.random.default_rng(seed), sizes))
+        assert maxima == [interval_multiplicity_exact(fam) for fam in families]
+        assert maxima == [_keyed_sweep(fam) for fam in families]
+
+
+@pytest.mark.parametrize("block", [1, 7, 8192])
+def test_word_cover_battery_equals_the_restart_scan(block):
+    # families of 0..8 words over 1..3 letters; blocks of a few pairs end
+    # between families, and a family larger than a block gets one alone
+    with mock.patch.object(spaces, "PAIR_BLOCK", block):
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            sizes, alphabet = rng.integers(0, 9, size=int(rng.integers(1, 6))), seed % 3 + 1
+            covers = list(word_cover_battery(np.random.default_rng(seed), sizes, alphabet))
+            families = random_word_families(np.random.default_rng(seed), sizes, alphabet)
+            assert covers == [restart_scan_cover(fam) for fam in families]
+
+
+def test_word_cover_battery_of_the_suite_equals_the_restart_scan():
+    # the suite's stream at seed 7: the interval battery, then the words
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    interval_battery(rng, rng.integers(2, 9, size=1000))
+    random_disconnected_interval_families(ref, ref.integers(2, 9, size=1000))
+    covers = list(word_cover_battery(rng, rng.integers(2, 9, size=1000), alphabet=3))
+    families = random_word_families(ref, ref.integers(2, 9, size=1000), alphabet=3)
+    assert covers == [restart_scan_cover(fam) for fam in families]
+    assert max(cover.multiplicity for cover in covers) == 1
+    assert rng.random() == ref.random()  # the two streams end in step
+
+
+def test_dimension_suite_memory_stays_small():
+    # the batteries decide their pairs a block at a time: the peak holds
+    # no array or list over all of the battery's ~29,000 pairs
+    config = cfg(experiment="dimension")
+    run_dimension_suite(config)  # first-use allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        run_dimension_suite(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 def test_dimension_suite(tmp_path):
     out = tmp_path / "certs.json"

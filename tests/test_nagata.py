@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclab import spaces
+from covering_reference import restart_scan_cover
 from metriclab.nagata import (
     Ball,
     BallFamily,
     DimensionCertificate,
     contains,
     doubling_cover_greedy,
+    exchange_covers,
     greedy_covering_subfamily,
     interval_multiplicity_exact,
     is_disconnected,
@@ -468,3 +470,49 @@ def test_matrix_routines_match_double_loops(space, make_point):
                     DimensionCertificate(fam, witness, count)
             with pytest.raises(ValueError, match="certificate claims"):
                 DimensionCertificate(fam, witness, count + 1)
+
+
+# ---------------------------------------------------------------------------
+# the covering exchange against the restart scan on scalar contains
+
+
+COVER_SPACES = [EuclideanLine(), EuclideanD(2), SparseL2(), UltrametricWords(2)]
+
+
+@pytest.mark.parametrize("space", COVER_SPACES, ids=[type(s).__name__ for s in COVER_SPACES])
+def test_greedy_equals_the_restart_scan(space):
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        centres = [_lattice_point(space, rng) for _ in range(int(rng.integers(0, 9)))]
+        if centres and rng.random() < 0.2:
+            centres.append(centres[0])  # a duplicate centre
+        balls = []
+        for c in centres:
+            # mostly the exact distance to another centre, so that
+            # boundaries decide which centres a ball holds
+            d = distance(space, c, centres[int(rng.integers(len(centres)))])
+            r = d if 0 < d < math.inf and rng.random() < 0.6 else float(rng.choice([0.5, 1.0, 3.0]))
+            balls.append(Ball(c, r, closed=bool(rng.integers(2))))
+        fam = BallFamily(tuple(balls), space)
+        members, multiplicity = restart_scan_cover(fam)
+        sub = greedy_covering_subfamily(fam)
+        assert sub == BallFamily(tuple(balls[i] for i in members), space)
+        if sub.balls:
+            assert multiplicity_over_probes(sub, fam.centers()).count == multiplicity
+
+
+def test_exchange_covers_reads_each_family_of_the_flat_matrix():
+    # an empty family, one ball, then two nested intervals: the larger
+    # covers both centres; then two disjoint ones, both kept; then two
+    # members whose balls both hold the third centre
+    inside = [1] + [1, 1, 1, 1] + [1, 0, 0, 1] + [1, 0, 1, 0, 1, 1, 0, 0, 1]
+    covers = list(exchange_covers([0, 1, 2, 2, 3], np.array(inside)))
+    assert covers == [([], 0), ([0], 1), ([0], 1), ([0, 1], 1), ([0, 1], 2)]
+
+
+def test_greedy_raises_when_a_ball_misses_its_own_centre():
+    # an infinite coordinate puts a point at NaN distance from itself, so
+    # its ball never covers its centre and the exchange never ends
+    fam = BallFamily((Ball(ORIGIN.shift(5, math.inf), 1.0),), SparseL2())
+    with pytest.raises(RuntimeError, match="did not converge"):
+        greedy_covering_subfamily(fam)

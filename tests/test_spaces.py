@@ -368,6 +368,70 @@ def test_sparse_pair_list_merge_equals_scalar_distance(data):
 def test_contained_pairs_rejects_other_points():
     with pytest.raises(KindMismatchError):
         contained_pairs(SparseL2(), [ORIGIN], [1.0], [True], [Real(0.0)])
+    with pytest.raises(KindMismatchError):
+        contained_pairs(UltrametricWords(2), [Word((1,))], [1.0], [True], [Real(0.0)])
+
+
+# letters: the blank 0, small ones that often match, and ints past int64
+word_letters = st.one_of(
+    st.integers(0, 2), st.sampled_from([-1, 2**63, 2**70, -(2**70)]), st.integers()
+)
+words = st.lists(word_letters, max_size=5).map(lambda letters: Word(tuple(letters)))
+# powers of two, a float step either side of them, values between them, and r >= 1
+word_radii = st.one_of(
+    st.integers(-6, 0).map(lambda e: 2.0**e),
+    st.tuples(st.integers(-6, 0), st.sampled_from([-math.inf, math.inf])).map(
+        lambda t: math.nextafter(2.0**t[0], t[1])
+    ),
+    st.integers(-7, -1).map(lambda e: 3 * 2.0**e),
+    st.sampled_from([1.5, 2.0, 1e300, math.inf]),
+)
+
+
+def _double_loop(space, centers, radii, closed, points):
+    return [
+        (b, p)
+        for b, (c, r, k) in enumerate(zip(centers, radii, closed))
+        for p, q in enumerate(points)
+        if (distance(space, c, q) <= r if k else distance(space, c, q) < r)
+    ]
+
+
+def _listed(blocks):
+    return sorted((b, p) for balls, found in blocks for b, p in zip(balls.tolist(), found.tolist()))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_word_kernel_equals_scalar_distance(data):
+    balls = data.draw(st.lists(st.tuples(words, word_radii, st.booleans()), max_size=6))
+    centers = [w for w, _, _ in balls]
+    radii, closed = [r for _, r, _ in balls], [k for _, _, k in balls]
+    # points: some of the centres, extended or cut, and fresh words
+    points = data.draw(st.lists(words, max_size=5))
+    for c in centers:
+        tail = tuple(data.draw(st.lists(word_letters, max_size=2)))
+        points.append(Word(c.letters[: data.draw(st.integers(0, 5))] + tail))
+    space = UltrametricWords(2)
+    with mock.patch.object(spaces, "PAIR_BLOCK", data.draw(st.sampled_from([1, 3, 8192]))):
+        got = _listed(contained_pairs(space, centers, radii, closed, points))
+    assert got == _double_loop(space, centers, radii, closed, points)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_word_kernel_boundaries(closed):
+    # empty words, a prefix, and a 0 letter, which compares as the blank
+    # that pads the shorter word: (1, 0) and (1,) share 2 letters, at
+    # distance 1/4, and () and (0,) share 1, at 1/2
+    centers = [Word(()), Word((1, 0)), Word((1,)), Word((1, 2, 1)), Word((2**70, 1))]
+    points = centers + [Word((0,)), Word((1, 2)), Word((2**70,)), Word((2**70 - 2**64, 1))]
+    space = UltrametricWords(2)
+    assert distance(space, Word((1, 0)), Word((1,))) == 0.25
+    assert distance(space, Word(()), Word((0,))) == 0.5
+    for radius in (0.125, 0.25, 0.3, 0.5, 1.0, 2.0):
+        radii, flags = [radius] * len(centers), [closed] * len(centers)
+        got = _listed(contained_pairs(space, centers, radii, flags, points))
+        assert got == _double_loop(space, centers, radii, flags, points)
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from metriclab.nagata import (
     family_pairs,
     greedy_covering_subfamily,
     is_disconnected,
+    multiplicity_over_probes,
     nagata_witness_sparse,
 )
 from metriclab.spaces import (
@@ -95,6 +96,20 @@ def test_nagata_witness_sparse_m256(benchmark):
     ids = DirectionIds()
     cert = benchmark(nagata_witness_sparse, 256, ORIGIN, 1.0, ids)
     assert cert.multiplicity == len(cert.family) == 256
+
+
+def _witness_sweep():
+    ids = DirectionIds()
+    return [
+        multiplicity_over_probes(nagata_witness_sparse(m, ORIGIN, 1.0, ids).family, [ORIGIN]).count
+        for m in range(1, 257)
+    ]
+
+
+def test_witness_sweep(benchmark):
+    # generic_oracle's sweep: the witness of each size m = 1..256, checked
+    # as it is built, and one probe, the witness point, in all m balls
+    assert benchmark(_witness_sweep) == list(range(1, 257))
 
 
 def test_doubling_cover_greedy(benchmark):

@@ -24,18 +24,21 @@ within each family in blocks of about ``PAIR_BLOCK``, whose 0/1 answers
 sweep each have one implementation, and ``greedy_covering_subfamily`` and
 ``interval_multiplicity_exact`` are their one-family case.
 
-A family gathers its centres, radii and closed flags once, when it is
-built, and every containment call reads them from there. A sparse witness
-of m balls takes its m fresh directions from one ``DirectionIds.block``,
-and each centre is one ``SparsePoint.shift`` past the last id of the
-common centre, which needs no search, so building it costs O(m) small
-records.
+A family keeps its centres, radii and closed flags as three columns, and
+every containment call reads them from there; its ``balls`` and
+``centers()`` are built from them on first read. A sparse witness of m
+balls takes its m fresh directions from one ``DirectionIds.block`` and is
+born as arrays: ``spaces.shifted_rows`` packs its m centres into one
+table from the common centre's items and the block, with
+``SparsePoint.shift``'s rules, and the certificate check and the probes
+read that table, so neither builds a centre object.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import add, sub
 from typing import Iterator, NamedTuple, Sequence
 
@@ -51,8 +54,10 @@ from .spaces import (
     Real,
     SparseL2,
     SparsePoint,
+    SparseRows,
     contained_pairs,
     distance,
+    shifted_rows,
 )
 
 
@@ -75,29 +80,63 @@ class Ball(_BallFields):
         return tuple.__new__(cls, (center, radius, closed))
 
 
-@dataclass(frozen=True)
 class BallFamily:
-    balls: tuple[Ball, ...]
-    space: MetricSpace
-    scale: float = math.inf  # all radii must stay below this
+    """Balls of ``space`` whose radii all lie below ``scale``, kept as three
+    columns: the centres, a tuple of points or, for a sparse witness, a
+    ``SparseRows`` table; the radii, as floats; and the closed flags.
+    ``balls`` and ``centers()`` keep their tuple types but are built from
+    the columns on first read. Two families are equal when they have the
+    same balls, space and scale."""
 
-    # the balls' centres, radii and closed flags, gathered once
-    _columns: tuple[tuple[Point, ...], tuple[float, ...], tuple[bool, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    def __init__(self, balls: Sequence[Ball], space: MetricSpace, scale: float = math.inf):
+        centers, radii, closed = tuple(zip(*balls)) or ((), (), ())  # a ball is its fields
+        self._set(centers, radii, closed, space, scale)
 
-    def __post_init__(self):
-        columns = tuple(zip(*self.balls)) or ((), (), ())  # a ball is the tuple of its fields
-        for r in columns[1]:
-            if not r < self.scale:
-                raise ValueError("all radii must be strictly below the family scale")
-        object.__setattr__(self, "_columns", columns)
+    @classmethod
+    def from_columns(
+        cls,
+        centers: SparseRows | Sequence[Point],
+        radii: Sequence[float],
+        closed: Sequence[bool],
+        space: MetricSpace,
+        scale: float = math.inf,
+    ) -> BallFamily:
+        family = cls.__new__(cls)
+        family._set(centers, radii, closed, space, scale)
+        return family
+
+    def _set(self, centers, radii, closed, space, scale):
+        self._columns = (centers, np.asarray(radii, float), np.asarray(closed, bool))
+        self.space, self.scale = space, scale
+        if not (self._columns[1] < scale).all():
+            raise ValueError("all radii must be strictly below the family scale")
+
+    @cached_property
+    def balls(self) -> tuple[Ball, ...]:
+        _, radii, closed = self._columns
+        return tuple(map(Ball, self.centers(), radii.tolist(), closed.tolist()))
+
+    @cached_property
+    def _points(self) -> tuple[Point, ...]:
+        centers = self._columns[0]
+        return centers.points() if isinstance(centers, SparseRows) else tuple(centers)
 
     def centers(self) -> tuple[Point, ...]:
-        return self._columns[0]
+        return self._points
 
     def __len__(self) -> int:
-        return len(self.balls)
+        return len(self._columns[1])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BallFamily):
+            return NotImplemented
+        return (self.space, self.scale) == (other.space, other.scale) and self.balls == other.balls
+
+    def __hash__(self) -> int:
+        return hash((self.balls, self.space, self.scale))
+
+    def __repr__(self) -> str:
+        return f"BallFamily({self.balls!r}, {self.space!r}, {self.scale!r})"
 
 
 def contains(ball: Ball, p: Point, space: MetricSpace) -> bool:
@@ -105,15 +144,16 @@ def contains(ball: Ball, p: Point, space: MetricSpace) -> bool:
     return d <= ball.radius if ball.closed else d < ball.radius
 
 
-def _members(family: BallFamily, points: Sequence[Point]):
+def _members(family: BallFamily, *parts: SparseRows | Sequence[Point]):
     """Blocks of (ball index, point index) arrays: every pair with
-    ``contains(family.balls[b], points[p], family.space)``."""
-    return contained_pairs(family.space, *family._columns, points)
+    ``contains(family.balls[b], points[p], family.space)``, for the points
+    of ``parts`` one after another."""
+    return contained_pairs(family.space, *family._columns, *parts)
 
 
 def is_disconnected(family: BallFamily) -> bool:
     """True iff no ball of the family contains another ball's center."""
-    return not any((b != p).any() for b, p in _members(family, family.centers()))
+    return not any((b != p).any() for b, p in _members(family, family._columns[0]))
 
 
 class Multiplicity(NamedTuple):
@@ -261,7 +301,7 @@ def greedy_covering_subfamily(family: BallFamily) -> BallFamily:
     """
     n = len(family)
     inside = np.zeros((n, n), bool)
-    for b, p in _members(family, family.centers()):
+    for b, p in _members(family, family._columns[0]):
         inside[b, p] = True
     members = next(exchange_covers([n], inside.ravel())).members
     return BallFamily(tuple(family.balls[i] for i in members), family.space, family.scale)
@@ -294,7 +334,8 @@ class DimensionCertificate:
         # point 0 is the witness, point j the center of ball j - 1; a pair
         # is listed once, so the pairs beyond those two kinds are foreign
         count, foreign = 0, False
-        for b, p in _members(self.family, (self.witness_point,) + self.family.centers()):
+        family = self.family
+        for b, p in _members(family, (self.witness_point,), family._columns[0]):
             witness = np.count_nonzero(p == 0)
             count += witness
             foreign = foreign or len(p) > witness + np.count_nonzero(p == b + 1)
@@ -321,6 +362,6 @@ def nagata_witness_sparse(
     if not scale > 0:
         raise ValueError("scale must be positive")
     r = 0.9 * scale
-    balls = tuple(Ball(center.shift(d, r), r, True) for d in ids.block(m))
-    family = BallFamily(balls, SparseL2(), scale)
+    centers = shifted_rows(center, ids.block(m), r)
+    family = BallFamily.from_columns(centers, np.full(m, r), np.ones(m, bool), SparseL2(), scale)
     return DimensionCertificate(family, center, m)

@@ -13,14 +13,20 @@ other type, a subclass too, raises it as unknown. The Heisenberg kernel
 computes ``h_norm(h_mul(h_inv(p), q))`` inline, with the same float
 operations in the same order, without building the two points between.
 
-``contained_pairs`` lists, for balls with centres A and a list of points
-B, every (ball, point) pair with the point in the ball, exactly as
-``distance`` and ``d <= r`` (closed) or ``d < r`` (open) decide it.
+``contained_pairs`` lists, for balls with centres A and the points B of
+one or more lists, every (ball, point) pair with the point in the ball,
+exactly as ``distance`` and ``d <= r`` (closed) or ``d < r`` (open)
+decide it.
 
 In the sparse l2 space it is a filtered exact predicate: a cheap bound
 settles most pairs, and the rest go to ``sparse_d2``'s merge, run over a
-list of pairs with the same float operations. A and B are packed once,
-without the directions that every point holds with one finite value:
+list of pairs with the same float operations. Each list is packed on its
+own as a ``SparseRows`` table of ids, values and row offsets: a table is
+used as it is, and a list of points goes through one conversion.
+``shifted_rows`` builds the table of a family of shifted centres from the
+common centre's items and a range of ids, with no point in between. The
+lists' ids are joined by one sort into ranks, so ids of any size fit, and
+the directions that every point holds with one finite value are left out:
 each adds an exact +0.0 to every merge. The candidates are
 
 * the pairs that still share a direction, found by a join on ranks, and
@@ -41,14 +47,15 @@ bound's own float evaluation, and the floor 2^-1000 every error of
 underflow; a bound that comes out NaN prunes nothing. So each pruned pair
 has fl(sqrt(X)) > r and lies in neither the closed nor the open ball.
 
-The cost is linear in the total support size to pack, plus one merge step
+The cost is linear in the total support size to join, plus one merge step
 per id of the two supports for each candidate pair, in blocks of
 ``PAIR_BLOCK`` pairs, with no len(A) x len(B) array. Each stage works on
-all rows or pairs at once: the pack, the rank, the join, the norm prefix
-and the dedup are a fixed few numpy calls each, a merge step is nine over
-its whole block, and a block's merge ends once every pair has reached its
-sentinels. So a call on a few balls costs a fixed few dozen numpy calls,
-and each added ball a few list and array entries.
+all rows or pairs at once: ``shifted_rows``, the pack, the rank, the join,
+the norm prefix and the dedup are a fixed few numpy calls each, a merge
+step is nine over its whole block, and a block's merge ends once every
+pair has reached its sentinels. So a call on a few balls costs a fixed
+few dozen numpy calls, and each added ball a few array entries, or a few
+list entries where a list of points is converted.
 
 Words are decided by one array kernel, ``words_contained``, over a list of
 pairs, in blocks of ``PAIR_BLOCK``. ``pack_words`` puts the words in the
@@ -162,9 +169,78 @@ class DirectionIds:
     def block(self, count: int) -> range:
         """The ids that ``count`` calls of ``fresh`` would return, as a
         range, without materializing them."""
+        if count < 0:
+            raise ValueError("an id block needs a non-negative count")
         start = next(self._counter)
         self._counter = itertools.count(start + count)
         return range(start, start + count)
+
+
+def _id_array(ids: Sequence[int]) -> np.ndarray:
+    """Direction ids as int64, or as Python ints where one does not fit."""
+    if isinstance(ids, range) and ids.step == 1 and -(2**63) <= ids.start and ids.stop <= 2**63:
+        return np.arange(ids.start, ids.stop, dtype=np.int64)
+    try:
+        return np.fromiter(ids, np.int64, len(ids))
+    except OverflowError:
+        return np.array(ids, object)
+
+
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """Sparse points as one table: row r holds the items
+    ``zip(ids[offsets[r]:offsets[r + 1]], values[offsets[r]:offsets[r + 1]])``
+    in id order, with no zero value, as a ``SparsePoint``'s items. ``ids``
+    is int64, or an object array of Python ints where an id does not fit."""
+
+    ids: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def points(self) -> tuple[SparsePoint, ...]:
+        items = list(zip(self.ids.tolist(), self.values.tolist()))
+        bounds = self.offsets.tolist()
+        return tuple(SparsePoint(tuple(items[a:b])) for a, b in zip(bounds, bounds[1:]))
+
+
+def shifted_rows(center: SparsePoint, directions: range, amount: float) -> SparseRows:
+    """The table whose row t is ``center.shift(directions[t], amount)``,
+    for a range of directions of step 1, built from the centre's items and
+    the range alone, with no point in between. Each row is the centre's
+    items with one more item in id order: a direction the centre does not
+    hold enters with value 0.0 + amount, and one it holds has ``amount``
+    added to its value; a value that becomes zero is dropped."""
+    ids, values = zip(*center.items) if center.items else ((), ())
+    k, m = len(ids), len(directions)
+    # the centre's ids inside the range, as offsets into it: a row's new
+    # item goes before every centre id above its direction
+    lo = bisect.bisect_left(ids, directions.start)
+    hi = bisect.bisect_left(ids, directions.stop)
+    inner = np.array([i - directions.start for i in ids[lo:hi]], np.intp)
+    new = np.arange(m)[:, None]
+    at = lo + inner.searchsorted(new)  # the new item's column in each row
+    held = np.zeros((m, 1), bool)
+    held[inner] = True
+    # the items to pick from: the centre's, a pad of value 0, then the new
+    # ones, where amount + v is v + amount, as addition commutes
+    pool_ids = np.concatenate((_id_array(ids + (0,)), _id_array(directions)))
+    pool_values = np.zeros(k + 1 + m)
+    pool_values[:k] = values
+    pool_values[k + 1 :] = amount
+    pool_values[k + 1 + inner] += values[lo:hi]
+    # column j of a row holds the new item at j == at, and the centre's item
+    # j before it; after it, item j - 1, or item j where the new item
+    # replaced a held one, whose last column then reads the pad
+    column = np.arange(k + 1)
+    source = np.where(column == at, k + 1 + new, column - ((column > at) & ~held))
+    row_values = pool_values[source]
+    keep = row_values != 0.0  # the pad, and a value that became zero
+    offsets = np.zeros(m + 1, np.intp)
+    offsets[1:] = keep.sum(axis=1).cumsum()
+    return SparseRows(pool_ids[source[keep]], row_values[keep], offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -376,39 +452,54 @@ class _Packed(NamedTuple):
     sentinel: int
 
 
-def _pack_sparse(space: SparseL2, points: Sequence[Point]) -> _Packed:
-    """Pack ``points`` with direction ids replaced by their ranks in the
-    sorted union of ids, so ids of any size fit and the sentinel rank sorts
-    after all of them. Directions that every point holds with one finite
-    value are left out: each adds an exact +0.0 to every merge."""
+def _sparse_table(space: SparseL2, points: Sequence[Point]) -> SparseRows:
+    """The points' items as one ``SparseRows`` table."""
     rows = [p.items for p in points if isinstance(p, SparsePoint)]
     if len(rows) < len(points):
         other = next(p for p in points if not isinstance(p, SparsePoint))
         raise _mismatch(space, other, other)
-    sizes = np.fromiter(map(len, rows), np.intp, len(rows))
+    offsets = np.zeros(len(rows) + 1, np.intp)
+    offsets[1:] = np.fromiter(map(len, rows), np.intp, len(rows)).cumsum()
     items = list(itertools.chain.from_iterable(rows))
     ids, values = zip(*items) if items else ((), ())
-    union = sorted(set(ids))
-    rank = dict(zip(union, range(len(union))))
-    ranks = np.fromiter(map(rank.__getitem__, ids), np.intp, len(ids))
-    values = np.array(values, float)
-    row = np.arange(len(points)).repeat(sizes)
-    if len(points) and sizes.all():
+    return SparseRows(_id_array(ids), np.array(values, float), offsets)
+
+
+def _pack_sparse(space: SparseL2, *parts: Union[SparseRows, Sequence[Point]]) -> _Packed:
+    """Pack the rows of ``parts``, one after another: a ``SparseRows``
+    table as it is, and a list of points through one conversion. The parts'
+    id spaces are joined by one sort, and each direction id is replaced by
+    its rank in the sorted union of ids, so ids of any size fit and the
+    sentinel rank sorts after all of them. Directions that every point
+    holds with one finite value are left out: each adds an exact +0.0 to
+    every merge."""
+    tables = [p if isinstance(p, SparseRows) else _sparse_table(space, p) for p in parts]
+    ids = np.concatenate([t.ids for t in tables])
+    union = np.sort(ids)
+    distinct = np.ones(len(union), bool)
+    np.not_equal(union[1:], union[:-1], out=distinct[1:])
+    union = union[distinct]
+    ranks = union.searchsorted(ids)
+    values = np.concatenate([t.values for t in tables])
+    sizes = np.concatenate([t.offsets[1:] - t.offsets[:-1] for t in tables])
+    n = len(sizes)
+    row = np.arange(n).repeat(sizes)
+    if n and sizes.all():
         # a direction that every point holds is in the first point's support
         first = np.full(len(union), np.nan)
         first[ranks[: sizes[0]]] = values[: sizes[0]]
         held = np.bincount(ranks, minlength=len(union))
         differs = np.bincount(ranks, weights=values != first[ranks], minlength=len(union))
-        constant = (held == len(points)) & (differs == 0) & np.isfinite(first)
+        constant = (held == n) & (differs == 0) & np.isfinite(first)
         keep = ~constant[ranks]
         ranks, values, row = ranks[keep], values[keep], row[keep]
-        sizes = np.bincount(row, minlength=len(points))
+        sizes = np.bincount(row, minlength=n)
     # row r's sentinel follows its items and the r sentinels before it
-    stop = sizes.cumsum() + np.arange(len(points))
+    stop = sizes.cumsum() + np.arange(n)
     slot = np.arange(len(ranks)) + row
-    flat_ranks = np.empty(len(ranks) + len(points), np.intp)
+    flat_ranks = np.empty(len(ranks) + n, np.intp)
     flat_ranks.fill(len(union))
-    flat_values = np.zeros(len(ranks) + len(points))
+    flat_values = np.zeros(len(ranks) + n)
     flat_ranks[slot] = ranks
     flat_values[slot] = values
     return _Packed(
@@ -567,14 +658,17 @@ def _word_contained(words, radii, closed, n_centers, n_points):
 
 def contained_pairs(
     space: MetricSpace,
-    centers: Sequence[Point],
+    centers: Union[SparseRows, Sequence[Point]],
     radii: Sequence[float],
     closed: Sequence[bool],
-    points: Sequence[Point],
+    *parts: Union[SparseRows, Sequence[Point]],
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Blocks of (ball index, point index) arrays listing every pair where
     ``distance(space, centers[b], points[p])`` is ``<= radii[b]`` for a
     closed ball and ``< radii[b]`` for an open one, pairs in no fixed order.
+    The points are those of ``parts`` one after another, numbered across
+    them; in the sparse l2 space the centres and each part may also be a
+    ``SparseRows`` table, which is read as it is.
 
     The sparse l2 space decides only the candidate pairs, in blocks of about
     ``PAIR_BLOCK``, and each by ``sparse_d2``'s exact merge (see the module
@@ -583,17 +677,16 @@ def contained_pairs(
     Heisenberg group loop over ``distance``: a numpy form of their
     formulas need not round as Python's ``d * d`` on floats does.
     """
+    radii, closed = np.asarray(radii, float), np.asarray(closed, bool)
     if isinstance(space, SparseL2):
-        packed = _pack_sparse(space, list(centers) + list(points))
-        return _sparse_contained(
-            packed, np.asarray(radii, float), np.asarray(closed, bool), len(centers), len(points)
-        )
+        packed = _pack_sparse(space, centers, *parts)
+        n_points = len(packed.start) - len(centers)
+        return _sparse_contained(packed, radii, closed, len(centers), n_points)
+    points = list(itertools.chain.from_iterable(parts))
     if isinstance(space, UltrametricWords):
-        words = _pack_word_points(space, list(centers) + list(points))
-        return _word_contained(
-            words, np.asarray(radii, float), np.asarray(closed, bool), len(centers), len(points)
-        )
-    return _scalar_contained(space, centers, radii, closed, points)
+        words = _pack_word_points(space, list(centers) + points)
+        return _word_contained(words, radii, closed, len(centers), len(points))
+    return _scalar_contained(space, centers, radii.tolist(), closed.tolist(), points)
 
 
 def _scalar_contained(space, centers, radii, closed, points):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from metriclab import spaces
 from covering_reference import restart_scan_cover
+from test_spaces import sparse_ids
 from metriclab.nagata import (
     Ball,
     BallFamily,
@@ -38,6 +40,7 @@ from metriclab.spaces import (
     UltrametricWords,
     Vec,
     Word,
+    contained_pairs,
     distance,
 )
 
@@ -324,6 +327,70 @@ def test_witness_containment_equals_the_double_loop(centred):
         ]
         assert got == want
         assert len(want) >= 2 * m
+
+
+# witness centres: the origin, a two-id centre drawn before the block, and
+# ids from sparse_ids, whose 1..6 fall inside the block, so the rows add to
+# a held value or drop it at -0.9, and whose ids from 2^63 - 2 lie past it,
+# so the new item is inserted before them
+witness_centres = st.one_of(
+    st.just({}),
+    st.just("two-ids"),
+    st.dictionaries(sparse_ids, st.sampled_from([-0.9, 0.5, -2.0, 3.0]), max_size=4),
+)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_born_packed_witness_equals_the_object_path(data):
+    ids, twin = DirectionIds(), DirectionIds()  # the twin hands out the same ids
+    drawn = data.draw(witness_centres)
+    if drawn == "two-ids":
+        centre = SparsePoint(((ids.fresh(), 0.3), (ids.fresh(), -1.7)))
+        twin.fresh(), twin.fresh()
+    else:
+        centre = SparsePoint.from_dict(drawn)
+    m = data.draw(st.integers(1, 9))
+    family = nagata_witness_sparse(m, centre, 1.0, ids).family
+    shifted = [centre.shift(d, 0.9 * 1.0) for d in twin.block(m)]
+    old = tuple(Ball(c, 0.9, True) for c in shifted)
+    assert list(family.centers()) == shifted
+    assert family.balls == old and family == BallFamily(old, SparseL2(), 1.0)
+    assert {type(v) for b in family.balls for v in b[1:]} == {float, bool}
+    # the table as centres and as points, against the materialized tuple
+    points = (centre, shifted[0].shift(twin.fresh(), 0.5))
+    with mock.patch.object(spaces, "PAIR_BLOCK", data.draw(st.integers(1, 4))):
+        on_table = contained_pairs(SparseL2(), *family._columns, points, family._columns[0])
+        on_tuple = contained_pairs(SparseL2(), shifted, [0.9] * m, [True] * m, points + tuple(shifted))
+        assert _pairs(on_table) == _pairs(on_tuple)
+
+
+def _pairs(blocks):
+    return sorted((b, p) for balls, found in blocks for b, p in zip(balls.tolist(), found.tolist()))
+
+
+def test_witness_sweep_builds_no_centre_object():
+    # the certificate check and the probe read the packed rows; only
+    # reading family.balls builds the centres and their balls
+    made = collections.Counter()
+    post_init, new = SparsePoint.__post_init__, Ball.__new__
+
+    def counted_post_init(self):
+        made["SparsePoint"] += 1
+        post_init(self)
+
+    def counted_new(cls, *args, **kwargs):
+        made["Ball"] += 1
+        return new(cls, *args, **kwargs)
+
+    with mock.patch.object(SparsePoint, "__post_init__", counted_post_init), mock.patch.object(
+        Ball, "__new__", counted_new
+    ):
+        cert = nagata_witness_sparse(256, ORIGIN, 1.0, DirectionIds())
+        assert multiplicity_over_probes(cert.family, [cert.witness_point]).count == 256
+        assert not made
+        assert len(cert.family.balls) == 256
+    assert made == {"SparsePoint": 256, "Ball": 256}
 
 
 def test_certificate_validation():

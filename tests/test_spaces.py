@@ -187,6 +187,15 @@ def test_id_blocks_continue_the_fresh_sequence():
     assert got == [old.fresh() for _ in got] == list(range(1, 9))
 
 
+def test_id_block_rejects_a_negative_count():
+    # a negative count would rewind the counter and hand out 1 a second time
+    ids = spaces.DirectionIds()
+    assert [ids.fresh(), ids.fresh()] == [1, 2]
+    with pytest.raises(ValueError, match="non-negative"):
+        ids.block(-2)
+    assert ids.fresh() == 3
+
+
 def test_kind_mismatch():
     with pytest.raises(KindMismatchError):
         distance(EuclideanD(3), Vec((1.0, 2.0)), Vec((1.0, 2.0, 3.0)))
@@ -353,7 +362,11 @@ def test_sparse_pair_list_merge_equals_scalar_distance(data):
     ] + [ORIGIN]
     if data.draw(st.booleans()):
         A, B = ([SparsePoint.from_dict({**dict(p.items), **CONSTANT_BLOCK}) for p in X] for X in (A, B))
-    packed = spaces._pack_sparse(SparseL2(), A + B)
+    # A as a list or as its table: the two parts' id spaces are joined
+    if data.draw(st.booleans()):
+        packed = spaces._pack_sparse(SparseL2(), spaces._sparse_table(SparseL2(), A), B)
+    else:
+        packed = spaces._pack_sparse(SparseL2(), A + B)
     # any pairs, repeats included, in blocks that end inside the list
     pair = st.tuples(st.integers(0, max(len(A) - 1, 0)), st.integers(0, len(B) - 1))
     pairs = data.draw(st.lists(pair, max_size=20)) if A else []

@@ -113,10 +113,27 @@ def _criterion07_sample():
 def test_labelled_sample_from_trace_n2000(benchmark):
     prob, trace, _ = _criterion07_sample()
     sample = benchmark(adv.labelled_sample_from_trace, prob, trace)
+    assert "points" not in vars(sample)  # born packed: the n-row tuple waits for a read
+    _assert_packed_by_id_dict(sample)
     assert sample.labels == tuple((trace.depths() >= 0).astype(int).tolist())
     assert sample.tie_keys == tuple(trace.tie_keys.tolist())
     row = int(trace.depths().argmin())  # a diffuse row: its node centre
     assert sample.points[row] is prob.geometry(tuple(trace.letters[row].tolist())).center
+
+
+def _assert_packed_by_id_dict(sample):
+    """``sample.packed`` against one dict from ``id()`` to slot, objects in
+    order of first use (as in tests/test_knn.py)."""
+    slots: dict[int, int] = {}
+    inverse = [slots.setdefault(id(p), len(slots)) for p in sample.points]
+    objects = tuple({id(p): p for p in sample.points}.values())
+    packed = sample.packed
+    assert len(packed.objects) == len(objects)
+    assert all(got is want for got, want in zip(packed.objects, objects))
+    assert packed.inverse.tolist() == inverse
+    assert packed.counts.tolist() == np.bincount(inverse, minlength=len(objects)).tolist()
+    assert packed.labels.tolist() == list(sample.labels)
+    assert packed.tie_keys.tolist() == list(sample.tie_keys)
 
 
 def _dispatch_case(kind):

@@ -597,7 +597,8 @@ def labelled_sample_from_trace(
     walk would. The sort keys are one row per level, with the letters a
     row does not read set to 0, and the row's layout group last; one
     stable lexsort brings equal rows together behind their first use, and
-    the points are expanded from the distinct ones by index. A
+    the sample is born packed from the distinct points and each row's index
+    among them (``LabelledSample.from_packed``), with no n-row tuple. A
     criterion-07 sample of 2000 rows holds a few dozen distinct points."""
     D, n = problem.truncation_depth, len(trace)
     keys = np.empty((D + 1, n), dtype=trace.letters.dtype)
@@ -620,10 +621,8 @@ def labelled_sample_from_trace(
     for *word, group in keys[:, uses].T.tolist():
         depth = depth_of[group]
         distinct.append(geometry(word[:depth]).atom if depth >= 0 else geometry(word).center)
-    points = tuple(map(distinct.__getitem__, index.tolist()))
-    diffuse = int(trace.group_sizes[0])  # the diffuse rows come first
-    labels = (0,) * diffuse + (1,) * (len(trace) - diffuse)
-    return LabelledSample(points, labels, tuple(trace.tie_keys.tolist()))
+    labels = np.arange(n) >= trace.group_sizes[0]  # the diffuse rows come first
+    return LabelledSample.from_packed(distinct, index, labels, trace.tie_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .spaces import (
     ORIGIN,
     Real,
     SparsePoint,
+    SparseRows,
     UltrametricWords,
     Vec,
     Word,
@@ -272,11 +273,22 @@ def _point_to_json(p) -> object:
     raise TypeError(f"unsupported point {p!r}")
 
 
+def _centers_to_json(centers) -> list:
+    """A family's centre column as JSON: a sparse table row by row from its
+    ids, values and offsets, with no ``SparsePoint`` built."""
+    if not isinstance(centers, SparseRows):
+        return list(map(_point_to_json, centers))
+    keys, values = list(map(str, centers.ids.tolist())), centers.values.tolist()
+    bounds = centers.offsets.tolist()
+    return [dict(zip(keys[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
 def certificate_to_json(cert: DimensionCertificate) -> dict:
+    centers, radii, _ = cert.family.columns
     return {
         "kind": "NagataWitness",
-        "centers": [_point_to_json(b.center) for b in cert.family.balls],
-        "radii": [b.radius for b in cert.family.balls],
+        "centers": _centers_to_json(centers),
+        "radii": radii.tolist(),
         "witness": _point_to_json(cert.witness_point),
         "multiplicity": cert.multiplicity,
     }

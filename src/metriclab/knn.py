@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,53 +26,61 @@ class PackedSample(NamedTuple):
     tie_keys: np.ndarray
 
 
-@dataclass(frozen=True)
 class LabelledSample:
-    """A labelled sample for the brute-force rule. Points are frozen, and a
-    sample drawn from a tree holds few distinct point objects (a few dozen
-    in a criterion-07 sample of 2000 rows), so the rule pays per distinct
-    object: ``packed`` finds the objects once, by ``id`` in numpy, and each
-    query evaluates one distance per object and decides its k-th radius
-    and its inside/boundary split over the objects, before it expands to
-    the sample indices."""
+    """A labelled sample for the brute-force rule, stored as its
+    ``PackedSample``: points are frozen, and a sample drawn from a tree holds
+    few distinct objects (a few dozen in a criterion-07 sample of 2000 rows),
+    so a query pays one distance per object. The constructor finds the
+    objects by ``id`` in numpy, in order of first use, and ``from_packed``
+    takes them as given; both validate the same arrays. The tuples
+    ``points``, ``labels`` and ``tie_keys`` are built on first read."""
 
-    points: tuple[Point, ...]
-    labels: tuple[int, ...]
-    tie_keys: tuple[float, ...]
+    def __init__(self, points: Sequence[Point], labels: Sequence[int], tie_keys: Sequence[float]):
+        points = tuple(points)
+        ids = np.fromiter(map(id, points), np.uint64, len(points))
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[first.argsort()] = np.arange(len(first))
+        objects = tuple(map(points.__getitem__, np.sort(first).tolist()))
+        self._pack(objects, rank[inverse], labels, tie_keys)
 
-    def __post_init__(self):
-        n = len(self.points)
-        if n < 1:
+    @classmethod
+    def from_packed(cls, objects: Sequence[Point], inverse, labels, tie_keys) -> LabelledSample:
+        """Point i is ``objects[inverse[i]]``, the objects distinct and in order of first use."""
+        sample = cls.__new__(cls)
+        sample._pack(tuple(objects), np.asarray(inverse), labels, tie_keys)
+        return sample
+
+    def _pack(self, objects, inverse, labels, tie_keys):
+        labels, tie_keys = np.asarray(labels), np.asarray(tie_keys, float)
+        keys = np.sort(tie_keys)  # equal keys are adjacent, 0.0 and -0.0 too; NaN equals none
+        if len(inverse) < 1:
             raise ValueError("sample must contain at least one point")
-        if len(self.labels) != n or len(self.tie_keys) != n:
+        if not len(inverse) == len(labels) == len(tie_keys):
             raise ValueError("points, labels and tie keys must have equal length")
-        if not set(self.labels) <= {0, 1}:
+        if not ((labels == 0) | (labels == 1)).all():  # compared: a cast takes 0.5 and "1"
             raise ValueError("labels must be 0 or 1")
-        if len(set(self.tie_keys)) != n:
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("tie keys must be pairwise distinct")
+        counts = np.bincount(inverse, minlength=len(objects))
+        self.packed = PackedSample(objects, inverse, counts, labels.astype(np.int64), tie_keys)
+
+    points = cached_property(
+        lambda self: tuple(map(self.packed.objects.__getitem__, self.packed.inverse.tolist()))
+    )
+    labels = cached_property(lambda self: tuple(self.packed.labels.tolist()))
+    tie_keys = cached_property(lambda self: tuple(self.packed.tie_keys.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.packed.inverse)
 
-    @cached_property
-    def packed(self) -> PackedSample:
-        """The sample as arrays over its distinct point objects: points are
-        frozen, so an object has one distance from a query. The objects are
-        told apart by ``id`` in numpy (one ``np.unique`` over the ids) and
-        listed in order of first use."""
-        ids = np.fromiter(map(id, self.points), np.uint64, len(self.points))
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-        order = first.argsort()
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        inverse = rank[inverse]
-        return PackedSample(
-            tuple(map(self.points.__getitem__, first[order].tolist())),
-            inverse,
-            np.bincount(inverse, minlength=len(order)),
-            np.fromiter(self.labels, np.int64, len(self.labels)),
-            np.fromiter(self.tie_keys, float, len(self.tie_keys)),
-        )
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabelledSample):
+            return NotImplemented
+        return (self.points, self.labels, self.tie_keys) == (other.points, other.labels, other.tie_keys)
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.labels, self.tie_keys))
 
 
 def _radius(

@@ -82,7 +82,7 @@ class Ball(_BallFields):
 
 class BallFamily:
     """Balls of ``space`` whose radii all lie below ``scale``, kept as three
-    columns: the centres, a tuple of points or, for a sparse witness, a
+    ``columns``: the centres, a tuple of points or, for a sparse witness, a
     ``SparseRows`` table; the radii, as floats; and the closed flags.
     ``balls`` and ``centers()`` keep their tuple types but are built from
     the columns on first read. Two families are equal when they have the
@@ -106,26 +106,26 @@ class BallFamily:
         return family
 
     def _set(self, centers, radii, closed, space, scale):
-        self._columns = (centers, np.asarray(radii, float), np.asarray(closed, bool))
+        self.columns = (centers, np.asarray(radii, float), np.asarray(closed, bool))
         self.space, self.scale = space, scale
-        if not (self._columns[1] < scale).all():
+        if not (self.columns[1] < scale).all():
             raise ValueError("all radii must be strictly below the family scale")
 
     @cached_property
     def balls(self) -> tuple[Ball, ...]:
-        _, radii, closed = self._columns
+        _, radii, closed = self.columns
         return tuple(map(Ball, self.centers(), radii.tolist(), closed.tolist()))
 
     @cached_property
     def _points(self) -> tuple[Point, ...]:
-        centers = self._columns[0]
+        centers = self.columns[0]
         return centers.points() if isinstance(centers, SparseRows) else tuple(centers)
 
     def centers(self) -> tuple[Point, ...]:
         return self._points
 
     def __len__(self) -> int:
-        return len(self._columns[1])
+        return len(self.columns[1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BallFamily):
@@ -148,12 +148,12 @@ def _members(family: BallFamily, *parts: SparseRows | Sequence[Point]):
     """Blocks of (ball index, point index) arrays: every pair with
     ``contains(family.balls[b], points[p], family.space)``, for the points
     of ``parts`` one after another."""
-    return contained_pairs(family.space, *family._columns, *parts)
+    return contained_pairs(family.space, *family.columns, *parts)
 
 
 def is_disconnected(family: BallFamily) -> bool:
     """True iff no ball of the family contains another ball's center."""
-    return not any((b != p).any() for b, p in _members(family, family._columns[0]))
+    return not any((b != p).any() for b, p in _members(family, family.columns[0]))
 
 
 class Multiplicity(NamedTuple):
@@ -210,7 +210,7 @@ def interval_multiplicity_exact(family: BallFamily) -> int:
     one-family case of ``interval_multiplicities``."""
     if not isinstance(family.space, EuclideanLine):
         raise KindMismatchError("exact interval sweep requires the Euclidean line")
-    centers, radii, closed = family._columns
+    centers, radii, closed = family.columns
     if not all(isinstance(c, Real) for c in centers):
         raise KindMismatchError("interval sweep requires Real centers")
     values = [c.value for c in centers]
@@ -301,7 +301,7 @@ def greedy_covering_subfamily(family: BallFamily) -> BallFamily:
     """
     n = len(family)
     inside = np.zeros((n, n), bool)
-    for b, p in _members(family, family._columns[0]):
+    for b, p in _members(family, family.columns[0]):
         inside[b, p] = True
     members = next(exchange_covers([n], inside.ravel())).members
     return BallFamily(tuple(family.balls[i] for i in members), family.space, family.scale)
@@ -335,7 +335,7 @@ class DimensionCertificate:
         # is listed once, so the pairs beyond those two kinds are foreign
         count, foreign = 0, False
         family = self.family
-        for b, p in _members(family, (self.witness_point,), family._columns[0]):
+        for b, p in _members(family, (self.witness_point,), family.columns[0]):
             witness = np.count_nonzero(p == 0)
             count += witness
             foreign = foreign or len(p) > witness + np.count_nonzero(p == b + 1)

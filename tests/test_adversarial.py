@@ -25,6 +25,7 @@ from metriclab.adversarial import (
     validate_schedule,
     verify_node,
 )
+from metriclab.knn import LabelledSample, TieStrategy, knn_predict
 from metriclab.spaces import DirectionIds, SparseL2, distance
 from trace_rows import grouped_trace
 
@@ -518,6 +519,36 @@ def _sample_against_the_rows(problem, fresh, trace):
 def test_distinct_row_sample_equals_the_row_by_row_sample(m, depth, stage, n, k):
     problem, fresh = (small_problem(m=m, n=(60,), truncation=depth) for _ in range(2))
     _sample_against_the_rows(problem, fresh, adv.draw_trace(problem, n, np.random.default_rng(n)))
+
+
+@pytest.mark.parametrize("m, depth, stage, n, k", CRITERION_07)
+def test_trace_sample_is_born_as_its_tuple_packing(m, depth, stage, n, k):
+    # the sample born packed equals the one packed by id from its tuples:
+    # same value, same hash, the very objects and equal arrays
+    problem = small_problem(m=m, n=(60,), truncation=depth)
+    trace = adv.draw_trace(problem, n, np.random.default_rng(n))
+    born = adv.labelled_sample_from_trace(problem, trace)
+    packed = born.packed
+    by_id = LabelledSample(born.points, born.labels, born.tie_keys)
+    assert born == by_id and hash(born) == hash(by_id)
+    assert len(packed.objects) == len(by_id.packed.objects)
+    assert all(a is b for a, b in zip(packed.objects, by_id.packed.objects))
+    for got, want in zip(packed[1:], by_id.packed[1:]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_criterion_07_oracle_never_builds_the_points_tuple():
+    problem = small_problem(m=(1, 6, 2), n=(60,), truncation=2)
+    rng = np.random.default_rng(11)
+    trace = adv.draw_trace(problem, 2000, rng)
+    words = adv.draw_test_words(problem, 10, rng)
+    sim = adv.structured_stage_sim(problem, 0, 2000, 11, 10, 11, sample_mode="trace")
+    with mock.patch.object(LabelledSample, "points", new_callable=mock.PropertyMock) as points:
+        sample = adv.labelled_sample_from_trace(problem, trace)
+        tests = [problem.geometry(tuple(row)).center for row in words.tolist()]
+        brute = [knn_predict(sample, x, 11, TieStrategy.UNIFORM_RANDOM, SPACE) for x in tests]
+    assert not points.called and "points" not in vars(sample)
+    assert brute == sim.predictions.tolist()
 
 
 def test_distinct_row_sample_of_a_hand_built_row_major_trace():

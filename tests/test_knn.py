@@ -47,6 +47,64 @@ def test_sample_validation():
         line_sample([0, 1], [0, 2])
 
 
+def _packed_by_hand(points, labels, keys):
+    """The sample of ``points`` through ``from_packed``: objects by ``id``
+    in order of first use, and each point's slot among them."""
+    slots: dict[int, int] = {}
+    inverse = np.array([slots.setdefault(id(p), len(slots)) for p in points], np.intp)
+    objects = tuple({id(p): p for p in points}.values())
+    return LabelledSample.from_packed(objects, inverse, labels, keys)
+
+
+# (point count, labels, tie keys) that both constructors reject
+REJECTED = {
+    "empty": (0, (), ()),
+    "short labels": (2, (0,), (0.1, 0.2)),
+    "long tie keys": (2, (0, 1), (0.1, 0.2, 0.3)),
+    "empty labels": (1, (), (0.1,)),
+    "label 2": (2, (0, 2), (0.1, 0.2)),
+    "label -1": (2, (-1, 1), (0.1, 0.2)),
+    "label 0.5": (2, (1, 0.5), (0.1, 0.2)),
+    'label "1"': (2, (0, "1"), (0.1, 0.2)),
+    'only label "1"': (1, ("1",), (0.1,)),
+    "repeated tie key": (3, (0, 1, 0), (0.1, 0.2, 0.1)),
+    "0.0 and -0.0": (2, (0, 1), (0.0, -0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_both_constructors_reject_alike(name):
+    count, labels, keys = REJECTED[name]
+    points = (Real(0.0), Real(1.0), Real(0.0))[:count]
+    with pytest.raises(ValueError) as by_tuples:
+        LabelledSample(points, labels, keys)
+    with pytest.raises(ValueError) as by_arrays:
+        _packed_by_hand(points, labels, keys)
+    assert str(by_arrays.value) == str(by_tuples.value)
+
+
+@pytest.mark.parametrize(
+    "labels, keys",
+    [
+        ((True, False), (0.1, 0.2)),
+        ((1.0, 0.0), (0.1, 0.2)),
+        ((np.int8(1), 0), (0.1, 0.2)),
+        ((0, 1), (float("nan"), 0.2)),
+        ((0, 1), (float("nan"), float("nan"))),  # NaN equals no key, itself included
+    ],
+)
+def test_both_constructors_accept_alike(labels, keys):
+    # accepted as the tuple check set(labels) <= {0, 1} and pairwise
+    # distinct keys accepts them; labels read back as Python ints
+    points = (Real(0.0), Real(1.0))
+    samples = LabelledSample(points, labels, keys), _packed_by_hand(points, labels, keys)
+    for sample in samples:
+        assert sample.labels == tuple(map(int, labels)) and type(sample.labels[0]) is int
+        assert sample.packed.labels.dtype == np.int64
+        assert [k.hex() for k in sample.tie_keys] == [float(k).hex() for k in keys]
+    assert samples[0].packed.tie_keys.tobytes() == samples[1].packed.tie_keys.tobytes()
+
+
 def test_radius_examples():
     s = line_sample([0, 1, 2, 3], [0, 0, 0, 0])
     assert knn._radius(s, Real(0.0), 2, LINE)[1] == 1.0

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclab import spaces
+from metriclab.experiments import certificate_to_json
 from covering_reference import restart_scan_cover
 from test_spaces import sparse_ids
 from metriclab.nagata import (
@@ -360,7 +361,7 @@ def test_born_packed_witness_equals_the_object_path(data):
     # the table as centres and as points, against the materialized tuple
     points = (centre, shifted[0].shift(twin.fresh(), 0.5))
     with mock.patch.object(spaces, "PAIR_BLOCK", data.draw(st.integers(1, 4))):
-        on_table = contained_pairs(SparseL2(), *family._columns, points, family._columns[0])
+        on_table = contained_pairs(SparseL2(), *family.columns, points, family.columns[0])
         on_tuple = contained_pairs(SparseL2(), shifted, [0.9] * m, [True] * m, points + tuple(shifted))
         assert _pairs(on_table) == _pairs(on_tuple)
 
@@ -370,8 +371,9 @@ def _pairs(blocks):
 
 
 def test_witness_sweep_builds_no_centre_object():
-    # the certificate check and the probe read the packed rows; only
-    # reading family.balls builds the centres and their balls
+    # the certificate check, the probe and the certificate's JSON read the
+    # packed rows; only reading family.balls builds the centres and their
+    # balls
     made = collections.Counter()
     post_init, new = SparsePoint.__post_init__, Ball.__new__
 
@@ -388,9 +390,13 @@ def test_witness_sweep_builds_no_centre_object():
     ):
         cert = nagata_witness_sparse(256, ORIGIN, 1.0, DirectionIds())
         assert multiplicity_over_probes(cert.family, [cert.witness_point]).count == 256
+        printed = certificate_to_json(cert)
         assert not made
         assert len(cert.family.balls) == 256
     assert made == {"SparsePoint": 256, "Ball": 256}
+    # the columns print as the balls did
+    assert printed["centers"] == [{str(i): v for i, v in b.center.items} for b in cert.family.balls]
+    assert printed["radii"] == [b.radius for b in cert.family.balls]
 
 
 def test_certificate_validation():

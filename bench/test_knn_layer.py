@@ -49,7 +49,9 @@ def _dense_vote(train, labels, queries, k):
 def _draws(layout, d, n, T, seed):
     """Training rows and queries from one law: uniform on the unit cube,
     three clusters of width 1e-3, or, in the plane, coordinate 1 equal to
-    coordinate 0 plus noise of 1e-4."""
+    coordinate 0 plus noise of 1e-4. ``duplicates`` draws the queries from
+    16 uniform points, and ``presorted`` sorts uniform queries by
+    coordinate 0."""
     rng = np.random.default_rng(seed)
     centres = rng.random((3, d)) if layout == "clustered" else None
 
@@ -62,12 +64,18 @@ def _draws(layout, d, n, T, seed):
     if layout == "diagonal":
         train[:, 1] = train[:, 0] + 1e-4 * rng.standard_normal(n)
         queries[:, 1] = queries[:, 0] + 1e-4 * rng.standard_normal(T)
+    if layout == "duplicates":
+        queries = draw(16)[rng.integers(0, 16, T)]
+    if layout == "presorted":
+        queries = queries[np.argsort(queries[:, 0])]
     return train, labels, queries
 
 
 # the shapes of run_baseline's three stages and run_coverhart's two cases,
 # a d >= 3 shape, where the search window keeps its 2·isqrt(n) rows, the
-# plane at k = 100, clustered and diagonal rows, and a tiny sample
+# plane at k = 100, clustered and diagonal rows, a tiny sample, queries on
+# 16 points, which share their cells and candidate totals, and line queries
+# given in sorted order, where sorting them gains nothing
 @pytest.mark.parametrize(
     "layout, d, n, k",
     [
@@ -81,6 +89,8 @@ def _draws(layout, d, n, T, seed):
         ("clustered", 2, 20_000, 1),
         ("diagonal", 2, 20_000, 1),
         ("uniform", 2, 50, 7),
+        ("duplicates", 2, 20_000, 1),
+        ("presorted", 1, 10_000, 100),
     ],
     ids=[
         "baseline_stage0",
@@ -93,6 +103,8 @@ def _draws(layout, d, n, T, seed):
         "clustered",
         "diagonal",
         "n50",
+        "duplicates",
+        "presorted",
     ],
 )
 def test_euclidean_vote(benchmark, layout, d, n, k):

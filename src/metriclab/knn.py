@@ -179,8 +179,9 @@ def _cell_table(
     train: np.ndarray, labels: np.ndarray, s: int
 ) -> tuple[_Cells, np.ndarray, np.ndarray]:
     """The cell table of the training rows, and the rows' coordinates, one
-    array per coordinate, and labels in cell order; the offsets are counted
-    with ``bincount`` and ``cumsum``."""
+    array per coordinate, and labels in cell order, each followed by a
+    padding row n at +inf with label 0; the offsets are counted with
+    ``bincount`` and ``cumsum``."""
     n = len(train)
     # equal coordinates may come in any order, and the default sort is the faster
     order = np.argsort(train[:, 0])
@@ -192,10 +193,14 @@ def _cell_table(
     inv[~np.isfinite(inv)] = 0
     cells = _Cells(s, key0[edges], key0[np.minimum(edges + s, n) - 1], low, inv, None)
     cell = cells.cell(np.arange(n) // s, row1)
-    offsets = np.zeros(len(edges) * s + 1, dtype=np.int32 if n < 2**31 else np.int64)
+    # int32 while 2n fits: a padding entry of _run_vote reaches n plus a row's width
+    offsets = np.zeros(len(edges) * s + 1, dtype=np.int32 if n < 2**30 else np.int64)
     np.cumsum(np.bincount(cell, minlength=len(edges) * s), out=offsets[1:])
     order = order[np.argsort(cell)]
-    return cells._replace(offsets=offsets), np.ascontiguousarray(train[order].T), labels[order]
+    columns = np.full((train.shape[1], n + 1), np.inf)
+    for j, column in enumerate(columns):
+        np.take(train[:, j], order, out=column[:n])
+    return cells._replace(offsets=offsets), columns, np.append(labels[order], 0)
 
 
 def _widened(q: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,55 +211,47 @@ def _widened(q: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _blocks(totals: np.ndarray):
-    """Consecutive slices (a, b) of queries with ``totals`` candidate rows
-    each, as long as (b - a) times the largest total in the slice stays
-    within EUCLIDEAN_BLOCK; a query alone may exceed it."""
+    """Consecutive slices (a, b) of queries with nondecreasing ``totals``
+    of candidate rows, as long as (b - a)·totals[b - 1] stays within
+    EUCLIDEAN_BLOCK; a query alone may exceed it."""
     a = 0
     while a < len(totals):
         ahead = totals[a : a + max(1, EUCLIDEAN_BLOCK // max(int(totals[a]), 1))]
-        padded = np.maximum.accumulate(ahead) * np.arange(1, len(ahead) + 1)
+        padded = ahead * np.arange(1, len(ahead) + 1)
         b = a + max(1, int(np.searchsorted(padded, EUCLIDEAN_BLOCK, "right")))
         yield a, b
         a = b
 
 
 def _run_vote(
-    q: np.ndarray,
-    columns: np.ndarray,
-    labels: np.ndarray,
-    start: np.ndarray,
-    stop: np.ndarray,
-    k: int,
+    q: np.ndarray, columns: np.ndarray, labels: np.ndarray, runs: np.ndarray, k: int
 ) -> np.ndarray:
     """The k-NN vote of each query row q[i] over the sorted rows in the
-    ranges [start[i, j], stop[i, j])."""
-    idx, padding = _concatenated_ranges(start, stop)
+    ranges [start[i, j], stop[i, j]), where (start, stop) = runs. Row i of
+    ``idx`` lists its ranges one after another, padded with the +inf row n
+    to the longest row: over the flattened block, position p of a range, or
+    of a row's padding, holds p plus that stretch's shift, laid out by one
+    ``repeat``; a padding's shift takes it to n or beyond, and ``minimum``
+    holds it at n."""
+    lengths = runs[1] - runs[0]
+    totals = lengths.sum(axis=1, dtype=lengths.dtype)
+    width, pad = totals.max(), len(labels) - 1
+    stretches = np.column_stack([lengths, width - totals]).ravel()  # ranges, padding, by row
+    shifts = np.column_stack([runs[0], np.full_like(totals, pad)]).ravel()
+    shifts += stretches - np.cumsum(stretches, dtype=stretches.dtype)
+    idx = np.repeat(shifts, stretches)
+    idx += np.arange(len(idx), dtype=idx.dtype)
+    idx = np.minimum(idx, pad, out=idx).reshape(len(q), width)
     d2 = _gathered_d2(q, columns, idx)
-    d2[padding] = np.inf
     near = np.take_along_axis(idx, np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
     return 2 * labels[near].sum(axis=1) >= k
-
-
-def _concatenated_ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row i of the result lists the ranges [start[i, j], stop[i, j]) one
-    after another, padded with 0 to the longest row; the mask marks the
-    padding."""
-    lengths = stop - start
-    totals = lengths.sum(axis=1)
-    width, flat = int(totals.max()), lengths.ravel()
-    # padded flat position of each range's first entry
-    first = np.arange(len(start))[:, None] * width + np.cumsum(lengths, axis=1) - lengths
-    dest = np.repeat(first.ravel() - (np.cumsum(flat) - flat), flat) + np.arange(flat.sum())
-    idx = np.zeros(len(start) * width, dtype=np.int64)
-    idx[dest] = dest + np.repeat((start - first).ravel(), flat)
-    return idx.reshape(len(start), width), np.arange(width) >= totals[:, None]
 
 
 def euclidean_vote(
     train: np.ndarray, labels: np.ndarray, queries: np.ndarray, k: int
 ) -> np.ndarray:
-    """k-NN predictions for (T, d) query rows against (n, d) training rows
-    with 0/1 labels; vote ties go to label 1.
+    """k-NN predictions for (T, d) query rows against (n, d) training rows,
+    d >= 1, with n 0/1 labels; vote ties go to label 1.
 
     At d = 1 the search is exact and reads no candidates. Over the sorted
     rows, a query's rounded squared distance does not increase before its
@@ -263,107 +260,110 @@ def euclidean_vote(
     [max(0, place - k), min(place, n - k)], and row lo + k lies at or
     after the place. Over that range "row lo is farther than row lo + k"
     holds and then fails, and the first lo where it fails starts a nearest
-    run. One binary search over all queries finds it in k.bit_length()
-    rounds, and prefix sums of the sorted labels count the run's ones.
-    Time is O((n + T) log n + T log k) and memory O(n + T).
+    run. One binary search over the queries in sorted order, so that its
+    reads move forward through the rows, finds it in k.bit_length() rounds,
+    and prefix sums of the sorted labels count the run's ones. Time is
+    O((n + T) log n + T log k) and memory O(n + T).
 
     At d >= 2 the search reads a table of cells built by counting. The
     training rows are sorted by coordinate 0 and cut into columns of
     s = isqrt(n·w) consecutive rows; w is min(n, max(2k, 8)) at d = 2 and
-    min(n, max(2k, 2·isqrt(n))) at d >= 3. Column c is cut into s bands,
-    even over its own coordinate-1 range [low_c, high_c]:
-    band(v, c) = floor((v - low_c)·inv_c) clipped to 0..s - 1, with
-    inv_c = s/(high_c - low_c), or 0 where that quotient is not finite, and
-    NaN (from ±inf·0) sent to band 0. So band(·, c) is defined on every
-    float, ±inf included, and never decreases as v grows. Even bands keep a
-    column balanced when coordinate 1 follows coordinate 0. ``bincount``
-    and ``cumsum`` over the rows' (column, band) cells give an offsets
-    table of about n entries, and the rows are sorted by cell.
+    min(n, max(2k, 2·isqrt(n))) at d >= 3. Column c is cut into s bands
+    even over its own coordinate-1 range by ``_Cells.cell``, a band
+    function defined on every float, ±inf included, and nondecreasing;
+    even bands keep a column balanced when coordinate 1 follows coordinate
+    0. ``bincount`` and ``cumsum`` over the rows' (column, band) cells give
+    an offsets table of about n entries, and the rows are sorted by cell.
 
-    Pass 1 visits every query. The k-th smallest squared distance r² over
-    the w rows around its place in its home cell bounds its true k-th
-    neighbour distance from above, since k real rows reach it. Every row at
-    squared distance at most r² has |t₀ - q₀| <= r and |t₁ - q₁| <= r, and
-    so lies within the bounds q ± h widened by a margin h >= r. Its column
-    meets [q₀ - h, q₀ + h], and a ``searchsorted`` over the n/s column
-    edges finds those columns. Rows and bounds go through the same band
+    Each query's place in the cell order is found at once, and pass 1
+    visits the queries in place order. The k-th smallest squared distance
+    r² over the w rows around a place bounds the query's k-th neighbour
+    distance from above, since k real rows reach it. Every row at squared
+    distance at most r² has |t₀ - q₀| <= r and |t₁ - q₁| <= r, and so lies
+    within the bounds q ± h widened by a margin h >= r. Its column meets
+    [q₀ - h, q₀ + h], and a ``searchsorted`` over the n/s column edges
+    finds those columns. Rows and bounds go through the same band
     function, so in column c the row's band lies between band(q₁ - h, c)
     and band(q₁ + h, c), and the query's candidates there are the one run
     from offsets[c·s + band(q₁ - h, c)] to offsets[c·s + band(q₁ + h, c) + 1]:
     two table reads. On uniform data in the plane a query reads O(w) rows,
     where pruning by coordinate 0 alone would leave O(sqrt(n)).
 
-    Pass 2 takes the queries grouped by their column count, in the order of
-    their places within a group, and picks each one's k nearest candidates
-    with ``argpartition``. Its blocks are cut so that queries times padded
-    width stays within EUCLIDEAN_BLOCK entries, unless one query alone
-    exceeds it, so memory is O(n + T + EUCLIDEAN_BLOCK) whatever the input.
-    Time is
-    O(n log n + T log T + T·(w + R·L)) for R columns of L candidate rows per
-    query.
+    Pass 2 takes the queries grouped by column count, in place order within
+    a group, sorts each slice of them by candidate total and picks each
+    query's k nearest candidates with ``argpartition``, in blocks of at most
+    EUCLIDEAN_BLOCK entries unless one query alone exceeds it. The totals
+    being sorted, a block is padded only to its own rows' largest total.
+    Memory is O(n + T + EUCLIDEAN_BLOCK) whatever the input, and time
+    O(n log n + T log T + T·(w + R·L)) for R columns of L candidate rows.
 
     Squared distances are summed one coordinate at a time, and each equals
     the dense computation's bits, so the prediction equals the brute-force
-    vote whenever the k-th and (k+1)-th distances differ. Distance ties at
-    the k-th radius are not broken by tie keys: with continuous draws they
-    have probability zero, and ``select_neighbours`` stays the reference
-    for the tie rule.
+    vote whenever the k-th and (k+1)-th distances differ, whatever the
+    order of the queries. Distance ties at the k-th radius are not broken
+    by tie keys: with continuous draws they have probability zero, and
+    ``select_neighbours`` stays the reference for the tie rule.
     """
     n, d = train.shape
+    if d < 1 or queries.ndim != 2 or queries.shape[1] != d or np.shape(labels) != (n,):
+        shapes = f"{train.shape} rows, {np.shape(labels)} labels, {queries.shape} queries"
+        raise ValueError(f"need (n, d) rows with d >= 1, (n,) labels, (T, d) queries; got {shapes}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
+    T = len(queries)
     if d == 1:
-        order = np.argsort(train[:, 0], kind="stable")
-        key0 = train[order, 0]
-        places = np.searchsorted(key0, queries[:, 0])
-        q, cum = queries[:, 0], np.concatenate(([0], np.cumsum(labels[order])))
-        lo, hi = np.maximum(places - k, 0), np.minimum(places, n - k)
+        order = np.argsort(train[:, 0])  # equal rows may come in any order, as at d >= 2
+        key0, cum = train[order, 0], np.concatenate(([0], np.cumsum(labels[order])))
+        order = np.argsort(queries[:, 0])
+        q = queries[order, 0]
+        hi = np.searchsorted(key0, q)  # each query's place
+        lo, hi = np.maximum(hi - k, 0), np.minimum(hi, n - k, out=hi)
         for _ in range(k.bit_length()):  # hi - lo <= k, halved each round
             mid = (lo + hi) // 2
             # mid + k < n while lo < hi; the clip only guards finished searches
             farther = (q - key0[mid]) ** 2 > (q - key0[np.minimum(mid + k, n - 1)]) ** 2
             lo, hi = np.where((lo < hi) & farther, mid + 1, lo), np.where(farther, hi, mid)
-        return (2 * (cum[lo + k] - cum[lo]) >= k).astype(np.int64)
+        out = np.empty(T, dtype=np.int64)
+        out[order] = 2 * (cum[lo + k] - cum[lo]) >= k
+        return out
     w = min(n, max(2 * k, 8 if d == 2 else 2 * math.isqrt(n)))
     cells, columns, sorted_labels = _cell_table(train, labels, math.isqrt(n * w))
-    T = len(queries)
-    places, h = np.empty(T, dtype=cells.offsets.dtype), np.empty(T)
-    first, count = np.empty(T, dtype=np.int32), np.empty(T, dtype=np.int32)
-    # pass 1: each query's place in its home cell, the window bound r2, the
-    # margin h and the columns that meet [q0 - h, q0 + h]
+    places = np.maximum(np.searchsorted(cells.firsts, queries[:, 0], "right") - 1, 0)
+    places = cells.offsets[cells.cell(places, queries[:, 1])]  # home column -> place
+    order = np.argsort(places)
+    h, first, count = np.empty(T), np.empty(T, dtype=np.int32), np.empty(T, dtype=np.int32)
+    # pass 1: the window bound r2, the margin h and the columns meeting q0 ± h
     step = max(1, EUCLIDEAN_BLOCK // w)
     for lo in range(0, T, step):
-        part, q = slice(lo, lo + step), queries[lo : lo + step]
-        home = np.maximum(np.searchsorted(cells.firsts, q[:, 0], "right") - 1, 0)
-        places[part] = cells.offsets[cells.cell(home, q[:, 1])]
+        these = order[lo : lo + step]
+        q = queries[these]
         # the window may run into a neighbouring column: its rows are real rows
-        idx = np.clip(places[part] - w // 2, 0, n - w)[:, None] + np.arange(w)
+        idx = np.clip(places[these] - w // 2, 0, n - w)[:, None] + np.arange(w)
         r2 = np.partition(_gathered_d2(q, columns, idx), k - 1, axis=1)[:, k - 1]
         # fl((t - q)**2) <= r2 implies |t - q| <= sqrt(r2)·(1 + 5u) when the
         # square is a normal float, and |t - q| < 1.5e-154 when it
         # underflows, on coordinates 0 and 1 alike, since a sum of
         # nonnegative rounded terms is at least each term; so q - h <= t <=
         # q + h, and rounding to nearest is monotone, so fl(q -/+ h) keeps t
-        h[part] = np.sqrt(r2) * (1 + 1e-12) + 1e-150
-        below, above = _widened(q[:, 0], h[part])
-        first[part] = np.searchsorted(cells.lasts, below, "left")
-        count[part] = np.searchsorted(cells.firsts, above, "right") - first[part]
+        h[these] = np.sqrt(r2) * (1 + 1e-12) + 1e-150
+        below, above = _widened(q[:, 0], h[these])
+        first[these] = np.searchsorted(cells.lasts, below, "left")
+        count[these] = np.searchsorted(cells.firsts, above, "right") - first[these]
     # pass 2: queries grouped by their column count, in place order within a
     # group; each (query, column) run is two reads from the offsets table
-    visit = np.argsort(count.astype(np.int64) * (n + 1) + places)
-    out = np.empty(T, dtype=np.int64)
-    group = 0
+    order = order[np.argsort(count[order], kind="stable")]
+    group, out = 0, np.empty(T, dtype=np.int64)
     for width, size in enumerate(np.bincount(count).tolist()):
         step = max(1, EUCLIDEAN_BLOCK // max(width, 1))
         for lo in range(group, group + size, step):
-            these = visit[lo : min(lo + step, group + size)]
+            these = order[lo : min(lo + step, group + size)]
             cols = first[these, None] + np.arange(width, dtype=np.int32)
             below, above = _widened(queries[these, 1, None], h[these, None])
-            start = cells.offsets[cells.cell(cols, below)]
-            stop = cells.offsets[cells.cell(cols, above) + 1]
-            for a, b in _blocks((stop - start).sum(axis=1)):
-                out[these[a:b]] = _run_vote(
-                    queries[these[a:b]], columns, sorted_labels, start[a:b], stop[a:b], k
-                )
+            runs = cells.offsets[np.stack([cells.cell(cols, below), cells.cell(cols, above) + 1])]
+            by_total = np.argsort((runs[1] - runs[0]).sum(axis=1))
+            these, runs = these[by_total], runs[:, by_total]
+            for a, b in _blocks((runs[1] - runs[0]).sum(axis=1)):
+                votes = _run_vote(queries[these[a:b]], columns, sorted_labels, runs[:, a:b], k)
+                out[these[a:b]] = votes
         group += size
     return out

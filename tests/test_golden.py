@@ -7,7 +7,9 @@ Euclidean vote shows up here; such a change regenerates
 ``coverhart.json`` digests were written by a dense |T| x n line kernel and
 an argmin 1-NN kernel; the chunked all-pairs ``knn.euclidean_vote`` that
 replaced both, the sorted-slab and sorted-strip searches that replaced it,
-and the counted cell table that replaced the strips reproduce them. The ``dimension.json`` digest pins the generic-metric outputs
+the counted cell table that replaced the strips, and the same table read
+with the queries in sorted order and blocks padded only to their own
+largest candidate run reproduce them. The ``dimension.json`` digest pins the generic-metric outputs
 (certificates and sparse witnesses) that every ``spaces.distance`` path
 feeds; it covers the interval and ultrametric batteries only through their
 maxima, so their draws are pinned in ``test_experiments.py`` instead. The two ``consistency_*.csv`` digests are those of fresh mode

@@ -466,6 +466,19 @@ def test_euclidean_vote_rejects_k_outside_1_to_n(d, k):
         euclidean_vote(train, labels, queries, k)
 
 
+@pytest.mark.parametrize(
+    "train_shape, labels_shape, queries_shape",
+    [((50, 2), (50,), (3, 3)), ((50, 2), (49,), (3, 2)), ((50, 0), (50,), (3, 0))],
+    ids=["query_width", "short_labels", "no_coordinates"],
+)
+def test_euclidean_vote_rejects_mismatched_shapes(train_shape, labels_shape, queries_shape):
+    # each once voted on the first d columns or raised IndexError inside the kernel
+    rng = np.random.default_rng(0)
+    train, queries = rng.random(train_shape), rng.random(queries_shape)
+    with pytest.raises(ValueError, match=r"^need \(n, d\) rows with d >= 1"):
+        euclidean_vote(train, rng.integers(0, 2, labels_shape), queries, 1)
+
+
 @pytest.mark.parametrize("n, k", [(100, 10), (1000, 32), (10_000, 100)])
 def test_euclidean_vote_matches_dense_line_kernel(n, k):
     # the baseline runner's sizes, with coin-flip labels so that every vote counts
@@ -678,7 +691,7 @@ def _plane_draws(layout, n, T, seed):
 @pytest.mark.parametrize("layout", ["uniform", "clustered"])
 def test_euclidean_vote_peak_memory(layout):
     # (n, d, k, T) = (20000, 2, 1, 10^4): blocks of EUCLIDEAN_BLOCK entries
-    # and O(n + T) arrays set the peak (2.0 MiB on both layouts), far from
+    # and O(n + T) arrays set the peak (2.2 MiB on both layouts), far from
     # the 1.6 GB of an n x T matrix of squared distances
     train, labels, queries = _plane_draws(layout, 20_000, 10_000, 1)
     tracemalloc.start()
@@ -689,6 +702,62 @@ def test_euclidean_vote_peak_memory(layout):
         tracemalloc.stop()
     assert peak < 3 * 2**20
     assert np.array_equal(got[:256], _dense_vote(train, labels, queries[:256], 1))
+
+
+def test_line_vote_peak_memory():
+    # (n, k, T) = (10^4, 100, 10^4): the sorted rows, the sorted queries and
+    # the search's O(n + T) index arrays set the peak (0.85 MiB), where a
+    # (T, k) block of candidate rows alone would take 7.6 MiB
+    rng = np.random.default_rng(3)
+    train_x, train_y, test_x = rng.random(10_000), rng.integers(0, 2, 10_000), rng.random(10_000)
+    tracemalloc.start()
+    try:
+        got = euclidean_vote(train_x[:, None], train_y, test_x[:, None], 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+    assert np.array_equal(got[:500], _dense_line_vote(train_x, train_y, test_x[:500], 100))
+
+
+def _order_inputs(data, d):
+    """Training rows and queries for the query-order test: uniform draws
+    with queries over [-1, 2]^d, the 80-row lattice of
+    ``test_euclidean_vote_on_a_lattice_with_ties``, or uniform draws with
+    the infinite query coordinates of
+    ``test_euclidean_vote_with_infinite_query_coordinates``."""
+    rng = np.random.default_rng(d)
+    n, T = (80 if data == "lattice" else 300), 150
+    if data == "lattice":
+        train, queries = rng.integers(0, 12, (n, d)).astype(float), rng.integers(-4, 28, (T, d)) / 2
+    else:
+        train, queries = rng.random((n, d)), 3 * rng.random((T, d)) - 1
+    if data == "infinite":
+        queries[:2, 0], queries[2:4, d - 1] = [np.inf, -np.inf], [np.inf, -np.inf]
+    return train, rng.integers(0, 2, n), queries, rng.permutation(T)
+
+
+@pytest.mark.parametrize("block", [1, 3, knn.EUCLIDEAN_BLOCK])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("data", ["uniform", "lattice", "infinite"])
+def test_euclidean_vote_does_not_depend_on_the_query_order(data, d, block):
+    # shuffled queries get the same votes, shuffled alike, wherever the k-th
+    # and (k+1)-th squared distances differ; at a tie argpartition may pick
+    # another tied row when a block's padding changes
+    train, labels, queries, perm = _order_inputs(data, d)
+    d2 = (queries[:, None, 0] - train[None, :, 0]) ** 2
+    for j in range(1, d):
+        d2 += (queries[:, None, j] - train[None, :, j]) ** 2
+    d2 = np.column_stack([np.sort(d2, axis=1), np.full(len(queries), np.inf)])
+    compared = 0
+    for k in (1, 4, 15, len(train)):
+        decided = (d2[:, k - 1] < d2[:, k])[perm]
+        with mock.patch.object(knn, "EUCLIDEAN_BLOCK", block):
+            got = euclidean_vote(train, labels, queries, k)[perm]
+            shuffled = euclidean_vote(train, labels, queries[perm], k)
+        assert np.array_equal(shuffled[decided], got[decided])
+        compared += decided.sum()
+    assert compared > len(queries)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -896,24 +896,6 @@ def _letter_finder(letters: np.ndarray, T: int) -> Callable[[np.ndarray], np.nda
     return partial(lut.take, mode="clip")
 
 
-def _arranged(ones: int, test_count: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniformly random arrangement of ones 1s among test_count int8
-    predictions. While the fewer label takes at most a twentieth of the
-    positions, ``rng.choice`` draws its positions in O(subset) (Floyd's
-    algorithm); past that, choice would shuffle an int64 index of every
-    position (8 MB at 10**6), so the int8 predictions are shuffled in place."""
-    majority = int(2 * ones > test_count)
-    fewer = min(ones, test_count - ones)
-    if 20 * fewer > test_count:
-        preds = np.zeros(test_count, dtype=np.int8)
-        preds[:ones] = 1
-        rng.shuffle(preds)
-        return preds
-    preds = np.full(test_count, majority, dtype=np.int8)
-    preds[rng.choice(test_count, fewer, replace=False, shuffle=False)] = 1 - majority
-    return preds
-
-
 def binomial_stderr(p: float, count: int) -> float:
     """Standard error of a fraction p of count independent draws, floored at
     sqrt(1e-12 / count) so that a Monte Carlo row always carries a positive
@@ -924,7 +906,7 @@ def binomial_stderr(p: float, count: int) -> float:
 class StageSimResult(NamedTuple):
     fraction: float  # fraction of diffuse test points predicted 1
     stderr: float
-    predictions: np.ndarray
+    predictions: Optional[np.ndarray]  # int64 (T,) in trace mode; None in fresh mode
 
 
 def structured_stage_sim(
@@ -942,10 +924,10 @@ def structured_stage_sim(
     ``fresh`` gives each test point an independent n-sample (the estimator
     used by the experiment runners). The T predictions are then iid
     Bernoulli(p) for the exact stage probability p of
-    ``stage_probability``, so it draws their number of 1s as one
-    Binomial(T, p) and returns that many 1s in a uniformly random int8
-    arrangement (``_arranged``). ``trace`` draws one shared provenance
-    trace as its group sizes and letters (``_draw_rows``: the sizes as one
+    ``stage_probability``, so it draws only their number of 1s, as one
+    Binomial(T, p), and returns no predictions (``None``): O(k) memory at
+    any T. ``trace`` draws one shared provenance trace as its group sizes
+    and letters (``_draw_rows``: the sizes as one
     multinomial, letters only where a row has them), jumps the generator
     past its n tie keys without drawing them (``_skip_uniforms``:
     ``draw_trace`` redraws a repeated key off the main stream, and the
@@ -965,7 +947,7 @@ def structured_stage_sim(
     rng = np.random.default_rng(seed)
     if sample_mode == "fresh":
         ones = int(rng.binomial(test_count, stage_probability(problem, n, k)))
-        preds = _arranged(ones, test_count, rng)
+        preds = None
     elif sample_mode == "trace":
         trace = _draw_rows(problem, n, rng)
         _skip_uniforms(rng, n)  # draw_trace's tie keys, which the count kernel never reads

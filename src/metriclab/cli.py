@@ -138,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default results")
     p.add_argument("--bench", metavar="PATH", type=pathlib.Path, default=None, help=(
         "run each job, then the tier-1 suite, in a fresh interpreter in the current directory "
-        '(the repository root) and write {job: {"wall_s", "peak_rss_mb"}} to PATH'))
+        '(the repository root) and write {job: {"wall_s", "peak_rss_mb"}} to PATH; '
+        "each wall_s includes about 0.2 s of interpreter and numpy start-up, "
+        "so it cannot show a kernel change"))
     return parser
 
 

@@ -174,10 +174,10 @@ def run_consistency(config: ExperimentConfig) -> list[StageReport]:
     for stage in range(lo, hi + 1):
         n = sched.n[stage]
         k = adv.k_of(sched.k_rule, n)
-        # only the two floats are kept, not the stage's predictions
-        fraction, stderr = adv.structured_stage_sim(
+        # a fresh stage returns its fraction and stderr, and no predictions
+        fraction, stderr, _ = adv.structured_stage_sim(
             problem, stage, n, k, config.test_count, seeds[stage], sample_mode="fresh"
-        )[:2]
+        )
         reports.append(
             StageReport(
                 stage=stage,

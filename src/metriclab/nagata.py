@@ -14,7 +14,8 @@ block by block, from ``spaces.contained_pairs``, with each pair decided as
 boundaries fall exactly. In the sparse l2 space only the pairs that share
 a direction or pass a norm bound reach the exact merge: about 2m pairs for
 a sparse witness of m balls, in O(m) memory, where an m x m matrix would
-be O(m^2 s). Only ``doubling_cover_greedy`` stays scalar.
+be O(m^2 s). In every other space, words too, ``contained_pairs`` makes
+one ``distance`` call per pair, as ``doubling_cover_greedy`` does.
 
 A battery of many small families is decided in arrays, with no ``Ball``
 built: ``interval_multiplicities`` sweeps the endpoints of every family

@@ -57,15 +57,15 @@ pair has reached its sentinels. So a call on a few balls costs a fixed
 few dozen numpy calls, and each added ball a few array entries, or a few
 list entries where a list of points is converted.
 
-Words are decided by one array kernel, ``words_contained``, over a list of
-pairs, in blocks of ``PAIR_BLOCK``. ``pack_words`` puts the words in the
-rows of a letter matrix padded with the blank 0, as ``_word_prefix_len``
-pads them; ``contained_pairs`` first codes the letters, 0 as 0 and every
-other distinct letter as 1, 2, ..., so letters of any int fit a narrow
-dtype. A pair's common prefix is the run of equal columns, capped at the
-longer word's length, and the distance is 0.0 for equal words and
-``ldexp(1.0, -lcp)``, the power of two ``2.0 ** -lcp`` gives, otherwise;
-so both boundaries fall exactly.
+Words have an array kernel, ``words_contained``, over a list of pairs of
+rows of ``pack_words``'s letter matrix, padded with the blank 0 as
+``_word_prefix_len`` pads them; callers that hold words as arrays pass it
+blocks of ``PAIR_BLOCK`` pairs. A pair's common prefix is the run of equal
+columns, capped at the longer word's length, and the distance is 0.0 for
+equal words and ``ldexp(1.0, -lcp)``, the power of two ``2.0 ** -lcp``
+gives, otherwise; so both boundaries fall exactly. ``contained_pairs``
+decides ``Word`` points, as those of the line, Euclidean space and the
+Heisenberg group, by one ``distance`` call per pair.
 """
 
 from __future__ import annotations
@@ -630,32 +630,6 @@ def words_contained(
     return np.where(closed[ia], d <= r, d < r)
 
 
-def _pack_word_points(space: UltrametricWords, points: Sequence[Point]) -> PackedWords:
-    """``pack_words`` of the points, each letter coded by first appearance
-    after the blank: 0 as 0, every other distinct letter as 1, 2, ..."""
-    rows = [p.letters for p in points if isinstance(p, Word)]
-    if len(rows) < len(points):
-        other = next(p for p in points if not isinstance(p, Word))
-        raise _mismatch(space, other, other)
-    letters = list(itertools.chain.from_iterable(rows))
-    code = dict.fromkeys(itertools.chain((0,), letters))
-    code = dict(zip(code, range(len(code))))
-    return pack_words(
-        np.fromiter(map(len, rows), np.intp, len(rows)),
-        np.fromiter(map(code.__getitem__, letters), np.intp, len(letters)),
-    )
-
-
-def _word_contained(words, radii, closed, n_centers, n_points):
-    """Blocks of ``contained_pairs`` for packed centres (rows below
-    ``n_centers``) and points (the rows after them): every (ball, point)
-    pair, ``PAIR_BLOCK`` at a time, through ``words_contained``."""
-    for lo in range(0, n_centers * n_points, PAIR_BLOCK):
-        ia, ib = np.divmod(np.arange(lo, min(lo + PAIR_BLOCK, n_centers * n_points)), n_points)
-        hit = words_contained(words, radii, closed, ia, ib + n_centers)
-        yield ia[hit], ib[hit]
-
-
 def contained_pairs(
     space: MetricSpace,
     centers: Union[SparseRows, Sequence[Point]],
@@ -672,10 +646,9 @@ def contained_pairs(
 
     The sparse l2 space decides only the candidate pairs, in blocks of about
     ``PAIR_BLOCK``, and each by ``sparse_d2``'s exact merge (see the module
-    docstring). Words decide every pair, ``PAIR_BLOCK`` at a time, by the
-    array kernel ``words_contained``. The line, Euclidean space and the
-    Heisenberg group loop over ``distance``: a numpy form of their
-    formulas need not round as Python's ``d * d`` on floats does.
+    docstring). The other spaces loop over ``distance``: a numpy form of
+    the line's, Euclidean space's and the Heisenberg group's formulas need
+    not round as Python's ``d * d`` on floats does.
     """
     radii, closed = np.asarray(radii, float), np.asarray(closed, bool)
     if isinstance(space, SparseL2):
@@ -683,9 +656,6 @@ def contained_pairs(
         n_points = len(packed.start) - len(centers)
         return _sparse_contained(packed, radii, closed, len(centers), n_points)
     points = list(itertools.chain.from_iterable(parts))
-    if isinstance(space, UltrametricWords):
-        words = _pack_word_points(space, list(centers) + points)
-        return _word_contained(words, radii, closed, len(centers), len(points))
     return _scalar_contained(space, centers, radii.tolist(), closed.tolist(), points)
 
 

@@ -79,14 +79,18 @@ def test_draw_trace(benchmark):
     assert len(np.unique(trace.tie_keys)) == 10**6
 
 
-def test_trace_predictions(benchmark):
-    # the kernel alone on one fixed n = 10^6 trace with 20 test words
+@pytest.mark.parametrize("n, T", [(10**6, 20), (250, 50)], ids=["n1e6", "n250"])
+def test_trace_predictions(benchmark, n, T):
+    # the kernel alone on one fixed trace at D = 3: the empirical table's
+    # stage 1 (n = 10^6, k = 20), and a criterion-07-size sample of 250 rows
+    # with 50 test words, where numpy's per-call cost dominates
     problem = _problem("empirical", 1)
+    k = adv.k_of(problem.schedule.k_rule, n)
     rng = np.random.default_rng(7)
-    trace = adv.draw_trace(problem, 10**6, rng)
-    words = adv.draw_test_words(problem, 20, rng)
-    preds = benchmark(adv._trace_predictions, problem, trace, words, 20)
-    assert len(preds) == 20
+    trace = adv.draw_trace(problem, n, rng)
+    words = adv.draw_test_words(problem, T, rng)
+    preds = benchmark(adv._trace_predictions, problem, trace, words, k)
+    assert len(preds) == T
     assert preds.mean() >= 0.9
 
 

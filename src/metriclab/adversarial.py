@@ -779,22 +779,19 @@ def _trace_predictions(
 
     The words' distinct letters and prefixes at each level are found once
     (``_unique_inverse``), with a table from each letter to its index
-    (``_letter_finder``). The row groups are then walked down the prefix
-    trie of the test words over their own levels, CHUNK rows at a time,
-    without reordering the sample: the diffuse rows and the atoms at depth
-    D, which lie side by side, as one slice over all D levels with a count
-    row each (a block that holds rows of both splits its counts with one
-    binary search), and the atoms at depth j < D over their j letters. At
-    each level only the rows that match some word's prefix
-    remain: one take keeps those whose next letter is among the words'
-    letters, with its index; one binary search looks the pair (prefix id,
-    letter index) up among the words' longer prefixes (at h = 0 the one
-    empty prefix makes the letter index the 1-prefix id); and one bincount
-    adds the rows of each prefix to ge[h + 1], the group's rows agreeing
-    with each word on h + 1 letters. ge[0] is the group size, and ge[h] -
-    ge[h + 1] rows split at h. Lookup keys stay below T**2, so no letter is
-    ever packed into an integer. The letters are best column-major, as
-    ``draw_trace`` stores them.
+    (``_letter_finder``). Each row group is then walked down the prefix
+    trie of the test words over its own levels, CHUNK rows at a time,
+    without reordering the sample: the diffuse rows over all D levels, the
+    atoms at depth j over their j letters. At each level only the rows
+    that match some word's prefix remain: one take keeps those whose next
+    letter is among the words' letters, with its index; one binary search
+    looks the pair (prefix id, letter index) up among the words' longer
+    prefixes (at h = 0 the one empty prefix makes the letter index the
+    1-prefix id); and one bincount adds the rows of each prefix to
+    ge[h + 1], the group's rows agreeing with each word on h + 1 letters.
+    ge[0] is the group size, and ge[h] - ge[h + 1] rows split at h. Lookup
+    keys stay below T**2, so no letter is ever packed into an integer. The
+    letters are best column-major, as ``draw_trace`` stores them.
 
     The vote reads the (classes x T) matrix of class counts in distance
     order (``_count_vote``).
@@ -814,24 +811,14 @@ def _trace_predictions(
         prefixes, word_pid = _unique_inverse(word_keys)
         levels.append((letters, prefixes, _letter_finder(letters, T)))
         pids.append(word_pid)
-    # the diffuse rows and the atoms at depth D read the same D letters and
-    # lie side by side, so they walk as one slice with two count rows; each
-    # shallower atom group walks its own letters
-    sizes = trace.group_sizes.tolist()
-    slices = [((-1, D), sizes[:2])]
-    slices += [((depth,), [size]) for depth, size in zip(range(D - 1, -1, -1), sizes[2:])]
     ge = {}  # ge[depth][h][p]: the group's rows that match prefix p of length h
     stop = 0
-    for groups, group_sizes in slices:
-        start, stop = stop, stop + sum(group_sizes)
-        second = start + group_sizes[0]  # the first row of the second group, if any
-        walk = levels[: groups[-1]]
-        tallies = [np.array(group_sizes)[:, None]]  # tallies[h][g]: ge[groups[g]][h]
-        tallies += [np.zeros((len(groups), len(p)), dtype=np.int64) for _, p, _ in walk]
+    for depth, size in zip(_layout_depths(D), trace.group_sizes.tolist()):
+        start, stop = stop, stop + size
+        walk = levels[: D if depth < 0 else depth]
+        ge[depth] = [np.array([size])] + [np.zeros(len(p), dtype=np.int64) for _, p, _ in walk]
         for lo in range(start, stop, CHUNK):
             block = trace.letters[lo : min(lo + CHUNK, stop)]
-            split = second - lo  # the block's rows before it are the first group's
-            straddles, only = 0 < split < len(block), int(split <= 0)
             for h, (letters, prefixes, find) in enumerate(walk):
                 if h == 0:  # one empty prefix: a letter's index is its 1-prefix id
                     index = find(block[:, 0])
@@ -844,14 +831,7 @@ def _trace_predictions(
                     pos = np.minimum(np.searchsorted(prefixes, pair), len(prefixes) - 1)
                     hit = prefixes[pos] == pair  # prefix and letter may each occur, the pair not
                     rows, row_pid = rows[keep[hit]], pos[hit]
-                if straddles:  # the rows stay in order: the first group's come first
-                    cut = int(rows.searchsorted(split))
-                    tallies[h + 1][0] += np.bincount(row_pid[:cut], minlength=len(prefixes))
-                    tallies[h + 1][1] += np.bincount(row_pid[cut:], minlength=len(prefixes))
-                else:
-                    tallies[h + 1][only] += np.bincount(row_pid, minlength=len(prefixes))
-        for g, depth in enumerate(groups):
-            ge[depth] = [t[g] for t in tallies]
+                ge[depth][h + 1] += np.bincount(row_pid, minlength=len(prefixes))
 
     classes = distance_classes(problem)
     counts = np.empty((len(classes), T), dtype=np.int64)

@@ -53,13 +53,13 @@ class LabelledSample:
 
     def _pack(self, objects, inverse, labels, tie_keys):
         labels, tie_keys = np.asarray(labels), np.asarray(tie_keys, float)
-        keys = np.sort(tie_keys)  # equal keys are adjacent, 0.0 and -0.0 too; NaN equals none
         if len(inverse) < 1:
             raise ValueError("sample must contain at least one point")
-        if not len(inverse) == len(labels) == len(tie_keys):
+        if not (labels.ndim == tie_keys.ndim == 1 and len(inverse) == len(labels) == len(tie_keys)):
             raise ValueError("points, labels and tie keys must have equal length")
         if not ((labels == 0) | (labels == 1)).all():  # compared: a cast takes 0.5 and "1"
             raise ValueError("labels must be 0 or 1")
+        keys = np.sort(tie_keys)  # equal keys are adjacent, 0.0 and -0.0 too; NaN equals none
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("tie keys must be pairwise distinct")
         counts = np.bincount(inverse, minlength=len(objects))
@@ -193,8 +193,7 @@ def _cell_table(
     inv[~np.isfinite(inv)] = 0
     cells = _Cells(s, key0[edges], key0[np.minimum(edges + s, n) - 1], low, inv, None)
     cell = cells.cell(np.arange(n) // s, row1)
-    # int32 while 2n fits: a padding entry of _run_vote reaches n plus a row's width
-    offsets = np.zeros(len(edges) * s + 1, dtype=np.int32 if n < 2**30 else np.int64)
+    offsets = np.zeros(len(edges) * s + 1, dtype=np.intp)
     np.cumsum(np.bincount(cell, minlength=len(edges) * s), out=offsets[1:])
     order = order[np.argsort(cell)]
     columns = np.full((train.shape[1], n + 1), np.inf)
@@ -234,13 +233,13 @@ def _run_vote(
     ``repeat``; a padding's shift takes it to n or beyond, and ``minimum``
     holds it at n."""
     lengths = runs[1] - runs[0]
-    totals = lengths.sum(axis=1, dtype=lengths.dtype)
+    totals = lengths.sum(axis=1)
     width, pad = totals.max(), len(labels) - 1
     stretches = np.column_stack([lengths, width - totals]).ravel()  # ranges, padding, by row
     shifts = np.column_stack([runs[0], np.full_like(totals, pad)]).ravel()
-    shifts += stretches - np.cumsum(stretches, dtype=stretches.dtype)
+    shifts += stretches - np.cumsum(stretches)
     idx = np.repeat(shifts, stretches)
-    idx += np.arange(len(idx), dtype=idx.dtype)
+    idx += np.arange(len(idx))
     idx = np.minimum(idx, pad, out=idx).reshape(len(q), width)
     d2 = _gathered_d2(q, columns, idx)
     near = np.take_along_axis(idx, np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
@@ -331,7 +330,7 @@ def euclidean_vote(
     places = np.maximum(np.searchsorted(cells.firsts, queries[:, 0], "right") - 1, 0)
     places = cells.offsets[cells.cell(places, queries[:, 1])]  # home column -> place
     order = np.argsort(places)
-    h, first, count = np.empty(T), np.empty(T, dtype=np.int32), np.empty(T, dtype=np.int32)
+    h, first, count = np.empty(T), np.empty(T, dtype=np.intp), np.empty(T, dtype=np.intp)
     # pass 1: the window bound r2, the margin h and the columns meeting q0 ± h
     step = max(1, EUCLIDEAN_BLOCK // w)
     for lo in range(0, T, step):
@@ -357,7 +356,7 @@ def euclidean_vote(
         step = max(1, EUCLIDEAN_BLOCK // max(width, 1))
         for lo in range(group, group + size, step):
             these = order[lo : min(lo + step, group + size)]
-            cols = first[these, None] + np.arange(width, dtype=np.int32)
+            cols = first[these, None] + np.arange(width)
             below, above = _widened(queries[these, 1, None], h[these, None])
             runs = cells.offsets[np.stack([cells.cell(cols, below), cells.cell(cols, above) + 1])]
             by_total = np.argsort((runs[1] - runs[0]).sum(axis=1))

@@ -62,23 +62,17 @@ from .spaces import (
 )
 
 
-class _BallFields(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Ball:
+    """A ball of positive radius, closed (d <= r) or open (d < r)."""
+
     center: Point
     radius: float
     closed: bool = True
 
-
-class Ball(_BallFields):
-    """A ball of positive radius, closed (d <= r) or open (d < r): a named
-    tuple checked in ``__new__``, which builds faster than a frozen
-    dataclass, whose fields are set one ``object.__setattr__`` at a time."""
-
-    __slots__ = ()
-
-    def __new__(cls, center: Point, radius: float, closed: bool = True):
-        if not radius > 0:
+    def __post_init__(self):
+        if not self.radius > 0:
             raise ValueError("ball radius must be positive")
-        return tuple.__new__(cls, (center, radius, closed))
 
 
 class BallFamily:
@@ -90,8 +84,9 @@ class BallFamily:
     same balls, space and scale."""
 
     def __init__(self, balls: Sequence[Ball], space: MetricSpace, scale: float = math.inf):
-        centers, radii, closed = tuple(zip(*balls)) or ((), (), ())  # a ball is its fields
-        self._set(centers, radii, closed, space, scale)
+        balls = tuple(balls)
+        radii, closed = [b.radius for b in balls], [b.closed for b in balls]
+        self._set(tuple(b.center for b in balls), radii, closed, space, scale)
 
     @classmethod
     def from_columns(
@@ -109,6 +104,8 @@ class BallFamily:
     def _set(self, centers, radii, closed, space, scale):
         self.columns = (centers, np.asarray(radii, float), np.asarray(closed, bool))
         self.space, self.scale = space, scale
+        if not (self.columns[1] > 0).all():
+            raise ValueError("ball radius must be positive")
         if not (self.columns[1] < scale).all():
             raise ValueError("all radii must be strictly below the family scale")
 
@@ -145,16 +142,10 @@ def contains(ball: Ball, p: Point, space: MetricSpace) -> bool:
     return d <= ball.radius if ball.closed else d < ball.radius
 
 
-def _members(family: BallFamily, *parts: SparseRows | Sequence[Point]):
-    """Blocks of (ball index, point index) arrays: every pair with
-    ``contains(family.balls[b], points[p], family.space)``, for the points
-    of ``parts`` one after another."""
-    return contained_pairs(family.space, *family.columns, *parts)
-
-
 def is_disconnected(family: BallFamily) -> bool:
     """True iff no ball of the family contains another ball's center."""
-    return not any((b != p).any() for b, p in _members(family, family.columns[0]))
+    pairs = contained_pairs(family.space, *family.columns, family.columns[0])
+    return not any((b != p).any() for b, p in pairs)
 
 
 class Multiplicity(NamedTuple):
@@ -172,7 +163,7 @@ def multiplicity_over_probes(family: BallFamily, probes: Sequence[Point]) -> Mul
     if not probes:
         raise ValueError("probe set must be nonempty")
     counts = np.zeros(len(probes), np.intp)
-    for _, p in _members(family, probes):
+    for _, p in contained_pairs(family.space, *family.columns, probes):
         counts += np.bincount(p, minlength=len(probes))
     best = int(np.argmax(counts))  # the first probe of maximal count
     return Multiplicity(int(counts[best]), probes[best])
@@ -271,18 +262,15 @@ def family_pairs(sizes: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray,
     sizes = np.asarray(sizes, np.intp)
     squares = sizes * sizes
     ends = squares.cumsum()
-    pairs = int(ends[-1]) if len(ends) else 0
-    index = np.int32 if pairs < 2**31 else np.intp  # every index is below pairs, as n <= n * n
-    starts = (sizes.cumsum() - sizes).astype(index)
+    starts = sizes.cumsum() - sizes
     lo = 0
     while lo < len(sizes):
         before = ends[lo - 1] if lo else 0
         hi = max(int(ends.searchsorted(before + spaces.PAIR_BLOCK, side="right")), lo + 1)
         n, count = sizes[lo:hi], squares[lo:hi]
-        family = np.repeat(np.arange(hi - lo, dtype=index), count)
-        first_pair = (count.cumsum() - count).astype(index)
-        offset = np.arange(len(family), dtype=index) - first_pair[family]
-        ball, centre = np.divmod(offset, n.astype(index)[family])
+        family = np.repeat(np.arange(hi - lo), count)
+        offset = np.arange(len(family)) - (count.cumsum() - count)[family]
+        ball, centre = np.divmod(offset, n[family])
         first = starts[lo:hi][family]
         yield n, first + ball, first + centre
         lo = hi
@@ -302,7 +290,7 @@ def greedy_covering_subfamily(family: BallFamily) -> BallFamily:
     """
     n = len(family)
     inside = np.zeros((n, n), bool)
-    for b, p in _members(family, family.columns[0]):
+    for b, p in contained_pairs(family.space, *family.columns, family.columns[0]):
         inside[b, p] = True
     members = next(exchange_covers([n], inside.ravel())).members
     return BallFamily(tuple(family.balls[i] for i in members), family.space, family.scale)
@@ -336,7 +324,8 @@ class DimensionCertificate:
         # is listed once, so the pairs beyond those two kinds are foreign
         count, foreign = 0, False
         family = self.family
-        for b, p in _members(family, (self.witness_point,), family.columns[0]):
+        parts = (self.witness_point,), family.columns[0]
+        for b, p in contained_pairs(family.space, *family.columns, *parts):
             witness = np.count_nonzero(p == 0)
             count += witness
             foreign = foreign or len(p) > witness + np.count_nonzero(p == b + 1)
@@ -360,8 +349,8 @@ def nagata_witness_sparse(
     """
     if m < 1:
         raise ValueError("witness size must be positive")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     r = 0.9 * scale
     centers = shifted_rows(center, ids.block(m), r)
     family = BallFamily.from_columns(centers, np.full(m, r), np.ones(m, bool), SparseL2(), scale)

@@ -142,11 +142,8 @@ class SparsePoint:
         """Return this point moved by ``amount`` along one direction, with
         ``from_dict``'s rules: a float value, and no zero coordinate."""
         items = self.items
-        if not items or items[-1][0] < direction:  # a new last id: nothing to search
-            value = float(0.0 + amount)
-            return SparsePoint(items + ((direction, value),) if value != 0.0 else items)
         i = bisect.bisect_left(items, direction, key=itemgetter(0))
-        found = items[i][0] == direction
+        found = i < len(items) and items[i][0] == direction
         value = float((items[i][1] if found else 0.0) + amount)
         moved = ((direction, value),) if value != 0.0 else ()
         return SparsePoint(items[:i] + moved + items[i + found :])

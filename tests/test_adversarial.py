@@ -466,6 +466,15 @@ def test_labelled_sample_from_trace_deterministic():
     assert sa == sb
 
 
+def test_labelled_sample_needs_the_trace_tie_keys():
+    # trace mode draws its rows without keys; a sample cannot be built from them
+    p = small_problem()
+    trace = adv._draw_rows(p, 64, np.random.default_rng(5))
+    assert trace.tie_keys is None
+    with pytest.raises(ValueError, match="equal length"):
+        adv.labelled_sample_from_trace(p, trace)
+
+
 def test_sample_points_carry_one_label_each():
     # atoms (label 1) sit off their hubs, diffuse points (label 0) on the
     # hubs at the truncation depth, so no point carries both labels

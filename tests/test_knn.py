@@ -69,6 +69,9 @@ REJECTED = {
     'only label "1"': (1, ("1",), (0.1,)),
     "repeated tie key": (3, (0, 1, 0), (0.1, 0.2, 0.1)),
     "0.0 and -0.0": (2, (0, 1), (0.0, -0.0)),
+    "tie keys None": (1, (0,), None),
+    "scalar tie key": (1, (0,), 0.5),
+    "scalar label": (1, 0, (0.1,)),
 }
 
 
@@ -81,6 +84,7 @@ def test_both_constructors_reject_alike(name):
     with pytest.raises(ValueError) as by_arrays:
         _packed_by_hand(points, labels, keys)
     assert str(by_arrays.value) == str(by_tuples.value)
+    assert type(by_arrays.value) is type(by_tuples.value) is ValueError  # not numpy's AxisError
 
 
 @pytest.mark.parametrize(

@@ -78,12 +78,26 @@ def test_contains_boundaries():
 def test_ball_and_family_reject_bad_radii(radius):
     with pytest.raises(ValueError, match="radius must be positive"):
         Ball(Real(0.0), radius)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        BallFamily.from_columns([Real(0.0)], [radius], [True], LINE, 1.0)
     ball = Ball(Real(0.0), 2.0, closed=False)
     assert (ball.center, ball.radius, ball.closed) == (Real(0.0), 2.0, False)
     with pytest.raises(AttributeError):
         ball.radius = 1.0
     with pytest.raises(ValueError, match="strictly below the family scale"):
         BallFamily((Ball(Real(0.0), 1.0), ball), LINE, scale=2.0)
+
+
+@pytest.mark.parametrize(
+    "m, scale, message",
+    [(0, 1.0, "witness size must be positive")]
+    + [(1, s, "scale must be positive and finite") for s in (0.0, -1.0, math.nan, math.inf)],
+)
+def test_sparse_witness_rejects_bad_size_and_scale(m, scale, message):
+    ids = DirectionIds()
+    with pytest.raises(ValueError, match=message):
+        nagata_witness_sparse(m, ORIGIN, scale, ids)
+    assert ids.fresh() == 1  # rejected before any direction is issued
 
 
 def test_pentagon_disconnected_multiplicity_five():
@@ -357,7 +371,8 @@ def test_born_packed_witness_equals_the_object_path(data):
     old = tuple(Ball(c, 0.9, True) for c in shifted)
     assert list(family.centers()) == shifted
     assert family.balls == old and family == BallFamily(old, SparseL2(), 1.0)
-    assert {type(v) for b in family.balls for v in b[1:]} == {float, bool}
+    assert {type(b.radius) for b in family.balls} == {float}
+    assert {type(b.closed) for b in family.balls} == {bool}
     # the table as centres and as points, against the materialized tuple
     points = (centre, shifted[0].shift(twin.fresh(), 0.5))
     with mock.patch.object(spaces, "PAIR_BLOCK", data.draw(st.integers(1, 4))):
@@ -375,19 +390,17 @@ def test_witness_sweep_builds_no_centre_object():
     # packed rows; only reading family.balls builds the centres and their
     # balls
     made = collections.Counter()
-    post_init, new = SparsePoint.__post_init__, Ball.__new__
 
-    def counted_post_init(self):
-        made["SparsePoint"] += 1
-        post_init(self)
+    def counted(cls):
+        post_init = cls.__post_init__
 
-    def counted_new(cls, *args, **kwargs):
-        made["Ball"] += 1
-        return new(cls, *args, **kwargs)
+        def counted_post_init(self):
+            made[cls.__name__] += 1
+            post_init(self)
 
-    with mock.patch.object(SparsePoint, "__post_init__", counted_post_init), mock.patch.object(
-        Ball, "__new__", counted_new
-    ):
+        return mock.patch.object(cls, "__post_init__", counted_post_init)
+
+    with counted(SparsePoint), counted(Ball):
         cert = nagata_witness_sparse(256, ORIGIN, 1.0, DirectionIds())
         assert multiplicity_over_probes(cert.family, [cert.witness_point]).count == 256
         printed = certificate_to_json(cert)
